@@ -4,7 +4,7 @@ Counts tuples of permutations drawn from prescribed conjugacy classes of
 the symmetric group whose product has a given number of cycles, and the
 special case of factorizations of a fixed full cycle (one-face bipartite
 maps, indexed by genus).  All arithmetic is exact: integers are
-arbitrary precision and intermediate values are rationals.
+arbitrary precision and intermediate values are integers or rationals.
 
 Every counting route has an independent cross-check: a brute-force
 oracle on small symmetric groups, specialized closed forms, symmetric
@@ -39,7 +39,7 @@ from .charkit import (
     frak_m,
     hook_character_poly,
 )
-from .countcore import ConsistencyError, genus_of, mu, w_number, w_number_full_cycle, xi
+from .countcore import ConsistencyError, genus_of, mu, w_number, xi
 from .closedform import (
     HZTableRow,
     hz_series_check,
@@ -103,7 +103,6 @@ __all__ = [
     "genus_of",
     "mu",
     "w_number",
-    "w_number_full_cycle",
     "xi",
     "HZTableRow",
     "hz_series_check",

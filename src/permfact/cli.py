@@ -11,7 +11,6 @@ printed as exact decimal integers.  Tables honor --format
 
 import argparse
 import json
-import os
 import sys
 
 from .partition import Partition, PartitionParseError, parse_partition
@@ -28,14 +27,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
-
-
-def _default_threads() -> int:
-    env = os.environ.get("PERMFACT_THREADS", "1")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _emit_table(rows: list, columns: list, fmt: str, out) -> None:
@@ -155,14 +146,6 @@ def _cmd_verify(args, out) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=_positive_int,
-        default=_default_threads(),
-        help="worker hint (accepted for interface stability; evaluation is "
-        "sequential and output is identical for every value)",
-    )
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
         "--format",
@@ -180,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_xi = sub.add_parser(
         "xi",
-        parents=[common, fmt],
+        parents=[fmt],
         help="count tuples from prescribed classes whose product has m cycles",
     )
     p_xi.add_argument(
@@ -199,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mu = sub.add_parser(
         "mu",
-        parents=[common, fmt],
+        parents=[fmt],
         help="count factorizations of a fixed full cycle (one-face bipartite maps)",
     )
     p_mu.add_argument("--gamma", required=True, metavar="PARTITION",
@@ -213,29 +196,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_maps = sub.add_parser(
         "maps",
-        parents=[common, fmt],
+        parents=[fmt],
         help="one-face map counts by genus",
     )
     p_maps.add_argument("--edges", type=_positive_int, required=True)
     p_maps.add_argument("--genus", type=int, help="a single genus instead of all")
 
-    p_db = sub.add_parser("db", parents=[common], help="count database operations")
+    p_db = sub.add_parser("db", help="count database operations")
     db_sub = p_db.add_subparsers(dest="db_command", required=True)
-    p_build = db_sub.add_parser("build", parents=[common],
-                                help="build and persist the database")
+    p_build = db_sub.add_parser("build", help="build and persist the database")
     p_build.add_argument("--n-max", type=_positive_int, required=True)
     p_build.add_argument("--out", required=True, help="output file path")
-    p_lookup = db_sub.add_parser("lookup", parents=[common],
-                                 help="read one count from a database file")
+    p_lookup = db_sub.add_parser("lookup", help="read one count from a database file")
     p_lookup.add_argument("--db", required=True, help="database file path")
     p_lookup.add_argument("--gamma", required=True, metavar="PARTITION")
     p_lookup.add_argument("--m", type=int, required=True)
 
-    p_verify = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="run a named cross-check suite",
-    )
+    p_verify = sub.add_parser("verify", help="run a named cross-check suite")
     p_verify.add_argument(
         "--suite",
         required=True,

@@ -3,8 +3,9 @@
 Counts tuples of permutations from prescribed conjugacy classes whose
 product has a given number of cycles (xi), and factorizations of a fixed
 full cycle into a class member times a permutation with m cycles (mu,
-which is the one-face bipartite map count).  All arithmetic is exact
-rational; results are asserted integral and nonnegative at the boundary.
+which is the one-face bipartite map count).  xi is computed in integers
+from content polynomials; mu sums exact rationals.  Results are asserted
+integral and nonnegative at the boundary.
 """
 
 from fractions import Fraction
@@ -34,12 +35,24 @@ def _check_classes(classes) -> tuple:
     return classes
 
 
+def _character_product(values) -> int:
+    """Product of character values, stopping at the first zero."""
+    prod = 1
+    for chi in values:
+        if chi == 0:
+            return 0
+        prod *= chi
+    return prod
+
+
 def w_number(classes, m: int) -> Fraction:
     """Character-weighted class-product sum over all shapes.
 
     For classes C_1..C_t of S_n and 1 <= m <= n this is
     prod|C_i| / m! times the sum over shapes lam of
     frak_c(lam, m) * dim(lam)^(1-t) * prod_i character(lam, C_i).
+    Together with an alternating Stirling transform it gives xi by a
+    route independent of the content polynomials; tests compare the two.
     """
     classes = _check_classes(classes)
     n = classes[0].n
@@ -48,13 +61,7 @@ def w_number(classes, m: int) -> Fraction:
     t = len(classes)
     total = Fraction(0)
     for lam in all_partitions(n):
-        chi_prod = 1
-        for c in classes:
-            chi = character(lam, c)
-            if chi == 0:
-                chi_prod = 0
-                break
-            chi_prod *= chi
+        chi_prod = _character_product(character(lam, c) for c in classes)
         if chi_prod == 0:
             continue
         total += frak_c(lam, m) * Fraction(chi_prod, dimension(lam) ** (t - 1))
@@ -64,79 +71,70 @@ def w_number(classes, m: int) -> Fraction:
     return Fraction(sizes, factorial(m)) * total
 
 
-def w_number_full_cycle(n: int, other_classes, m: int) -> Fraction:
-    """The same sum when one class consists of the full cycles.
-
-    Only hook-shape characters survive, so the shape sum collapses to a
-    single index j = 0..n-1 and no general character values are needed:
-    (n-1)! prod|C_i| / m! times
-    sum_j (-1)^j C(n-1-j, n-m) / C(n-1, j)^(t-1) * prod_i hookchar_j(C_i).
-    """
-    others = tuple(other_classes)
-    if any(c.n != n for c in others):
-        raise ValueError("other classes must partition n")
-    if n < 1:
-        raise ValueError("w_number_full_cycle requires n >= 1")
-    if not 1 <= m <= n:
-        raise ValueError(f"m = {m} out of range 1..{n}")
-    t = len(others)
-    hooks = [hook_character_poly(c) for c in others]
-    total = Fraction(0)
-    for j in range(n):
-        chi_prod = 1
-        for h in hooks:
-            if h[j] == 0:
-                chi_prod = 0
-                break
-            chi_prod *= h[j]
-        if chi_prod == 0:
-            continue
-        top = binomial(n - 1 - j, n - m)
-        if top == 0:
-            continue
-        term = top * chi_prod / Fraction(binomial(n - 1, j)) ** (t - 1)
-        total += -term if j % 2 else term
-    sizes = factorial(n - 1)
-    for c in others:
-        sizes *= class_size(c)
-    return Fraction(sizes, factorial(m)) * total
-
-
 def xi(classes, m: int) -> int:
     """Number of tuples (s_1..s_t), s_i in class C_i, whose product has m cycles.
 
-    Alternating Stirling sum over the W-numbers.  When some class is the
-    full cycles it is moved to the front (the count is invariant under
-    reordering) and the collapsed hook-character form is used throughout.
+    Read off the generating function (Stanley, EC2 7.21; Jackson 1988)
+    sum_m xi(C, m) z^m = prod|C_i| / (n!)^t times the sum over shapes lam
+    of prod_i chi_lam(C_i) * dim(lam) * H_lam^(t-1) * prod_cells (z + content),
+    with H_lam the hook-length product.  All arithmetic is integer, and
+    one pass over the shapes gives the whole row m = 1..n.  When some
+    class is the full cycles only the hook shapes survive, and their
+    characters come from the hook-character polynomials.
     """
     classes = _check_classes(classes)
     n = classes[0].n
     if not 1 <= m <= n:
         raise ValueError(f"m = {m} out of range 1..{n}")
-    return _xi_cached(tuple(c.parts for c in classes), n, m)
+    return _xi_cached(tuple(c.parts for c in classes))[m - 1]
+
+
+def _content_poly(parts: tuple) -> list:
+    """Coefficients of prod over the cells of a shape of (z + content), z^0 first."""
+    poly = [1]
+    for i, row_len in enumerate(parts):
+        for j in range(row_len):
+            poly = [(j - i) * a + b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
 
 
 @lru_cache(maxsize=None)
-def _xi_cached(parts_tuple: tuple, n: int, m: int) -> int:
+def _xi_cached(parts_tuple: tuple) -> tuple:
     classes = [Partition._from_sorted(p) for p in parts_tuple]
-    full = (n,)
-    others = None
-    for idx, c in enumerate(classes):
-        if c.parts == full:
-            others = classes[:idx] + classes[idx + 1:]
-            break
-    total = Fraction(0)
-    for k in range(n - m + 1):
-        s1 = stirling_first_unsigned(m + k, m)
-        if others is not None:
-            w = w_number_full_cycle(n, others, m + k)
-        else:
-            w = w_number(classes, m + k)
-        term = s1 * w
-        total += -term if k % 2 else term
-    if total.denominator != 1 or total < 0:
-        raise ConsistencyError(f"xi came out {total} for classes={parts_tuple}, m={m}")
-    return int(total)
+    n = classes[0].n
+    t = len(classes)
+    if (n,) in parts_tuple:
+        others = list(parts_tuple)
+        others.remove((n,))
+        hooks = [hook_character_poly(Partition._from_sorted(p)) for p in others]
+        shapes = [Partition._from_sorted((n - j,) + (1,) * j) for j in range(n)]
+        chis = [(-1) ** j * _character_product(h[j] for h in hooks) for j in range(n)]
+    else:
+        shapes = all_partitions(n)
+        chis = (_character_product(character(lam, c) for c in classes) for lam in shapes)
+    n_fact = factorial(n)
+    coeffs = [0] * (n + 1)
+    for lam, chi_prod in zip(shapes, chis):
+        if chi_prod == 0:
+            continue
+        dim = dimension(lam)
+        weight = chi_prod * dim * (n_fact // dim) ** (t - 1)
+        for k, a in enumerate(_content_poly(lam.parts)):
+            coeffs[k] += weight * a
+    sizes = 1
+    for c in classes:
+        sizes *= class_size(c)
+    denominator = n_fact ** t
+    row = []
+    for m in range(1, n + 1):
+        value, rest = divmod(sizes * coeffs[m], denominator)
+        if rest or value < 0:
+            raise ConsistencyError(
+                f"xi came out {sizes * coeffs[m]}/{denominator} "
+                f"for classes={parts_tuple}, m={m}"
+            )
+        row.append(value)
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)

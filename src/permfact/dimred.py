@@ -140,7 +140,12 @@ class Database:
 
 
 def load_database(path) -> Database:
-    """Read a database file written by Database.save."""
+    """Read a database file written by Database.save.
+
+    Every record must lie in the range the header claims, hold a positive
+    count, and follow the previous record in save order; a duplicate or
+    out-of-order key is rejected rather than silently overriding.
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(DB_HEADER_PREFIX):
@@ -155,9 +160,24 @@ def load_database(path) -> Database:
             if len(fields) != 4:
                 raise ValueError(f"line {lineno}: expected 4 tab-separated fields")
             n, m, gamma_text, value = fields
-            records.append(
-                CountRecord(int(n), int(m), parse_partition(gamma_text), int(value))
-            )
+            try:
+                record = CountRecord(
+                    int(n), int(m), parse_partition(gamma_text), int(value)
+                )
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+            if record.gamma.n != record.n:
+                problem = f"{gamma_text} is not a partition of {n}"
+            elif not 1 <= record.m <= record.n <= n_max:
+                problem = f"need 1 <= m <= n <= n_max = {n_max}"
+            elif record.value <= 0:
+                problem = f"count must be positive, got {value}"
+            elif records and _record_sort_key(record) <= _record_sort_key(records[-1]):
+                problem = "key duplicates or precedes the previous record's"
+            else:
+                records.append(record)
+                continue
+            raise ValueError(f"line {lineno}: {problem}")
     return Database(n_max, records)
 
 

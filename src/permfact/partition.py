@@ -30,7 +30,7 @@ class Partition:
     def __init__(self, parts=()):
         ps = tuple(sorted(parts, reverse=True))
         for p in ps:
-            if not isinstance(p, int) or p <= 0:
+            if not isinstance(p, int) or isinstance(p, bool) or p <= 0:
                 raise ValueError(f"partition parts must be positive integers, got {p!r}")
         self._parts = ps
 

@@ -35,6 +35,12 @@ def test_xi_all_m_lists_nonzero_rows(capsys):
     assert out.splitlines() == ["m\txi", "1\t2", "3\t2"]
 
 
+def test_xi_all_m_table_golden(capsys):
+    code, out, _ = run(capsys, "xi", "--class", "2^5", "--class", "3,1^7", "--all-m")
+    assert code == 0
+    assert out == "m      xi\n3  151200\n5   75600\n"
+
+
 def test_xi_exponent_notation(capsys):
     code, out, _ = run(capsys, "xi", "--class", "1^2,3", "--class", "5", "--m", "2")
     code2, out2, _ = run(capsys, "xi", "--class", "3,1,1", "--class", "5", "--m", "2")
@@ -111,16 +117,9 @@ def test_output_is_deterministic(capsys):
     assert first == second
 
 
-def test_threads_flag_does_not_change_output(capsys):
-    base = run(capsys, "maps", "--edges", "4")
-    threaded = run(capsys, "maps", "--edges", "4", "--threads", "8")
-    assert base == threaded
-
-
-def test_threads_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("PERMFACT_THREADS", "4")
-    code, out, _ = run(capsys, "mu", "--gamma", "2,1", "--m", "2")
-    assert code == 0 and out == "3\n"
+def test_threads_flag_is_rejected(capsys):
+    code, out, err = run(capsys, "maps", "--edges", "4", "--threads", "8")
+    assert code == 2 and out == "" and "--threads" in err
 
 
 def test_db_build_and_lookup(capsys, tmp_path):

@@ -1,39 +1,28 @@
-from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permfact.countcore import genus_of, mu, w_number, w_number_full_cycle, xi
-from permfact.exactnum import factorial
+from permfact.countcore import genus_of, mu, w_number, xi
+from permfact.exactnum import factorial, stirling_first_unsigned
 from permfact.oracle import brute_mu, brute_xi
 from permfact.partition import Partition, all_partitions, class_size
+
+
+def xi_by_w_numbers(classes, m):
+    """Reference xi: alternating Stirling transform of the W-numbers."""
+    n = classes[0].n
+    total = 0
+    for k in range(n - m + 1):
+        term = stirling_first_unsigned(m + k, m) * w_number(classes, m + k)
+        total += -term if k % 2 else term
+    return total
 
 
 def test_w_number_examples():
     assert w_number((Partition([2]), Partition([2])), 2) == 1
     assert w_number((Partition([1]),), 1) == 1
-    assert w_number((Partition([2]), Partition([2])), 1) == w_number_full_cycle(
-        2, (Partition([2]),), 1
-    )
-
-
-def test_w_number_full_cycle_examples():
-    assert w_number_full_cycle(2, (Partition([2]),), 2) == 1
-    assert w_number_full_cycle(3, (Partition([3]),), 1) == w_number(
-        (Partition([3]), Partition([3])), 1
-    )
-    assert w_number_full_cycle(3, (Partition([3]),), 3) == Fraction(2)
-
-
-def test_w_number_full_cycle_agrees_with_general_form():
-    for n in range(2, 7):
-        full = Partition([n])
-        for other in all_partitions(n):
-            for m in range(1, n + 1):
-                assert w_number_full_cycle(n, (other,), m) == w_number(
-                    (full, other), m
-                ), (other, m)
+    assert w_number((Partition([3]), Partition([3])), 3) == 2
 
 
 def test_w_number_range_errors():
@@ -81,6 +70,48 @@ def test_xi_class_order_invariance():
                         ] == base
 
 
+def test_xi_matches_w_number_route():
+    for n in range(1, 8):
+        for classes in product(all_partitions(n), repeat=2):
+            for m in range(1, n + 1):
+                assert xi(classes, m) == xi_by_w_numbers(classes, m), (classes, m)
+    for n in range(1, 6):
+        for classes in product(all_partitions(n), repeat=3):
+            for m in range(1, n + 1):
+                assert xi(classes, m) == xi_by_w_numbers(classes, m), (classes, m)
+
+
+@settings(deadline=None, max_examples=15)
+@given(st.data())
+def test_xi_matches_w_number_route_sampled(data):
+    n = data.draw(st.integers(min_value=8, max_value=12))
+    classes = all_partitions(n)
+    pair = (data.draw(st.sampled_from(classes)), data.draw(st.sampled_from(classes)))
+    for m in range(1, n + 1):
+        assert xi(pair, m) == xi_by_w_numbers(pair, m), (pair, m)
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_xi_identities_past_brute_force(data):
+    n = data.draw(st.integers(min_value=10, max_value=16))
+    t = data.draw(st.integers(min_value=2, max_value=3))
+    classes = tuple(
+        data.draw(st.sampled_from(all_partitions(n))) for _ in range(t)
+    )
+    row = [xi(classes, m) for m in range(1, n + 1)]
+    sizes = 1
+    for c in classes:
+        sizes *= class_size(c)
+    assert sum(row) == sizes
+    # The product of the classes has sign prod (-1)^(n - length).
+    sign = sum(n - c.length for c in classes)
+    for m, value in enumerate(row, start=1):
+        if (sign + n - m) % 2:
+            assert value == 0, (classes, m)
+    assert [xi(classes[::-1], m) for m in range(1, n + 1)] == row
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_xi_pair_totals(data):
@@ -120,11 +151,21 @@ def test_mu_parity_vanishing():
 
 
 def test_mu_is_xi_with_fixed_full_cycle():
-    for n in range(1, 8):
+    for n in range(1, 13):
         full = Partition([n])
         for gamma in all_partitions(n):
             for m in range(1, n + 1):
                 assert mu(gamma, m) * factorial(n - 1) == xi((full, gamma), m)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_mu_is_xi_with_fixed_full_cycle_sampled(data):
+    n = data.draw(st.integers(min_value=13, max_value=20))
+    gamma = data.draw(st.sampled_from(all_partitions(n)))
+    full = Partition([n])
+    for m in range(1, n + 1):
+        assert mu(gamma, m) * factorial(n - 1) == xi((gamma, full), m)
 
 
 def test_genus_of():

@@ -123,3 +123,24 @@ def test_bad_header_rejected(tmp_path):
     path.write_text("not a database\n")
     with pytest.raises(ValueError):
         load_database(path)
+
+
+@pytest.mark.parametrize(
+    "body,reason",
+    [
+        ("3\tx\t3\t1\n", "invalid literal"),
+        ("3\t1\t2,1\t5\n3\t1\t2,2\t5\n", "not a partition of 3"),
+        ("3\t4\t3\t1\n", "m <= n"),
+        ("4\t1\t4\t1\n", "n_max"),
+        ("3\t1\t3\t0\n", "positive"),
+        ("3\t1\t2,1\t5\n3\t1\t2,1\t5\n", "precedes"),
+        ("3\t3\t2,1\t1\n3\t1\t3\t1\n", "precedes"),
+    ],
+    ids=["syntax", "gamma-size", "m-range", "n-range", "value", "duplicate", "order"],
+)
+def test_malformed_record_rejected(tmp_path, body, reason):
+    path = tmp_path / "bad.tsv"
+    path.write_text("#permfact-db v1 n_max=3\n" + body)
+    lineno = 1 + body.count("\n")
+    with pytest.raises(ValueError, match=f"line {lineno}: .*{reason}"):
+        load_database(path)

@@ -37,6 +37,8 @@ def test_invalid_parts_rejected():
         Partition([0, 1])
     with pytest.raises(ValueError):
         Partition([-2])
+    with pytest.raises(ValueError):
+        Partition([True, 2])
 
 
 @pytest.mark.parametrize(
