@@ -10,7 +10,8 @@ The character recursion works on beta-sets (first-column hook lengths):
 removing a border strip of length r is moving a bead down r positions on
 the abacus, with sign (-1)^(number of beads jumped).  Values are memoized
 keyed by (remaining shape, remaining class parts); class parts are
-consumed largest first.
+consumed largest first, and once only 1-cycles remain the value is the
+dimension of the remaining shape.
 """
 
 from dataclasses import dataclass
@@ -82,6 +83,11 @@ _char_cache: dict = {}
 def _mn_character(shape: tuple, parts: tuple) -> int:
     if not parts:
         return 1
+    if parts[0] == 1:
+        # Parts are consumed largest first, so the rest is the identity
+        # class, where the character is the dimension; this also bounds the
+        # recursion depth by the number of parts >= 2.
+        return factorial(len(parts)) // _hook_product(shape)
     key = (shape, parts)
     cached = _char_cache.get(key)
     if cached is not None:

@@ -4,8 +4,9 @@ Counts tuples of permutations from prescribed conjugacy classes whose
 product has a given number of cycles (xi), and factorizations of a fixed
 full cycle into a class member times a permutation with m cycles (mu,
 which is the one-face bipartite map count).  xi is computed in integers
-from content polynomials; mu sums exact rationals.  Results are asserted
-integral and nonnegative at the boundary.
+from content polynomials; mu from an alternating Stirling sum scaled by n!
+so that it is integer too.  Each is divided exactly once, and asserted
+integral and nonnegative there.
 """
 
 from fractions import Fraction
@@ -170,21 +171,23 @@ def mu(gamma: Partition, m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _mu_cached(gamma_parts: tuple, m: int) -> int:
+    # The alternating Stirling sum over c(m+k, m) coeff_k / (m+k)!, scaled
+    # by n! so that every term is an integer; one exact division at the end.
     n = sum(gamma_parts)
     poly = _edge_choice_poly(gamma_parts)
-    total = Fraction(0)
+    n_fact = factorial(n)
+    total = 0
     for k in range(n - m + 1):
-        idx = n - m - k + 1
-        coeff = poly[idx] if 0 <= idx < len(poly) else 0
-        if coeff == 0:
-            continue
-        term = Fraction(stirling_first_unsigned(m + k, m) * coeff, factorial(m + k))
-        total += -term if k % 2 else term
+        coeff = poly[n - m - k + 1]
+        if coeff:
+            term = stirling_first_unsigned(m + k, m) * coeff * n_fact // factorial(m + k)
+            total += -term if k % 2 else term
     gamma = Partition._from_sorted(gamma_parts)
-    result = class_size(gamma) * total
-    if result.denominator != 1 or result < 0:
-        raise ConsistencyError(f"mu came out {result} for gamma={gamma}, m={m}")
-    return int(result)
+    scaled = class_size(gamma) * total
+    result, rest = divmod(scaled, n_fact)
+    if rest or result < 0:
+        raise ConsistencyError(f"mu came out {scaled}/{n_fact} for gamma={gamma}, m={m}")
+    return result
 
 
 def genus_of(n: int, d: int, m: int):

@@ -2,13 +2,16 @@
 
 The count for a class with several parts reduces to counts for classes
 with one part fewer: scaled counts mu~(n,m) = m!/n! mu(n,m) satisfy a
-two-sum recursion whose kernel is a binomial/Stirling transform.  Sweeping
-part counts upward therefore grounds every value in the one-part case,
-which the Zagier-Stanley formula gives directly.
+two-sum recursion whose kernel tilde_S is a binomial/Stirling transform.
+Sweeping part counts upward therefore grounds every value in the one-part
+case, which the Zagier-Stanley formula gives directly.
 
-The database builder runs that sweep, cross-validates every value against
-the general explicit formula, and persists the nonzero records in a
-line-oriented ASCII format (see Database.save).
+The sweep runs in integers: multiplied through by n!, the recursion
+relates plain counts through the integer kernel l! tilde_S, and each
+count comes out of one exact division.  The database builder runs that
+sweep, cross-validates every count against the general explicit formula,
+and persists the nonzero records in a line-oriented ASCII format (see
+Database.save).
 """
 
 from dataclasses import dataclass
@@ -24,7 +27,7 @@ DB_HEADER_PREFIX = "#permfact-db v1 n_max="
 
 
 class DatabaseBuildError(RuntimeError):
-    """A recursion value disagreed with the explicit formula."""
+    """A recursion value was not a nonnegative integer or disagreed with mu."""
 
 
 class DatabaseRangeError(KeyError):
@@ -42,6 +45,14 @@ class CountRecord:
 
 
 @lru_cache(maxsize=None)
+def _kernel(m: int, i: int, l: int) -> int:
+    """l! tilde_S(m, i, l) = sum_{j=1..i} C(i,j) (m+j-i)! S(l, m+j-i), an integer."""
+    return sum(
+        binomial(i, j) * factorial(m + j - i) * stirling_second(l, m + j - i)
+        for j in range(max(1, i - m), i + 1)
+    )
+
+
 def tilde_S(m: int, i: int, l: int) -> Fraction:
     """Recursion kernel: sum_{j=1..i} C(i,j) (m+j-i)! S(l, m+j-i) / l!.
 
@@ -50,55 +61,51 @@ def tilde_S(m: int, i: int, l: int) -> Fraction:
     """
     if m < 1 or i < 1 or l < 1:
         raise ValueError("tilde_S requires positive arguments")
-    total = Fraction(0)
-    for j in range(1, i + 1):
-        blocks = m + j - i
-        if blocks < 0:
-            continue
-        s = stirling_second(l, blocks)
-        if s:
-            total += Fraction(binomial(i, j) * factorial(blocks) * s, factorial(l))
-    return total
+    return Fraction(_kernel(m, i, l), factorial(l))
 
 
-@lru_cache(maxsize=None)
-def _mu_tilde_exact(parts: tuple, m: int) -> Fraction:
-    n = sum(parts)
-    return Fraction(
-        factorial(m) * mu(Partition._from_sorted(parts), m), factorial(n)
-    )
+def _reduced_count(gamma: Partition, m: int, i: int, row, reduced_row) -> int:
+    """mu(gamma, m) by the recursion that removes one part equal to i.
+
+    row[l-1] must hold mu(gamma, l) for every l > m, and reduced_row[l-1]
+    mu(gamma minus one part i, l) for every l.  With K(m,i,l) = l! tilde_S
+    and mult the multiplicity of i in gamma,
+    m! i mult mu(gamma, m) = n!/(n-i)! sum_l K(m,i,l) mu(gamma - i, l)
+                             - i mult sum_{l>m} K(m,1,l) mu(gamma, l),
+    which is divided exactly once.
+    """
+    n = gamma.n
+    weight = i * gamma.parts.count(i)
+    smaller = sum(_kernel(m, i, l) * c for l, c in enumerate(reduced_row, start=1) if c)
+    same = sum(_kernel(m, 1, l) * row[l - 1] for l in range(m + 1, n + 1) if row[l - 1])
+    scaled = factorial(n) // factorial(n - i) * smaller - weight * same
+    count, rest = divmod(scaled, factorial(m) * weight)
+    if rest or count < 0:
+        raise DatabaseBuildError(
+            f"recursion gave {scaled}/{factorial(m) * weight} "
+            f"at (n={n}, m={m}, gamma={gamma}, i={i})"
+        )
+    return count
 
 
-def reduce_mu(gamma: Partition, m: int, i: int, mu_tilde=None) -> Fraction:
-    """Scaled count mu~(n,m) for gamma via removal of one part equal to i.
+def reduce_mu(gamma: Partition, m: int, i: int) -> Fraction:
+    """Scaled count mu~(n,m) = m!/n! mu(gamma, m) via removal of one part equal to i.
 
-    Needs mu~(n,l)(gamma) for l > m and mu~(n-i,l) for the reduced class;
-    these come from mu_tilde(parts_tuple, l), defaulting to exact values
-    from the explicit formula.  Only defined for classes with at least
-    two parts: the one-part base case is the Zagier-Stanley formula.
+    The recursion runs on integer counts, taking mu(gamma, l) for l > m and
+    the counts of the reduced class from the explicit formula.  Only
+    defined for classes with at least two parts: the one-part base case
+    is the Zagier-Stanley formula.
     """
     n = gamma.n
     if gamma.length < 2:
         raise ValueError("base case: use Zagier-Stanley for one-part classes")
     if not 1 <= m <= n:
         raise ValueError(f"m = {m} out of range 1..{n}")
-    mult = gamma.multiplicities().get(i, 0)
-    if mult == 0:
-        raise ValueError(f"{i} is not a part of {gamma}")
-    if mu_tilde is None:
-        mu_tilde = _mu_tilde_exact
-    reduced = remove_part(gamma, i).parts
-    total = Fraction(0)
-    for l in range(m + 1, n + 1):
-        k = tilde_S(m, 1, l)
-        if k:
-            total -= k * mu_tilde(gamma.parts, l)
-    inner = Fraction(0)
-    for l in range(1, n - i + 1):
-        k = tilde_S(m, i, l)
-        if k:
-            inner += k * mu_tilde(reduced, l)
-    return total + inner / (i * mult)
+    reduced = remove_part(gamma, i)
+    row = [mu(gamma, l) for l in range(1, n + 1)]
+    reduced_row = [mu(reduced, l) for l in range(1, reduced.n + 1)]
+    count = _reduced_count(gamma, m, i, row, reduced_row)
+    return Fraction(factorial(m) * count, factorial(n))
 
 
 class Database:
@@ -189,38 +196,36 @@ def build_database(n_max: int) -> Database:
     """Compute all counts for n <= n_max by the reduction sweep.
 
     One-part classes come from the Zagier-Stanley formula; classes with
-    more parts from the recursion with the smallest part removed, working
-    m downward so the same-class sum is always available.  Every value is
-    validated against the explicit formula before being kept; a mismatch
+    more parts from the integer recursion with the smallest part removed,
+    working m downward so the same-class sum is always available.  Every
+    count is validated against the explicit formula before being kept; a
+    mismatch, or a recursion quotient that is not a nonnegative integer,
     aborts the build.
     """
     if n_max < 1:
         raise ValueError("build_database requires n_max >= 1")
-    store: dict = {}
-
-    def stored(parts: tuple, l: int) -> Fraction:
-        return store.get((parts, l), Fraction(0))
-
+    rows: dict = {}
     records = []
     for n in range(1, n_max + 1):
-        by_layer = sorted(all_partitions(n), key=lambda p: (p.length, p.parts))
-        for gamma in by_layer:
+        for gamma in all_partitions(n):
+            row = [0] * n
+            if gamma.length > 1:
+                i = gamma.parts[-1]
+                reduced_row = rows[remove_part(gamma, i).parts]
             for m in range(n, 0, -1):
                 if gamma.length == 1:
-                    value = Fraction(
-                        factorial(m) * zagier_stanley(n, m), factorial(n)
-                    )
+                    count = zagier_stanley(n, m)
                 else:
-                    value = reduce_mu(gamma, m, gamma.parts[-1], mu_tilde=stored)
-                expected = factorial(m) * mu(gamma, m)
-                count = value * factorial(n) / factorial(m)
-                if value * factorial(n) != expected:
+                    count = _reduced_count(gamma, m, i, row, reduced_row)
+                expected = mu(gamma, m)
+                if count != expected:
                     raise DatabaseBuildError(
                         f"validation failed at (n={n}, m={m}, gamma={gamma}): "
-                        f"recursion gave {count}, explicit formula {expected // factorial(m)}"
+                        f"recursion gave {count}, explicit formula {expected}"
                     )
-                store[(gamma.parts, m)] = value
+                row[m - 1] = count
                 if count:
-                    records.append(CountRecord(n, m, gamma, int(count)))
+                    records.append(CountRecord(n, m, gamma, count))
+            rows[gamma.parts] = row
     records.sort(key=_record_sort_key)
     return Database(n_max, records)

@@ -78,6 +78,12 @@ def test_first_column_is_dimension():
             assert character(lam, identity) == dimension(lam)
 
 
+def test_long_identity_class_does_not_recurse_per_part():
+    identity = Partition([1] * 1100)
+    assert character(Partition([1100]), identity) == 1
+    assert character(Partition([1] * 1100), identity) == 1
+
+
 def test_column_orthogonality():
     for n in range(1, 9):
         for cls in all_partitions(n):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -133,6 +134,15 @@ def test_db_build_and_lookup(capsys, tmp_path):
     code, out, _ = run(capsys, "db", "lookup", "--db", str(path),
                        "--gamma", "3,2,1", "--m", "6")
     assert code == 0 and out == "0\n"
+
+
+def test_db_build_n16_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "db.tsv"
+    code, _, _ = run(capsys, "db", "build", "--n-max", "16", "--out", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "5f39d1ebdb4d531a7eb7cec75422a60dcfb4cbf8cd257588243fff22caa6040f"
+    )
 
 
 def test_db_lookup_beyond_range(capsys, tmp_path):

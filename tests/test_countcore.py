@@ -1,10 +1,11 @@
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from permfact.countcore import genus_of, mu, w_number, xi
-from permfact.exactnum import factorial, stirling_first_unsigned
+from permfact.exactnum import binomial, factorial, stirling_first_unsigned
 from permfact.oracle import brute_mu, brute_xi
 from permfact.partition import Partition, all_partitions, class_size
 
@@ -17,6 +18,29 @@ def xi_by_w_numbers(classes, m):
         term = stirling_first_unsigned(m + k, m) * w_number(classes, m + k)
         total += -term if k % 2 else term
     return total
+
+
+def mu_by_fractions(gamma, m):
+    """Reference mu: the alternating Stirling sum in exact rationals.
+
+    class_size(gamma) times the sum over k of (-1)^k c(m+k, m) e_(n-m-k+1)
+    / (m+k)!, with e_j the coefficients of prod over parts g of ((1+y)^g - 1).
+    """
+    poly = [1]
+    for g in gamma.parts:
+        prod = [0] * (len(poly) + g)
+        for a, ca in enumerate(poly):
+            for b in range(1, g + 1):
+                prod[a + b] += ca * binomial(g, b)
+        poly = prod
+    n = gamma.n
+    total = Fraction(0)
+    for k in range(n - m + 1):
+        term = Fraction(
+            stirling_first_unsigned(m + k, m) * poly[n - m - k + 1], factorial(m + k)
+        )
+        total += -term if k % 2 else term
+    return class_size(gamma) * total
 
 
 def test_w_number_examples():
@@ -148,6 +172,22 @@ def test_mu_parity_vanishing():
             for m in range(1, n + 1):
                 if (n + 1 - gamma.length - m) % 2:
                     assert mu(gamma, m) == 0, (gamma, m)
+
+
+def test_mu_matches_fraction_route():
+    for n in range(1, 13):
+        for gamma in all_partitions(n):
+            for m in range(1, n + 1):
+                assert mu(gamma, m) == mu_by_fractions(gamma, m), (gamma, m)
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_mu_matches_fraction_route_sampled(data):
+    n = data.draw(st.integers(min_value=13, max_value=30))
+    gamma = data.draw(st.sampled_from(all_partitions(n)))
+    for m in range(1, n + 1):
+        assert mu(gamma, m) == mu_by_fractions(gamma, m), (gamma, m)
 
 
 def test_mu_is_xi_with_fixed_full_cycle():

@@ -1,17 +1,20 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from permfact import dimred
 from permfact.countcore import mu
 from permfact.dimred import (
     Database,
+    DatabaseBuildError,
     DatabaseRangeError,
     build_database,
     load_database,
     reduce_mu,
     tilde_S,
 )
-from permfact.exactnum import factorial
+from permfact.exactnum import binomial, factorial, stirling_second
 from permfact.partition import Partition, all_partitions
 
 
@@ -19,6 +22,18 @@ def test_tilde_S_examples():
     assert tilde_S(1, 1, 2) == Fraction(1, 2)
     assert tilde_S(3, 2, 2) == 2
     assert tilde_S(2, 1, 1) == 0
+
+
+def test_scaled_kernel_is_integral():
+    for m, i, l in product(range(1, 13), repeat=3):
+        reference = sum(
+            Fraction(binomial(i, j) * factorial(m + j - i) * stirling_second(l, m + j - i),
+                     factorial(l))
+            for j in range(1, i + 1)
+            if m + j - i >= 0
+        )
+        assert tilde_S(m, i, l) == reference, (m, i, l)
+        assert (factorial(l) * reference).denominator == 1, (m, i, l)
 
 
 def test_reduce_mu_examples():
@@ -72,6 +87,15 @@ def test_database_values_match_general(n_max=7):
         for gamma in all_partitions(n):
             for m in range(1, n + 1):
                 assert db.lookup(n, m, gamma) == mu(gamma, m)
+
+
+def test_build_rejects_a_count_the_recursion_disagrees_with(monkeypatch):
+    def skewed_mu(gamma, m):
+        return mu(gamma, m) + (gamma.parts == (2, 2) and m == 3)
+
+    monkeypatch.setattr(dimred, "mu", skewed_mu)
+    with pytest.raises(DatabaseBuildError, match=r"n=4, m=3, gamma=2,2"):
+        build_database(5)
 
 
 def test_lookup_range_errors():
