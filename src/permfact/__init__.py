@@ -31,9 +31,7 @@ from .exactnum import (
     stirling_second,
 )
 from .charkit import (
-    DiagramCell,
     character,
-    diagram,
     dimension,
     frak_c,
     frak_m,
@@ -62,7 +60,7 @@ from .symfun import (
     verify_m1_identities,
     verify_schur_identity,
 )
-from .oracle import Perm, brute_mu, brute_xi, compose, cycle_type
+from .oracle import brute_mu, brute_xi
 from .dimred import (
     CountRecord,
     Database,
@@ -92,9 +90,7 @@ __all__ = [
     "stirling_first_signed",
     "stirling_first_unsigned",
     "stirling_second",
-    "DiagramCell",
     "character",
-    "diagram",
     "dimension",
     "frak_c",
     "frak_m",
@@ -122,11 +118,8 @@ __all__ = [
     "schur",
     "verify_m1_identities",
     "verify_schur_identity",
-    "Perm",
     "brute_mu",
     "brute_xi",
-    "compose",
-    "cycle_type",
     "CountRecord",
     "Database",
     "DatabaseBuildError",

@@ -1,10 +1,13 @@
 """Symmetric-group character machinery.
 
-Young-diagram data (hooks, contents), irreducible character values via
-the Murnaghan-Nakayama border-strip recursion, representation dimensions
-from the hook-length formula, the hook-content products m_{lam}(z) and
-their alternating binomial transform, and the generating polynomial for
-hook-shape characters.
+The one owner of a shape's cell data: its hook-length product and its
+content polynomial prod over the cells of (z + content), which countcore
+sums for xi.  On top of them: irreducible character values via the
+Murnaghan-Nakayama border-strip recursion, representation dimensions
+from the hook-length formula, the hook-content products m_{lam}(z) (the
+content polynomial at z over the hook product) and their alternating
+binomial transform, and the generating polynomial for hook-shape
+characters.
 
 The character recursion works on beta-sets (first-column hook lengths):
 removing a border strip of length r is moving a bead down r positions on
@@ -14,36 +17,11 @@ consumed largest first, and once only 1-cycles remain the value is the
 dimension of the remaining shape.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import binomial, factorial
 from .partition import Partition
-
-
-@dataclass(frozen=True)
-class DiagramCell:
-    """One cell of a Young diagram with its content and hook length."""
-
-    row: int
-    col: int
-    content: int
-    hook: int
-
-
-def diagram(lam: Partition) -> list[DiagramCell]:
-    """All cells of the Young diagram of lam, with contents and hooks."""
-    parts = lam.parts
-    if not parts:
-        return []
-    conj = _conjugate(parts)
-    cells = []
-    for i, row_len in enumerate(parts, start=1):
-        for j in range(1, row_len + 1):
-            hook = (row_len - j) + (conj[j - 1] - i) + 1
-            cells.append(DiagramCell(row=i, col=j, content=j - i, hook=hook))
-    return cells
 
 
 def _conjugate(parts: tuple) -> tuple:
@@ -54,6 +32,15 @@ def _conjugate(parts: tuple) -> tuple:
         for j in range(p):
             conj[j] += 1
     return tuple(conj)
+
+
+def _content_poly(parts: tuple) -> list:
+    """Coefficients of prod over the cells of a shape of (z + content), z^0 first."""
+    poly = [1]
+    for i, row_len in enumerate(parts):
+        for j in range(row_len):
+            poly = [(j - i) * a + b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
 
 
 @lru_cache(maxsize=None)
@@ -163,14 +150,10 @@ def hook_character_poly(alpha: Partition) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _frak_m(parts: tuple, m: int) -> Fraction:
-    num = 1
-    den = 1
-    conj = _conjugate(parts)
-    for i, row_len in enumerate(parts, start=1):
-        for j in range(1, row_len + 1):
-            num *= m + (j - i)
-            den *= (row_len - j) + (conj[j - 1] - i) + 1
-    return Fraction(num, den)
+    value = 0
+    for a in reversed(_content_poly(parts)):
+        value = value * m + a
+    return Fraction(value, _hook_product(parts))
 
 
 def frak_m(lam: Partition, m: int) -> Fraction:

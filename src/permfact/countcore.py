@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from .exactnum import binomial, factorial, stirling_first_unsigned
 from .partition import Partition, all_partitions, class_size
-from .charkit import character, dimension, frak_c, hook_character_poly
+from .charkit import _content_poly, character, dimension, frak_c, hook_character_poly
 
 
 class ConsistencyError(ArithmeticError):
@@ -88,15 +88,6 @@ def xi(classes, m: int) -> int:
     if not 1 <= m <= n:
         raise ValueError(f"m = {m} out of range 1..{n}")
     return _xi_cached(tuple(c.parts for c in classes))[m - 1]
-
-
-def _content_poly(parts: tuple) -> list:
-    """Coefficients of prod over the cells of a shape of (z + content), z^0 first."""
-    poly = [1]
-    for i, row_len in enumerate(parts):
-        for j in range(row_len):
-            poly = [(j - i) * a + b for a, b in zip(poly + [0], [0] + poly)]
-    return poly
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import binomial, factorial, stirling_second
-from .partition import Partition, all_partitions, parse_partition, remove_part
+from .partition import Partition, all_partitions, class_size, parse_partition, remove_part
 from .countcore import mu
 from .closedform import zagier_stanley
 
@@ -151,7 +151,10 @@ def load_database(path) -> Database:
 
     Every record must lie in the range the header claims, hold a positive
     count, and follow the previous record in save order; a duplicate or
-    out-of-order key is rejected rather than silently overriding.
+    out-of-order key is rejected rather than silently overriding.  Each
+    member of a class gamma has exactly one cofactor, so the counts of
+    every class with n <= n_max must sum to its class size; a missing or
+    altered record fails that check.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
@@ -159,6 +162,8 @@ def load_database(path) -> Database:
             raise ValueError(f"bad database header: {header!r}")
         n_max = int(header[len(DB_HEADER_PREFIX):])
         records = []
+        # Per class: (sum of its counts so far, line of its last record).
+        totals = {}
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -183,8 +188,19 @@ def load_database(path) -> Database:
                 problem = "key duplicates or precedes the previous record's"
             else:
                 records.append(record)
+                total, _ = totals.get(record.gamma.parts, (0, 0))
+                totals[record.gamma.parts] = (total + record.value, lineno)
                 continue
             raise ValueError(f"line {lineno}: {problem}")
+    for n in range(1, n_max + 1):
+        for gamma in all_partitions(n):
+            total, lineno = totals.get(gamma.parts, (0, 0))
+            if total != class_size(gamma):
+                where = f"line {lineno}: " if lineno else ""
+                raise ValueError(
+                    f"{where}counts of class {gamma} sum to {total}, "
+                    f"not to its class size {class_size(gamma)}"
+                )
     return Database(n_max, records)
 
 

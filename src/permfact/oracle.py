@@ -1,78 +1,17 @@
 """Brute-force ground truth on small symmetric groups.
 
-Explicit permutation arithmetic plus exhaustive factorization counting.
-Everything here is deliberately naive: enumerate, filter by cycle type,
-count.  The only optimization is fixing the first factor to a class
-representative (the counts are conjugation invariant), which multiplies
-the feasible group size.
+Exhaustive factorization counting on plain permutations: a permutation
+of {0, ..., n-1} is the tuple of its images, and a product is a tuple
+lookup.  Everything here is deliberately naive: enumerate, filter by
+cycle type, count.  The only optimization is fixing the first factor to
+a class representative (the counts are conjugation invariant), which
+multiplies the feasible group size.
 """
 
 from functools import lru_cache
 from itertools import permutations as _all_images
 
 from .partition import Partition, class_size, all_partitions
-
-
-class Perm:
-    """A permutation of {0, ..., n-1} stored as a tuple of images."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images):
-        imgs = tuple(images)
-        if sorted(imgs) != list(range(len(imgs))):
-            raise ValueError(f"not a permutation: {imgs!r}")
-        self.images = imgs
-
-    @classmethod
-    def identity(cls, n: int) -> "Perm":
-        return cls(range(n))
-
-    @classmethod
-    def from_cycles(cls, n: int, cycles) -> "Perm":
-        """Build from 0-based cycles, e.g. [(0,1,2)] for a 3-cycle."""
-        images = list(range(n))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-                images[a] = b
-        return cls(images)
-
-    def __len__(self):
-        return len(self.images)
-
-    def __call__(self, x: int) -> int:
-        return self.images[x]
-
-    def __eq__(self, other):
-        if isinstance(other, Perm):
-            return self.images == other.images
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        return f"Perm({list(self.images)})"
-
-    def inverse(self) -> "Perm":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img] = i
-        return Perm(inv)
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """Product a*b acting as x -> a(b(x)) (b applied first)."""
-    if len(a) != len(b):
-        raise ValueError("size mismatch in composition")
-    bi = b.images
-    ai = a.images
-    return Perm(tuple(ai[x] for x in bi))
-
-
-def cycle_type(p: Perm) -> Partition:
-    """Cycle type of p as a partition of n."""
-    return Partition._from_sorted(_cycle_type_raw(p.images))
 
 
 def _cycle_type_raw(images: tuple) -> tuple:
@@ -108,8 +47,8 @@ def _cycle_count_raw(images: tuple) -> int:
     return count
 
 
-def class_representative(n: int, gamma: Partition) -> Perm:
-    """Canonical member of the class: consecutive cycles (0 1 ..)(..) etc."""
+def class_representative(n: int, gamma: Partition) -> tuple:
+    """Images of the canonical class member: consecutive cycles (0 1 ..)(..) etc."""
     images = list(range(n))
     pos = 0
     for part in gamma.parts:
@@ -117,15 +56,7 @@ def class_representative(n: int, gamma: Partition) -> Perm:
         for a, b in zip(block, block[1:] + block[:1]):
             images[a] = b
         pos += part
-    return Perm(images)
-
-
-def permutations_of_type(n: int, gamma: Partition):
-    """Yield every permutation of cycle type gamma (filter over all of S_n)."""
-    target = gamma.parts
-    for images in _all_images(range(n)):
-        if _cycle_type_raw(images) == target:
-            yield Perm(images)
+    return tuple(images)
 
 
 _T2_LIMIT = 9
@@ -141,7 +72,7 @@ def _xi2_table(n: int) -> dict:
     perms = list(_all_images(range(n)))
     types = [_cycle_type_raw(p) for p in perms]
     for c1 in classes:
-        rep = class_representative(n, c1).images
+        rep = class_representative(n, c1)
         size1 = class_size(c1)
         for images, t2 in zip(perms, types):
             product = tuple(rep[x] for x in images)
@@ -159,7 +90,7 @@ def _xi3_table(n: int) -> dict:
     perms = list(_all_images(range(n)))
     types = [_cycle_type_raw(p) for p in perms]
     for c1 in classes:
-        rep = class_representative(n, c1).images
+        rep = class_representative(n, c1)
         size1 = class_size(c1)
         for imgs2, t2 in zip(perms, types):
             first_two = tuple(rep[x] for x in imgs2)

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from permfact.charkit import (
+    _content_poly,
+    _hook_product,
     character,
-    diagram,
     dimension,
     frak_c,
     frak_m,
@@ -15,21 +17,20 @@ from permfact.partition import Partition, all_partitions, z_lambda
 
 
 def test_diagram_cells():
-    cells = diagram(Partition([2, 1]))
-    assert sorted(c.hook for c in cells) == [1, 1, 3]
-    assert sorted(c.content for c in cells) == [-1, 0, 1]
-    corner = next(c for c in cells if c.row == 1 and c.col == 1)
-    assert corner.content == 0 and corner.hook == 3
-
-    cells = diagram(Partition([3]))
-    assert sorted(c.hook for c in cells) == [1, 2, 3]
-    assert sorted(c.content for c in cells) == [0, 1, 2]
-
-    cells = diagram(Partition([1, 1, 1]))
-    assert sorted(c.hook for c in cells) == [1, 2, 3]
-    assert sorted(c.content for c in cells) == [-2, -1, 0]
-
-    assert diagram(Partition()) == []
+    # Each shape's cell contents and hook lengths, read off its diagram.
+    cells = [
+        ((2, 1), [-1, 0, 1], [1, 1, 3]),
+        ((3,), [0, 1, 2], [1, 2, 3]),
+        ((1, 1, 1), [-2, -1, 0], [1, 2, 3]),
+        ((), [], []),
+    ]
+    for parts, contents, hooks in cells:
+        poly = _content_poly(parts)
+        assert len(poly) == len(contents) + 1
+        for z in range(-3, 4):
+            value = sum(a * z**k for k, a in enumerate(poly))
+            assert value == prod(z + c for c in contents), (parts, z)
+        assert _hook_product(parts) == prod(hooks)
 
 
 @pytest.mark.parametrize("parts,expected", [((2, 1), 2), ((5,), 1), ((3, 2), 5)])

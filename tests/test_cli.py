@@ -145,6 +145,15 @@ def test_db_build_n16_bytes_are_pinned(capsys, tmp_path):
     )
 
 
+def test_verify_all_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "all")
+    assert code == 0
+    assert out.splitlines()[-1] == "all: 174/174 checks passed"
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "328a69268c85a242a2b1c8cf1cb7800318c83a71a7b75988aefc9f1b319a0e99"
+    )
+
+
 def test_db_lookup_beyond_range(capsys, tmp_path):
     path = tmp_path / "db.tsv"
     run(capsys, "db", "build", "--n-max", "3", "--out", str(path))

@@ -168,3 +168,45 @@ def test_malformed_record_rejected(tmp_path, body, reason):
     lineno = 1 + body.count("\n")
     with pytest.raises(ValueError, match=f"line {lineno}: .*{reason}"):
         load_database(path)
+
+
+@pytest.fixture(scope="module")
+def n16_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("db") / "n16.tsv"
+    build_database(16).save(path)
+    return path.read_text(encoding="ascii").splitlines(keepends=True)
+
+
+def _header_only(lines):
+    return lines[:1]
+
+
+def _last_line_dropped(lines):
+    return lines[:-1]
+
+
+def _count_cut(lines):
+    # The one record of the transposition class 2,1^14, cut from 120 to 12.
+    key = "16\t2\t2," + ",".join(["1"] * 14) + "\t"
+    return [key + "12\n" if line == key + "120\n" else line for line in lines]
+
+
+@pytest.mark.parametrize(
+    "corrupt,message",
+    [
+        (_header_only, "counts of class 1 sum to 0, not to its class size 1"),
+        (_last_line_dropped, "class 1(,1){15} sum to 0, not to its class size 1"),
+        (_count_cut, r"line \d+: counts of class 2(,1){14} sum to 12, "
+                     "not to its class size 120"),
+    ],
+    ids=["header-only", "last-line-dropped", "count-cut"],
+)
+def test_incomplete_or_altered_file_rejected(tmp_path, n16_lines, corrupt, message):
+    # Every member of a class has one cofactor, so a class's counts sum to
+    # its size; each corruption breaks that for one class.
+    bad = corrupt(n16_lines)
+    assert bad != n16_lines
+    path = tmp_path / "bad.tsv"
+    path.write_text("".join(bad), encoding="ascii")
+    with pytest.raises(ValueError, match=message):
+        load_database(path)

@@ -1,0 +1,46 @@
+import ast
+import sys
+from pathlib import Path
+
+import permfact
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Names the package no longer offers, each with the module that held it.
+REMOVED = {
+    "Perm": "oracle",
+    "compose": "oracle",
+    "cycle_type": "oracle",
+    "permutations_of_type": "oracle",
+    "DiagramCell": "charkit",
+    "diagram": "charkit",
+    "w_number_full_cycle": "countcore",
+}
+
+
+def test_every_exported_name_resolves():
+    assert len(set(permfact.__all__)) == len(permfact.__all__)
+    for name in permfact.__all__:
+        assert hasattr(permfact, name), name
+
+
+def test_removed_names_are_gone_and_documented():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    removed = readme.split("## Removed interfaces", 1)[1].split("\n## ", 1)[0]
+    for name, module in REMOVED.items():
+        assert name not in permfact.__all__
+        assert not hasattr(permfact, name), name
+        assert not hasattr(getattr(permfact, module), name), name
+        assert f"`{name}" in removed, name
+
+
+def test_library_imports_only_the_standard_library():
+    top_level = set()
+    for path in sorted((ROOT / "src" / "permfact").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                top_level.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                top_level.add(node.module.split(".")[0])
+    assert "fractions" in top_level  # the walk sees the imports at all
+    assert sorted(top_level - sys.stdlib_module_names) == []
