@@ -5,14 +5,16 @@ product has a given number of cycles (xi), and factorizations of a fixed
 full cycle into a class member times a permutation with m cycles (mu,
 which is the one-face bipartite map count).  xi is computed in integers
 from content polynomials; mu from an alternating Stirling sum scaled by n!
-so that it is integer too.  Each is divided exactly once, and asserted
-integral and nonnegative there.
+so that it is integer too.  Each is cached as one row m = 1..n per class
+tuple (xi) or class (mu); every value in a row is divided exactly once,
+and asserted integral and nonnegative there.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 
-from .exactnum import binomial, factorial, stirling_first_unsigned
+from .exactnum import factorial, stirling_first_unsigned
 from .partition import Partition, all_partitions, class_size
 from .charkit import _content_poly, character, dimension, frak_c, hook_character_poly
 
@@ -129,20 +131,19 @@ def _xi_cached(parts_tuple: tuple) -> tuple:
     return tuple(row)
 
 
-@lru_cache(maxsize=None)
-def _edge_choice_poly(gamma_parts: tuple) -> tuple:
+def _edge_choice_poly(gamma_parts: tuple) -> list:
     """Coefficients of prod over parts g of ((1+y)^g - 1), dense and exact."""
     poly = [1]
     for g in gamma_parts:
-        factor = [binomial(g, k) for k in range(g + 1)]
-        factor[0] = 0
+        if g == 1:
+            continue  # the factor y, applied at the end as a shift
         prod = [0] * (len(poly) + g)
         for a, ca in enumerate(poly):
             if ca:
                 for b in range(1, g + 1):
-                    prod[a + b] += ca * factor[b]
+                    prod[a + b] += ca * comb(g, b)
         poly = prod
-    return tuple(poly)
+    return [0] * gamma_parts.count(1) + poly
 
 
 def mu(gamma: Partition, m: int) -> int:
@@ -151,34 +152,51 @@ def mu(gamma: Partition, m: int) -> int:
     Counts pairs (sigma, pi) with sigma of cycle type gamma, pi having m
     cycles and sigma*pi equal to the fixed cycle (1 2 ... n).  Degenerate
     inputs (m outside 1..n, or parity making the count vanish) return 0.
+    The first call for a class computes its whole row m = 1..n, which is
+    cached: with e the coefficients of prod over parts g of
+    ((1+y)^g - 1), mu(gamma, m) = |C_gamma| / n! times
+    sum_{j=m..n} (-1)^(j-m) c(j, m) e_(n-j+1) n!/j!, all in integers.
     """
     n = gamma.n
     if n < 1:
         raise ValueError("mu requires a partition of n >= 1")
     if m < 1 or m > n:
         return 0
-    return _mu_cached(gamma.parts, m)
+    return _mu_cached(gamma.parts)[m - 1]
 
 
 @lru_cache(maxsize=None)
-def _mu_cached(gamma_parts: tuple, m: int) -> int:
-    # The alternating Stirling sum over c(m+k, m) coeff_k / (m+k)!, scaled
-    # by n! so that every term is an integer; one exact division at the end.
+def _mu_cached(gamma_parts: tuple) -> tuple:
     n = sum(gamma_parts)
     poly = _edge_choice_poly(gamma_parts)
-    n_fact = factorial(n)
-    total = 0
-    for k in range(n - m + 1):
-        coeff = poly[n - m - k + 1]
-        if coeff:
-            term = stirling_first_unsigned(m + k, m) * coeff * n_fact // factorial(m + k)
-            total += -term if k % 2 else term
+    # a[j] = e_(n-j+1) n!/j!, the alternating Stirling sum's terms scaled
+    # by n! so that they are integers; one exact division per m.  e_k
+    # vanishes below the part count, so a[j] vanishes above top.
+    top = n + 1 - len(gamma_parts)
+    a = [0] * (n + 1)
+    falling = 1
+    for j in range(n, 0, -1):
+        a[j] = poly[n - j + 1] * falling
+        falling *= j
+    n_fact = falling
     gamma = Partition._from_sorted(gamma_parts)
-    scaled = class_size(gamma) * total
-    result, rest = divmod(scaled, n_fact)
-    if rest or result < 0:
-        raise ConsistencyError(f"mu came out {scaled}/{n_fact} for gamma={gamma}, m={m}")
-    return result
+    size = class_size(gamma)
+    row = []
+    for m in range(1, n + 1):
+        if (top - m) % 2:
+            row.append(0)  # sgn(sigma) sgn(pi) differs from the n-cycle's sign
+            continue
+        total = 0
+        for j in range(m, top + 1):
+            term = stirling_first_unsigned(j, m) * a[j]
+            total += -term if (j - m) % 2 else term
+        result, rest = divmod(size * total, n_fact)
+        if rest or result < 0:
+            raise ConsistencyError(
+                f"mu came out {size * total}/{n_fact} for gamma={gamma}, m={m}"
+            )
+        row.append(result)
+    return tuple(row)
 
 
 def genus_of(n: int, d: int, m: int):

@@ -8,7 +8,9 @@ case, which the Zagier-Stanley formula gives directly.
 
 The sweep runs in integers: multiplied through by n!, the recursion
 relates plain counts through the integer kernel l! tilde_S, and each
-count comes out of one exact division.  The database builder runs that
+count comes out of one exact division.  The kernel is cached as one row
+over l per (m, i), so both sums of the recursion are dot products of a
+kernel row with a row of counts.  The database builder runs that
 sweep, cross-validates every count against the general explicit formula,
 and persists the nonzero records in a line-oriented ASCII format (see
 Database.save).
@@ -17,10 +19,11 @@ Database.save).
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .exactnum import binomial, factorial, stirling_second
 from .partition import Partition, all_partitions, class_size, parse_partition, remove_part
-from .countcore import mu
+from .countcore import _mu_cached, mu
 from .closedform import zagier_stanley
 
 DB_HEADER_PREFIX = "#permfact-db v1 n_max="
@@ -44,13 +47,18 @@ class CountRecord:
     value: int
 
 
-@lru_cache(maxsize=None)
 def _kernel(m: int, i: int, l: int) -> int:
     """l! tilde_S(m, i, l) = sum_{j=1..i} C(i,j) (m+j-i)! S(l, m+j-i), an integer."""
     return sum(
         binomial(i, j) * factorial(m + j - i) * stirling_second(l, m + j - i)
         for j in range(max(1, i - m), i + 1)
     )
+
+
+@lru_cache(maxsize=None)
+def _kernel_row(m: int, i: int, length: int) -> tuple:
+    """(K(m, i, 1), ..., K(m, i, length)) with K = _kernel."""
+    return tuple(_kernel(m, i, l) for l in range(1, length + 1))
 
 
 def tilde_S(m: int, i: int, l: int) -> Fraction:
@@ -76,8 +84,8 @@ def _reduced_count(gamma: Partition, m: int, i: int, row, reduced_row) -> int:
     """
     n = gamma.n
     weight = i * gamma.parts.count(i)
-    smaller = sum(_kernel(m, i, l) * c for l, c in enumerate(reduced_row, start=1) if c)
-    same = sum(_kernel(m, 1, l) * row[l - 1] for l in range(m + 1, n + 1) if row[l - 1])
+    smaller = sum(map(mul, _kernel_row(m, i, n - i), reduced_row))
+    same = sum(map(mul, _kernel_row(m, 1, n)[m:], row[m:]))
     scaled = factorial(n) // factorial(n - i) * smaller - weight * same
     count, rest = divmod(scaled, factorial(m) * weight)
     if rest or count < 0:
@@ -91,8 +99,8 @@ def _reduced_count(gamma: Partition, m: int, i: int, row, reduced_row) -> int:
 def reduce_mu(gamma: Partition, m: int, i: int) -> Fraction:
     """Scaled count mu~(n,m) = m!/n! mu(gamma, m) via removal of one part equal to i.
 
-    The recursion runs on integer counts, taking mu(gamma, l) for l > m and
-    the counts of the reduced class from the explicit formula.  Only
+    The recursion runs on integer counts, reading the rows of gamma and of
+    the reduced class from the explicit formula's row cache.  Only
     defined for classes with at least two parts: the one-part base case
     is the Zagier-Stanley formula.
     """
@@ -102,9 +110,7 @@ def reduce_mu(gamma: Partition, m: int, i: int) -> Fraction:
     if not 1 <= m <= n:
         raise ValueError(f"m = {m} out of range 1..{n}")
     reduced = remove_part(gamma, i)
-    row = [mu(gamma, l) for l in range(1, n + 1)]
-    reduced_row = [mu(reduced, l) for l in range(1, reduced.n + 1)]
-    count = _reduced_count(gamma, m, i, row, reduced_row)
+    count = _reduced_count(gamma, m, i, _mu_cached(gamma.parts), _mu_cached(reduced.parts))
     return Fraction(factorial(m) * count, factorial(n))
 
 
@@ -154,7 +160,11 @@ def load_database(path) -> Database:
     out-of-order key is rejected rather than silently overriding.  Each
     member of a class gamma has exactly one cofactor, so the counts of
     every class with n <= n_max must sum to its class size; a missing or
-    altered record fails that check.
+    altered record fails that check.  Evaluating the generating function
+    sum_m mu(gamma, m) x^m at x = 2 gives a second check that also catches
+    two counts of one class exchanged between values of m:
+    sum_m 2^m mu(gamma, m) = class_size(gamma) (n + 2 - m_1), with m_1 the
+    number of parts equal to 1.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
@@ -162,7 +172,8 @@ def load_database(path) -> Database:
             raise ValueError(f"bad database header: {header!r}")
         n_max = int(header[len(DB_HEADER_PREFIX):])
         records = []
-        # Per class: (sum of its counts so far, line of its last record).
+        # Per class: (sum of its counts, sum of 2^m times them, line of its
+        # last record), so far.
         totals = {}
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
@@ -188,18 +199,27 @@ def load_database(path) -> Database:
                 problem = "key duplicates or precedes the previous record's"
             else:
                 records.append(record)
-                total, _ = totals.get(record.gamma.parts, (0, 0))
-                totals[record.gamma.parts] = (total + record.value, lineno)
+                total, weighted, _ = totals.get(record.gamma.parts, (0, 0, 0))
+                totals[record.gamma.parts] = (
+                    total + record.value, weighted + (record.value << record.m), lineno
+                )
                 continue
             raise ValueError(f"line {lineno}: {problem}")
     for n in range(1, n_max + 1):
         for gamma in all_partitions(n):
-            total, lineno = totals.get(gamma.parts, (0, 0))
-            if total != class_size(gamma):
-                where = f"line {lineno}: " if lineno else ""
+            total, weighted, lineno = totals.get(gamma.parts, (0, 0, 0))
+            size = class_size(gamma)
+            where = f"line {lineno}: " if lineno else ""
+            if total != size:
                 raise ValueError(
                     f"{where}counts of class {gamma} sum to {total}, "
-                    f"not to its class size {class_size(gamma)}"
+                    f"not to its class size {size}"
+                )
+            expected = size * (n + 2 - gamma.parts.count(1))
+            if weighted != expected:
+                raise ValueError(
+                    f"{where}counts of class {gamma} give sum_m 2^m count = "
+                    f"{weighted}, not {expected}"
                 )
     return Database(n_max, records)
 

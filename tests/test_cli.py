@@ -61,6 +61,12 @@ def test_mu_all_rows(capsys):
     assert out.splitlines() == ["m\tmu", "1\t1", "3\t1"]
 
 
+def test_mu_all_table_golden(capsys):
+    code, out, _ = run(capsys, "mu", "--gamma", "3,2^4,1^3", "--all")
+    assert code == 0
+    assert out == "m       mu\n1  1981980\n3  7987980\n5  2522520\n7   120120\n"
+
+
 def test_mu_unrealizable_genus_prints_zero(capsys):
     # Genus too large for the class: cycle number falls below 1.
     code, out, _ = run(capsys, "mu", "--gamma", "2,1", "--genus", "2")
@@ -136,12 +142,22 @@ def test_db_build_and_lookup(capsys, tmp_path):
     assert code == 0 and out == "0\n"
 
 
-def test_db_build_n16_bytes_are_pinned(capsys, tmp_path):
+def _db_build_sha256(capsys, tmp_path, n_max):
     path = tmp_path / "db.tsv"
-    code, _, _ = run(capsys, "db", "build", "--n-max", "16", "--out", str(path))
+    code, _, _ = run(capsys, "db", "build", "--n-max", str(n_max), "--out", str(path))
     assert code == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_db_build_n16_bytes_are_pinned(capsys, tmp_path):
+    assert _db_build_sha256(capsys, tmp_path, 16) == (
         "5f39d1ebdb4d531a7eb7cec75422a60dcfb4cbf8cd257588243fff22caa6040f"
+    )
+
+
+def test_db_build_n18_bytes_are_pinned(capsys, tmp_path):
+    assert _db_build_sha256(capsys, tmp_path, 18) == (
+        "318090dd0d7c67acf1446349ca1343ddbb2760acb45a31866ac65f77c284232e"
     )
 
 

@@ -190,6 +190,33 @@ def test_mu_matches_fraction_route_sampled(data):
         assert mu(gamma, m) == mu_by_fractions(gamma, m), (gamma, m)
 
 
+def mu_at_two_matches(gamma):
+    """sum_m 2^m mu(gamma, m) == class_size(gamma) (n + 2 - m_1).
+
+    sum_m mu(gamma, m) x^m = |C_gamma| sum_j e_(n-j+1) C(x, j), with e the
+    coefficients of prod over parts g of ((1+y)^g - 1).  At x = 2 only
+    j = 1, 2 survive, with e_n = 1 and e_(n-1) = n - m_1, m_1 the number
+    of parts equal to 1.
+    """
+    n = gamma.n
+    weighted = sum(2**m * mu(gamma, m) for m in range(1, n + 1))
+    return weighted == class_size(gamma) * (n + 2 - gamma.parts.count(1))
+
+
+def test_mu_generating_function_at_two():
+    for n in range(1, 15):
+        for gamma in all_partitions(n):
+            assert mu_at_two_matches(gamma), gamma
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.data())
+def test_mu_generating_function_at_two_sampled(data):
+    n = data.draw(st.integers(min_value=15, max_value=30))
+    gamma = data.draw(st.sampled_from(all_partitions(n)))
+    assert mu_at_two_matches(gamma), gamma
+
+
 def test_mu_is_xi_with_fixed_full_cycle():
     for n in range(1, 13):
         full = Partition([n])

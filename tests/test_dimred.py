@@ -36,6 +36,14 @@ def test_scaled_kernel_is_integral():
         assert (factorial(l) * reference).denominator == 1, (m, i, l)
 
 
+def test_kernel_row_matches_kernel():
+    for m, i, length in product(range(1, 13), repeat=3):
+        row = dimred._kernel_row(m, i, length)
+        assert len(row) == length, (m, i, length)
+        for l in range(1, length + 1):
+            assert row[l - 1] == dimred._kernel(m, i, l), (m, i, length, l)
+
+
 def test_reduce_mu_examples():
     assert reduce_mu(Partition([2, 2]), 1, 2) == Fraction(1, 24)
     assert reduce_mu(Partition([2, 2]), 3, 2) == Fraction(1, 2)
@@ -191,6 +199,13 @@ def _count_cut(lines):
     return [key + "12\n" if line == key + "120\n" else line for line in lines]
 
 
+def _within_class_swap(lines):
+    # The counts of class 6 at m = 2 (84) and m = 4 (35) exchanged; they
+    # still sum to the class size 120.
+    swap = {"6\t2\t6\t84\n": "6\t2\t6\t35\n", "6\t4\t6\t35\n": "6\t4\t6\t84\n"}
+    return [swap.get(line, line) for line in lines]
+
+
 @pytest.mark.parametrize(
     "corrupt,message",
     [
@@ -198,12 +213,15 @@ def _count_cut(lines):
         (_last_line_dropped, "class 1(,1){15} sum to 0, not to its class size 1"),
         (_count_cut, r"line \d+: counts of class 2(,1){14} sum to 12, "
                      "not to its class size 120"),
+        (_within_class_swap, r"line \d+: counts of class 6 give sum_m 2\^m count = 1548, "
+                             "not 960"),
     ],
-    ids=["header-only", "last-line-dropped", "count-cut"],
+    ids=["header-only", "last-line-dropped", "count-cut", "within-class-swap"],
 )
 def test_incomplete_or_altered_file_rejected(tmp_path, n16_lines, corrupt, message):
     # Every member of a class has one cofactor, so a class's counts sum to
-    # its size; each corruption breaks that for one class.
+    # its size, and sum_m 2^m count = size (n + 2 - m_1); each corruption
+    # breaks one of these for one class.
     bad = corrupt(n16_lines)
     assert bad != n16_lines
     path = tmp_path / "bad.tsv"
