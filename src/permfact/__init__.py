@@ -52,14 +52,7 @@ from .closedform import (
     polynomiality_check,
     zagier_stanley,
 )
-from .symfun import (
-    SparsePolynomial,
-    monomial_sym,
-    power_sum,
-    schur,
-    verify_m1_identities,
-    verify_schur_identity,
-)
+from .symfun import verify_m1_identities, verify_schur_identity
 from .oracle import brute_mu, brute_xi
 from .dimred import (
     CountRecord,
@@ -112,10 +105,6 @@ __all__ = [
     "one_face_map_count",
     "polynomiality_check",
     "zagier_stanley",
-    "SparsePolynomial",
-    "monomial_sym",
-    "power_sum",
-    "schur",
     "verify_m1_identities",
     "verify_schur_identity",
     "brute_mu",

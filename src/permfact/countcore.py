@@ -20,7 +20,8 @@ from .charkit import _content_poly, character, dimension, frak_c, hook_character
 
 
 class ConsistencyError(ArithmeticError):
-    """A count came out non-integral or negative: an implementation bug."""
+    """A count came out non-integral or negative, or an exact check could not
+    be set up (a singular evaluation grid): an implementation bug."""
 
 
 def _check_classes(classes) -> tuple:

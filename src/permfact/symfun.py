@@ -1,237 +1,165 @@
-"""Exact sparse multivariate polynomials and symmetric-function identity checks.
+"""Symmetric-function identity checks by exact evaluation at integer points.
 
-Polynomials are dicts from exponent tuples to rational coefficients over
-a fixed number of variables.  Products of two separate variable families
-(the x's and the y's of the two-class generating function) are formed
-with tensor(), which concatenates exponent vectors.
+Both sides of each identity are bilinear forms, symmetric of degree n in
+each of two families of n variables.  The power sums p_alpha (alpha a
+partition of n) are a basis of the degree-n symmetric polynomials in n
+variables, so such a form is the sum of C[alpha][beta] p_alpha(x)
+p_beta(y), and its values at all pairs (x_i, x_j) of a grid of p(n)
+points are the matrix P^T C P with P = [p_alpha(x_i)].  When P is
+invertible those values determine C, so two forms are equal exactly when
+they agree at every grid pair.  Each grid is checked for that with an
+exact integer determinant before it is used; a singular grid raises
+ConsistencyError instead of passing.  The cycle-count marker z is
+handled the same way: both sides are polynomials of degree <= n in z, so
+equality at z = 0..n is equivalence.
 
-The identity checkers compare the two-class factorization generating
-function against its shape expansion.  The auxiliary variable tracking
-the cycle count is handled by evaluation at n+1 integer points, which is
-equivalent for polynomials of degree <= n.
+Schur values come from the bialternant det(x_i^(lam_j + n - j)) /
+det(x_i^(n - j)) (Macdonald, Symmetric Functions and Hall Polynomials,
+I.3), not from the characters the counting engine uses; monomial
+symmetric values come from a dynamic program over the variables.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from math import lcm
+from operator import mul
+from random import Random
 
 from .exactnum import factorial
-from .partition import Partition, all_partitions, class_size
-from .charkit import character, dimension, frak_c, frak_m
-from .countcore import xi
+from .partition import all_partitions
+from .charkit import dimension, frak_c, frak_m
+from .closedform import _power_sum_value
+from .countcore import ConsistencyError, xi
 from .report import CheckReport
 
 
-class SparsePolynomial:
-    """Multivariate polynomial with exact rational coefficients."""
-
-    __slots__ = ("nvars", "terms")
-
-    def __init__(self, nvars: int, terms=None):
-        self.nvars = nvars
-        clean: dict = {}
-        if terms:
-            for exponents, coeff in terms.items():
-                if len(exponents) != nvars:
-                    raise ValueError(
-                        f"exponent vector {exponents} does not have {nvars} entries"
-                    )
-                coeff = Fraction(coeff)
-                if coeff:
-                    clean[tuple(exponents)] = coeff
-        self.terms = clean
-
-    @classmethod
-    def zero(cls, nvars: int) -> "SparsePolynomial":
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, nvars: int, value) -> "SparsePolynomial":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if isinstance(other, SparsePolynomial):
-            return self.nvars == other.nvars and self.terms == other.terms
-        return NotImplemented
-
-    def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        if self.nvars != other.nvars:
-            raise ValueError("variable count mismatch")
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            new = terms.get(e, 0) + c
-            if new:
-                terms[e] = new
-            else:
-                terms.pop(e, None)
-        out = SparsePolynomial(self.nvars)
-        out.terms = terms
-        return out
-
-    def __sub__(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        return self + (-1) * other
-
-    def __mul__(self, other):
-        if isinstance(other, SparsePolynomial):
-            if self.nvars != other.nvars:
-                raise ValueError("variable count mismatch")
-            terms: dict = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    new = terms.get(e, 0) + c1 * c2
-                    if new:
-                        terms[e] = new
-                    else:
-                        terms.pop(e, None)
-            out = SparsePolynomial(self.nvars)
-            out.terms = terms
-            return out
-        coeff = Fraction(other)
-        out = SparsePolynomial(self.nvars)
-        if coeff:
-            out.terms = {e: c * coeff for e, c in self.terms.items()}
-        return out
-
-    __rmul__ = __mul__
-
-    def tensor(self, other: "SparsePolynomial") -> "SparsePolynomial":
-        """Product over disjoint variable families: exponent concatenation."""
-        out = SparsePolynomial(self.nvars + other.nvars)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                terms[e1 + e2] = c1 * c2
-        out.terms = terms
-        return out
-
-    def permuted(self, order) -> "SparsePolynomial":
-        """Polynomial with variables reindexed: new var i is old var order[i]."""
-        order = tuple(order)
-        if sorted(order) != list(range(self.nvars)):
-            raise ValueError("order must be a permutation of the variables")
-        out = SparsePolynomial(self.nvars)
-        out.terms = {
-            tuple(e[order[i]] for i in range(self.nvars)): c
-            for e, c in self.terms.items()
-        }
-        return out
-
-    def evaluate(self, values) -> Fraction:
-        values = tuple(values)
-        if len(values) != self.nvars:
-            raise ValueError("value count mismatch")
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for x, p in zip(values, e):
-                if p:
-                    v *= Fraction(x) ** p
-            total += v
-        return total
-
-    def __repr__(self):
-        return f"SparsePolynomial(nvars={self.nvars}, terms={len(self.terms)})"
+def _det(rows) -> int:
+    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    a = [list(row) for row in rows]
+    size = len(a)
+    sign, prev = 1, 1
+    for c in range(size - 1):
+        pivot = next((r for r in range(c, size) if a[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            sign = -sign
+        top = a[c]
+        for r in range(c + 1, size):
+            row, lead = a[r], a[r][c]
+            a[r] = row[: c + 1] + [
+                (v * top[c] - lead * t) // prev
+                for v, t in zip(row[c + 1 :], top[c + 1 :])
+            ]
+        prev = top[c]
+    return sign * a[-1][-1]
 
 
-def power_sum(lam: Partition, k: int) -> SparsePolynomial:
-    """Power-sum symmetric polynomial: product over parts of sum x_j^part."""
-    if k < 1:
-        raise ValueError("power_sum requires at least one variable")
-    result = SparsePolynomial.constant(k, 1)
-    for part in lam.parts:
-        factor = SparsePolynomial(
-            k,
-            {
-                tuple(part if j == i else 0 for j in range(k)): Fraction(1)
-                for i in range(k)
-            },
+def _grid(n: int) -> list:
+    """p(n) seeded points of Z^n, each with distinct coordinates."""
+    rng = Random(n)
+    span = range(-2 * n, 2 * n + 1)
+    return [tuple(rng.sample(span, n)) for _ in all_partitions(n)]
+
+
+def _power_sum_values(shapes, points) -> list:
+    """Rows [p_alpha(x_i)] over the points; raises if they are not a basis."""
+    values = [[_power_sum_value(a.parts, x) for x in points] for a in shapes]
+    if _det(values) == 0:
+        raise ConsistencyError(
+            f"the {len(points)} grid points do not determine a symmetric "
+            "form: the power-sum matrix is singular"
         )
-        result = result * factor
-    return result
+    return values
 
 
-def schur(lam: Partition, k: int) -> SparsePolynomial:
-    """Schur polynomial via the character expansion over power sums.
+def _schur_value(parts: tuple, point: tuple) -> int:
+    """s_lam at a point with distinct coordinates, no fewer than lam's parts."""
+    k = len(point)
+    padded = parts + (0,) * (k - len(parts))
+    num = _det([[x ** (padded[j] + k - 1 - j) for j in range(k)] for x in point])
+    den = _det([[x ** (k - 1 - j) for j in range(k)] for x in point])
+    value, rest = divmod(num, den)
+    if rest:
+        raise ConsistencyError(f"bialternant of {parts} at {point} is not exact")
+    return value
 
-    s = 1/n! sum over classes of |class| * character * power_sum.  With
-    fewer variables than rows the result is correctly zero.
+
+def _monomial_value(parts: tuple, point: tuple) -> int:
+    """m_lam at a point: one term per distinct exponent vector.
+
+    A dynamic program over the variables whose state is the sub-multiset
+    of lam's parts not yet given out; each variable takes no part or one
+    distinct part value, so every exponent vector is reached once.
     """
-    n = lam.n
-    if n < 1:
-        raise ValueError("schur requires a partition of n >= 1")
-    result = SparsePolynomial.zero(k)
-    for alpha in all_partitions(n):
-        chi = character(lam, alpha)
-        if chi == 0:
-            continue
-        result = result + power_sum(alpha, k) * Fraction(
-            class_size(alpha) * chi, factorial(n)
-        )
-    return result
+    states = {tuple(parts): 1}
+    for x in point:
+        after = dict(states)
+        for unused, value in states.items():
+            for i, part in enumerate(unused):
+                if i and unused[i - 1] == part:
+                    continue
+                rest = unused[:i] + unused[i + 1 :]
+                after[rest] = after.get(rest, 0) + value * x ** part
+        states = after
+    return states.get((), 0)
 
 
-def monomial_sym(lam: Partition, k: int) -> SparsePolynomial:
-    """Monomial symmetric polynomial: all distinct monomials of exponent type lam."""
-    if k < 1:
-        raise ValueError("monomial_sym requires at least one variable")
-    if lam.length > k:
-        return SparsePolynomial.zero(k)
-    padded = tuple(lam.parts) + (0,) * (k - lam.length)
-    exponents = set(permutations(padded))
-    return SparsePolynomial(k, {e: Fraction(1) for e in exponents})
+def _form(values, coeffs) -> list:
+    """Values [sum over a, b of coeffs[a][b] f_a(x_i) f_b(x_j)] at grid pairs.
+
+    values[a][i] is f_a at point i.  The coefficients are cleared to one
+    common denominator so that both matrix products run in integers.
+    """
+    den = lcm(*(Fraction(c).denominator for row in coeffs for c in row))
+    scaled = [[int(c * den) for c in row] for row in coeffs]
+    columns = list(zip(*values))
+    right = list(zip(*([sum(map(mul, r, col)) for col in columns] for r in scaled)))
+    return [[Fraction(sum(map(mul, x, y)), den) for y in right] for x in columns]
 
 
-def _xi_generating_terms(n: int) -> list:
-    """All (alpha, gamma, m, count) with a nonzero two-class count."""
-    out = []
-    for alpha in all_partitions(n):
-        for gamma in all_partitions(n):
-            for m in range(1, n + 1):
-                value = xi((alpha, gamma), m)
-                if value:
-                    out.append((alpha, gamma, m, value))
-    return out
+def _diagonal(weights) -> list:
+    size = len(weights)
+    return [[w if a == b else 0 for b in range(size)] for a, w in enumerate(weights)]
+
+
+def _mismatch(lhs, rhs, points) -> str:
+    """Empty when the two grid-value matrices agree, else the first difference."""
+    for x, left_row, right_row in zip(points, lhs, rhs):
+        for y, left, right in zip(points, left_row, right_row):
+            if left != right:
+                return f"first mismatch at x={x}, y={y}: {left} != {right}"
+    return ""
 
 
 def verify_schur_identity(n: int) -> CheckReport:
     """Check the two-class generating function against its shape expansion.
 
-    Both sides are polynomials of degree <= n in the cycle-count marker,
-    so equality at the integer points 0..n is equivalence.  The left side
-    is assembled from the counting engine, the right side from
-    hook-content products and Schur polynomials in n variables per family.
+    The left side, (1/n!^2) sum of xi((alpha, gamma), m) z^m p_alpha(x)
+    p_gamma(y), comes from the counting engine; the right side, the sum
+    over shapes lam of frak_m(lam, z) / dim(lam) s_lam(x) s_lam(y), from
+    hook-content products and bialternant Schur values.  One case per
+    z = 0..n, each comparing every pair of grid points.
     """
     if n < 1:
         raise ValueError("verify_schur_identity requires n >= 1")
     report = CheckReport("schur-identity")
-    k = n
-    terms = _xi_generating_terms(n)
-    p_cache = {alpha.parts: power_sum(alpha, k) for alpha in all_partitions(n)}
-    s_pairs = []
-    for lam in all_partitions(n):
-        s = schur(lam, k)
-        s_pairs.append((lam, s.tensor(s)))
-
-    scale = Fraction(1, factorial(n) ** 2)
+    shapes = all_partitions(n)
+    points = _grid(n)
+    p_values = _power_sum_values(shapes, points)
+    s_values = [[_schur_value(lam.parts, x) for x in points] for lam in shapes]
+    rows = [[[xi((a, g), m) for m in range(1, n + 1)] for g in shapes] for a in shapes]
+    scale = factorial(n) ** 2
     for z in range(n + 1):
-        lhs = SparsePolynomial.zero(2 * k)
-        for alpha, gamma, m, value in terms:
-            pp = p_cache[alpha.parts].tensor(p_cache[gamma.parts])
-            lhs = lhs + pp * (scale * value * z ** m)
-        rhs = SparsePolynomial.zero(2 * k)
-        for lam, ss in s_pairs:
-            weight = frak_m(lam, z) / dimension(lam)
-            if weight:
-                rhs = rhs + ss * weight
-        diff = lhs - rhs
-        detail = ""
-        if not diff.is_zero():
-            exp = min(diff.terms)
-            detail = f"first mismatch at z={z}, monomial {exp}"
-        report.add(f"n={n} z={z}", diff.is_zero(), detail)
+        counts = [
+            [Fraction(sum(v * z ** m for m, v in enumerate(row, 1)), scale) for row in r]
+            for r in rows
+        ]
+        weights = [frak_m(lam, z) / dimension(lam) for lam in shapes]
+        lhs = _form(p_values, counts)
+        rhs = _form(s_values, _diagonal(weights))
+        detail = _mismatch(lhs, rhs, points)
+        report.add(f"n={n} z={z}", not detail, detail)
     return report
 
 
@@ -239,49 +167,50 @@ def verify_m1_identities(n: int) -> CheckReport:
     """Compare the three routes to the single-cycle generating function.
 
     (a) direct counts, (b) the alternating hook-content weights on Schur
-    pairs, (c) the monomial-basis expression with factorial weights.
+    pairs, (c) the monomial-basis expression with factorial weights; each
+    evaluated at every pair of grid points.
     """
     if n < 1:
         raise ValueError("verify_m1_identities requires n >= 1")
     report = CheckReport("m1-identities")
-    k = n
-    p_cache = {alpha.parts: power_sum(alpha, k) for alpha in all_partitions(n)}
+    shapes = all_partitions(n)
+    points = _grid(n)
+    scale = factorial(n) ** 2
+    direct = _form(
+        _power_sum_values(shapes, points),
+        [[Fraction(xi((a, g), 1), scale) for g in shapes] for a in shapes],
+    )
 
-    direct = SparsePolynomial.zero(2 * k)
-    scale = Fraction(1, factorial(n) ** 2)
-    for alpha in all_partitions(n):
-        for gamma in all_partitions(n):
-            value = xi((alpha, gamma), 1)
-            if value:
-                pp = p_cache[alpha.parts].tensor(p_cache[gamma.parts])
-                direct = direct + pp * (scale * value)
-
-    shape_side = SparsePolynomial.zero(2 * k)
-    for lam in all_partitions(n):
+    weights = []
+    for lam in shapes:
         weight = Fraction(0)
         for j in range(n):
             term = frak_c(lam, j + 1) / (j + 1)
             weight += -term if j % 2 else term
-        if weight:
-            s = schur(lam, k)
-            shape_side = shape_side + s.tensor(s) * (weight / dimension(lam))
+        weights.append(weight / dimension(lam))
+    s_values = [[_schur_value(lam.parts, x) for x in points] for lam in shapes]
+    shape_side = _form(s_values, _diagonal(weights))
 
-    monomial_side = SparsePolynomial.zero(2 * k)
-    m_cache = {lam.parts: monomial_sym(lam, k) for lam in all_partitions(n)}
-    for lam in all_partitions(n):
-        for mu_ in all_partitions(n):
-            slots = n + 1 - lam.length - mu_.length
-            if slots < 0:
-                continue
-            weight = Fraction(
-                factorial(n - lam.length) * factorial(n - mu_.length),
-                factorial(n) * factorial(slots),
+    coeffs = [
+        [
+            Fraction(
+                factorial(n - lam.length) * factorial(n - nu.length),
+                factorial(n) * factorial(n + 1 - lam.length - nu.length),
             )
-            monomial_side = monomial_side + m_cache[lam.parts].tensor(
-                m_cache[mu_.parts]
-            ) * weight
+            if lam.length + nu.length <= n + 1
+            else 0
+            for nu in shapes
+        ]
+        for lam in shapes
+    ]
+    m_values = [[_monomial_value(lam.parts, x) for x in points] for lam in shapes]
+    monomial_side = _form(m_values, coeffs)
 
-    report.add(f"n={n} direct == shape expansion", direct == shape_side)
-    report.add(f"n={n} direct == monomial expression", direct == monomial_side)
-    report.add(f"n={n} shape == monomial", shape_side == monomial_side)
+    for label, lhs, rhs in (
+        ("direct == shape expansion", direct, shape_side),
+        ("direct == monomial expression", direct, monomial_side),
+        ("shape == monomial", shape_side, monomial_side),
+    ):
+        detail = _mismatch(lhs, rhs, points)
+        report.add(f"n={n} {label}", not detail, detail)
     return report

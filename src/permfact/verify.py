@@ -27,7 +27,6 @@ DEFAULT_N_MAX = {
     "hz": 8,
     "dimred": 8,
     "polynomiality": 10,
-    "all": 5,
 }
 
 

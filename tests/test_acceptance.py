@@ -154,17 +154,17 @@ def test_criterion_07_jackson_formula():
 
 
 def test_criterion_08_schur_identity():
-    for n in range(1, 5):
+    for n in range(1, 7):
         report = verify_schur_identity(n)
         assert report.ok, [c.line() for c in report.failures]
-    _ok(8, "two-class generating function equals its shape expansion, n <= 4")
+    _ok(8, "two-class generating function equals its shape expansion, n <= 6")
 
 
 def test_criterion_09_m1_identities():
-    for n in range(1, 5):
+    for n in range(1, 7):
         report = verify_m1_identities(n)
         assert report.ok, [c.line() for c in report.failures]
-    _ok(9, "all three single-cycle generating expressions agree, n <= 4")
+    _ok(9, "all three single-cycle generating expressions agree, n <= 6")
 
 
 def test_criterion_10_dimension_reduction(tmp_path):

@@ -1,9 +1,16 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from permfact.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+VERIFY_ALL_SHA256 = "328a69268c85a242a2b1c8cf1cb7800318c83a71a7b75988aefc9f1b319a0e99"
 
 
 def run(capsys, *argv):
@@ -165,9 +172,23 @@ def test_verify_all_stdout_is_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all")
     assert code == 0
     assert out.splitlines()[-1] == "all: 174/174 checks passed"
-    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
-        "328a69268c85a242a2b1c8cf1cb7800318c83a71a7b75988aefc9f1b319a0e99"
-    )
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_python_dash_m_runs_the_cli_from_a_checkout():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "permfact", *argv],
+            capture_output=True, env=env, timeout=120,
+        )
+
+    done = run_module("mu", "--gamma", "2,1", "--m", "2")
+    assert (done.returncode, done.stdout) == (0, b"3\n")
+    done = run_module("verify", "--suite", "all")
+    assert done.returncode == 0
+    assert hashlib.sha256(done.stdout).hexdigest() == VERIFY_ALL_SHA256
 
 
 def test_db_lookup_beyond_range(capsys, tmp_path):

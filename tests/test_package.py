@@ -15,6 +15,10 @@ REMOVED = {
     "DiagramCell": "charkit",
     "diagram": "charkit",
     "w_number_full_cycle": "countcore",
+    "SparsePolynomial": "symfun",
+    "power_sum": "symfun",
+    "schur": "symfun",
+    "monomial_sym": "symfun",
 }
 
 
