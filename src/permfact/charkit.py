@@ -34,13 +34,18 @@ def _conjugate(parts: tuple) -> tuple:
     return tuple(conj)
 
 
-def _content_poly(parts: tuple) -> list:
-    """Coefficients of prod over the cells of a shape of (z + content), z^0 first."""
+@lru_cache(maxsize=512)
+def _content_poly(parts: tuple) -> tuple:
+    """Coefficients of prod over the cells of a shape of (z + content), z^0 first.
+
+    Cached, since every xi row and every frak_m value of a shape reads it;
+    512 entries hold every shape of one n up to n = 19.
+    """
     poly = [1]
     for i, row_len in enumerate(parts):
         for j in range(row_len):
             poly = [(j - i) * a + b for a, b in zip(poly + [0], [0] + poly)]
-    return poly
+    return tuple(poly)
 
 
 @lru_cache(maxsize=None)

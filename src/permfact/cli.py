@@ -120,8 +120,8 @@ def _cmd_db(args, out) -> int:
         except dimred.DatabaseBuildError as exc:
             sys.stderr.write(f"validation failure: {exc}\n")
             return 1
-        db.save(args.out)
-        out.write(f"built {len(db.records)} records, n_max={db.n_max}, out={args.out}\n")
+        written = db.save(args.out)
+        out.write(f"built {written} records, n_max={db.n_max}, out={args.out}\n")
         return 0
     # lookup
     gamma = _parse_partition_arg(args.gamma)

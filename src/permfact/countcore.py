@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .exactnum import factorial, stirling_first_unsigned
+from .exactnum import _stirling1_row, factorial
 from .partition import Partition, all_partitions, class_size
 from .charkit import _content_poly, character, dimension, frak_c, hook_character_poly
 
@@ -138,11 +138,12 @@ def _edge_choice_poly(gamma_parts: tuple) -> list:
     for g in gamma_parts:
         if g == 1:
             continue  # the factor y, applied at the end as a shift
+        binomials = [comb(g, b) for b in range(1, g + 1)]
         prod = [0] * (len(poly) + g)
         for a, ca in enumerate(poly):
             if ca:
-                for b in range(1, g + 1):
-                    prod[a + b] += ca * comb(g, b)
+                for b, c in enumerate(binomials, start=a + 1):
+                    prod[b] += ca * c
         poly = prod
     return [0] * gamma_parts.count(1) + poly
 
@@ -170,16 +171,18 @@ def mu(gamma: Partition, m: int) -> int:
 def _mu_cached(gamma_parts: tuple) -> tuple:
     n = sum(gamma_parts)
     poly = _edge_choice_poly(gamma_parts)
-    # a[j] = e_(n-j+1) n!/j!, the alternating Stirling sum's terms scaled
-    # by n! so that they are integers; one exact division per m.  e_k
-    # vanishes below the part count, so a[j] vanishes above top.
+    # a[j] = (-1)^j e_(n-j+1) n!/j!, the alternating Stirling sum's terms
+    # scaled by n! so that they are integers; one exact division per m.
+    # e_k vanishes below the part count, so a[j] vanishes above top.
     top = n + 1 - len(gamma_parts)
     a = [0] * (n + 1)
     falling = 1
     for j in range(n, 0, -1):
-        a[j] = poly[n - j + 1] * falling
+        term = poly[n - j + 1] * falling
+        a[j] = -term if j % 2 else term
         falling *= j
     n_fact = falling
+    stirling = [_stirling1_row(j) for j in range(top + 1)]
     gamma = Partition._from_sorted(gamma_parts)
     size = class_size(gamma)
     row = []
@@ -187,10 +190,9 @@ def _mu_cached(gamma_parts: tuple) -> tuple:
         if (top - m) % 2:
             row.append(0)  # sgn(sigma) sgn(pi) differs from the n-cycle's sign
             continue
-        total = 0
-        for j in range(m, top + 1):
-            term = stirling_first_unsigned(j, m) * a[j]
-            total += -term if (j - m) % 2 else term
+        total = sum(stirling[j][m] * a[j] for j in range(m, top + 1))
+        if m % 2:
+            total = -total
         result, rest = divmod(size * total, n_fact)
         if rest or result < 0:
             raise ConsistencyError(

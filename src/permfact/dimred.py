@@ -10,18 +10,20 @@ The sweep runs in integers: multiplied through by n!, the recursion
 relates plain counts through the integer kernel l! tilde_S, and each
 count comes out of one exact division.  The kernel is cached as one row
 over l per (m, i), so both sums of the recursion are dot products of a
-kernel row with a row of counts.  The database builder runs that
-sweep, cross-validates every count against the general explicit formula,
-and persists the nonzero records in a line-oriented ASCII format (see
+kernel row with a row of counts, and one class's whole row m = n..1 is
+solved in one pass.  The database is those rows, one tuple of counts
+per class: build_database runs the sweep and cross-validates every count
+against the general explicit formula, save writes the nonzero counts in
+a line-oriented ASCII format and load reads them back into rows (see
 Database.save).
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import lshift, mul
 
-from .exactnum import binomial, factorial, stirling_second
+from .exactnum import _stirling2_row, binomial, factorial, stirling_second
 from .partition import Partition, all_partitions, class_size, parse_partition, remove_part
 from .countcore import _mu_cached, mu
 from .closedform import zagier_stanley
@@ -57,8 +59,17 @@ def _kernel(m: int, i: int, l: int) -> int:
 
 @lru_cache(maxsize=None)
 def _kernel_row(m: int, i: int, length: int) -> tuple:
-    """(K(m, i, 1), ..., K(m, i, length)) with K = _kernel."""
-    return tuple(_kernel(m, i, l) for l in range(1, length + 1))
+    """(K(m, i, 1), ..., K(m, i, length)) with K = _kernel.
+
+    With k = m+j-i, K(m, i, l) = sum_k C(i, k-m+i) k! S(l, k) over
+    k = max(0, m+1-i)..m: a dot product of one coefficient list with
+    each Stirling row.
+    """
+    low = max(0, m + 1 - i)
+    coeffs = [binomial(i, k - m + i) * factorial(k) for k in range(low, m + 1)]
+    return tuple(
+        sum(map(mul, coeffs, _stirling2_row(l)[low:])) for l in range(1, length + 1)
+    )
 
 
 def tilde_S(m: int, i: int, l: int) -> Fraction:
@@ -72,37 +83,45 @@ def tilde_S(m: int, i: int, l: int) -> Fraction:
     return Fraction(_kernel(m, i, l), factorial(l))
 
 
-def _reduced_count(gamma: Partition, m: int, i: int, row, reduced_row) -> int:
-    """mu(gamma, m) by the recursion that removes one part equal to i.
+def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
+    """[mu(gamma, 1), ..., mu(gamma, n)] by the recursion removing one part i.
 
-    row[l-1] must hold mu(gamma, l) for every l > m, and reduced_row[l-1]
-    mu(gamma minus one part i, l) for every l.  With K(m,i,l) = l! tilde_S
-    and mult the multiplicity of i in gamma,
+    reduced_row[l-1] must hold mu(gamma minus one part i, l) for every l.
+    With K(m,i,l) = l! tilde_S and mult the multiplicity of i in gamma,
     m! i mult mu(gamma, m) = n!/(n-i)! sum_l K(m,i,l) mu(gamma - i, l)
                              - i mult sum_{l>m} K(m,1,l) mu(gamma, l),
-    which is divided exactly once.
+    so solving m = n..1 has the same-class sum ready each time, and each
+    count is divided exactly once.
     """
     n = gamma.n
     weight = i * gamma.parts.count(i)
-    smaller = sum(map(mul, _kernel_row(m, i, n - i), reduced_row))
-    same = sum(map(mul, _kernel_row(m, 1, n)[m:], row[m:]))
-    scaled = factorial(n) // factorial(n - i) * smaller - weight * same
-    count, rest = divmod(scaled, factorial(m) * weight)
-    if rest or count < 0:
-        raise DatabaseBuildError(
-            f"recursion gave {scaled}/{factorial(m) * weight} "
-            f"at (n={n}, m={m}, gamma={gamma}, i={i})"
-        )
-    return count
+    falling = factorial(n) // factorial(n - i)
+    row = [0] * n
+    for m in range(n, 0, -1):
+        smaller = sum(map(mul, _kernel_row(m, i, n - i), reduced_row))
+        # row[l-1] is still 0 for every l <= m, so the full dot product is
+        # the sum over l > m.
+        same = sum(map(mul, _kernel_row(m, 1, n), row))
+        scaled = falling * smaller - weight * same
+        divisor = factorial(m) * weight
+        count, rest = divmod(scaled, divisor)
+        if rest or count < 0:
+            raise DatabaseBuildError(
+                f"recursion gave {scaled}/{divisor} "
+                f"at (n={n}, m={m}, gamma={gamma}, i={i})"
+            )
+        row[m - 1] = count
+    return row
 
 
 def reduce_mu(gamma: Partition, m: int, i: int) -> Fraction:
     """Scaled count mu~(n,m) = m!/n! mu(gamma, m) via removal of one part equal to i.
 
-    The recursion runs on integer counts, reading the rows of gamma and of
-    the reduced class from the explicit formula's row cache.  Only
-    defined for classes with at least two parts: the one-part base case
-    is the Zagier-Stanley formula.
+    Solves gamma's whole row by the integer recursion, the route the
+    database build takes, from the reduced class's row of the explicit
+    formula's cache, and reads entry m.  Only defined for classes with
+    at least two parts: the one-part base case is the Zagier-Stanley
+    formula.
     """
     n = gamma.n
     if gamma.length < 2:
@@ -110,24 +129,42 @@ def reduce_mu(gamma: Partition, m: int, i: int) -> Fraction:
     if not 1 <= m <= n:
         raise ValueError(f"m = {m} out of range 1..{n}")
     reduced = remove_part(gamma, i)
-    count = _reduced_count(gamma, m, i, _mu_cached(gamma.parts), _mu_cached(reduced.parts))
+    count = _reduced_row(gamma, i, _mu_cached(reduced.parts))[m - 1]
     return Fraction(factorial(m) * count, factorial(n))
+
+
+def _save_order(parts: tuple) -> tuple:
+    return (sum(parts), len(parts), parts)
 
 
 class Database:
     """Loaded or freshly built table of one-face counts.
 
-    Zero values are omitted from storage; completeness over 1..n_max is
-    what the header's n_max asserts, so an absent in-range key reads as 0.
+    rows maps every class of every n <= n_max, as its parts tuple, to the
+    tuple of its counts for m = 1..n, zeros included.  Only the nonzero
+    counts are written to a file; completeness over 1..n_max is what the
+    header's n_max asserts, and load_database checks it.
     """
 
-    def __init__(self, n_max: int, records: list):
+    def __init__(self, n_max: int, rows: dict):
         self.n_max = n_max
-        self.records = records
-        self._index = {(r.n, r.m, r.gamma.parts): r.value for r in records}
+        self.rows = rows
+
+    def _rows_in_save_order(self) -> list:
+        return sorted(self.rows.items(), key=lambda item: _save_order(item[0]))
+
+    @property
+    def records(self) -> list:
+        """The nonzero counts as CountRecords in save order, built on each access."""
+        return [
+            CountRecord(len(row), m, Partition._from_sorted(parts), value)
+            for parts, row in self._rows_in_save_order()
+            for m, value in enumerate(row, start=1)
+            if value
+        ]
 
     def lookup(self, n: int, m: int, gamma: Partition) -> int:
-        """Stored count, or 0 for an in-range key with no record."""
+        """Stored count, 0 included, after checking the key is in range."""
         if gamma.n != n:
             raise ValueError(f"{gamma} is not a partition of {n}")
         if not 1 <= n <= self.n_max:
@@ -138,22 +175,29 @@ class Database:
             raise DatabaseRangeError(
                 f"m = {m} not in range 1..{n} (not built, not zero)"
             )
-        return self._index.get((n, m, gamma.parts), 0)
+        return self.rows[gamma.parts][m - 1]
 
-    def save(self, path) -> None:
-        """Write the line format: header, then tab-separated n, m, gamma, value.
+    def save(self, path) -> int:
+        """Write the line format and return the number of records written.
 
-        Lines are sorted by (n, part count, parts lexicographic, m) and the
-        encoding is ASCII, so rebuilds are byte-identical.
+        After the header, one tab-separated line n, m, gamma, value per
+        nonzero count, sorted by (n, part count, parts lexicographic, m);
+        the encoding is ASCII, so rebuilds are byte-identical.
         """
+        written = 0
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(f"{DB_HEADER_PREFIX}{self.n_max}\n")
-            for r in self.records:
-                fh.write(f"{r.n}\t{r.m}\t{r.gamma}\t{r.value}\n")
+            for parts, row in self._rows_in_save_order():
+                text = ",".join(map(str, parts))
+                for m, value in enumerate(row, start=1):
+                    if value:
+                        fh.write(f"{len(row)}\t{m}\t{text}\t{value}\n")
+                        written += 1
+        return written
 
 
 def load_database(path) -> Database:
-    """Read a database file written by Database.save.
+    """Read a database file written by Database.save into rows.
 
     Every record must lie in the range the header claims, hold a positive
     count, and follow the previous record in save order; a duplicate or
@@ -164,17 +208,20 @@ def load_database(path) -> Database:
     sum_m mu(gamma, m) x^m at x = 2 gives a second check that also catches
     two counts of one class exchanged between values of m:
     sum_m 2^m mu(gamma, m) = class_size(gamma) (n + 2 - m_1), with m_1 the
-    number of parts equal to 1.
+    number of parts equal to 1.  The classes of n <= n_max are walked
+    only after the whole body has been read.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(DB_HEADER_PREFIX):
             raise ValueError(f"bad database header: {header!r}")
         n_max = int(header[len(DB_HEADER_PREFIX):])
-        records = []
-        # Per class: (sum of its counts, sum of 2^m times them, line of its
-        # last record), so far.
-        totals = {}
+        rows = {}
+        last_line = {}  # class parts -> line of its last record
+        # Save order keeps each class's records on adjacent lines, so each
+        # class's text is parsed once, and only m is compared within it.
+        text = parts = key = row = None
+        prev_m = 0
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -182,32 +229,39 @@ def load_database(path) -> Database:
             fields = line.split("\t")
             if len(fields) != 4:
                 raise ValueError(f"line {lineno}: expected 4 tab-separated fields")
-            n, m, gamma_text, value = fields
+            n_text, m_text, gamma_text, value_text = fields
             try:
-                record = CountRecord(
-                    int(n), int(m), parse_partition(gamma_text), int(value)
-                )
+                n, m = int(n_text), int(m_text)
+                if gamma_text != text:
+                    new_parts = parse_partition(gamma_text).parts
+                    text, new_key = gamma_text, _save_order(new_parts)
+                value = int(value_text)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            if record.gamma.n != record.n:
-                problem = f"{gamma_text} is not a partition of {n}"
-            elif not 1 <= record.m <= record.n <= n_max:
+            same_class = new_parts == parts
+            if new_key[0] != n:
+                problem = f"{gamma_text} is not a partition of {n_text}"
+            elif not 1 <= m <= n <= n_max:
                 problem = f"need 1 <= m <= n <= n_max = {n_max}"
-            elif record.value <= 0:
-                problem = f"count must be positive, got {value}"
-            elif records and _record_sort_key(record) <= _record_sort_key(records[-1]):
+            elif value <= 0:
+                problem = f"count must be positive, got {value_text}"
+            elif (m <= prev_m) if same_class else (key is not None and new_key < key):
                 problem = "key duplicates or precedes the previous record's"
             else:
-                records.append(record)
-                total, weighted, _ = totals.get(record.gamma.parts, (0, 0, 0))
-                totals[record.gamma.parts] = (
-                    total + record.value, weighted + (record.value << record.m), lineno
-                )
+                if not same_class:
+                    parts, key = new_parts, new_key
+                    row = rows[parts] = [0] * n
+                row[m - 1] = value
+                last_line[parts] = lineno
+                prev_m = m
                 continue
             raise ValueError(f"line {lineno}: {problem}")
     for n in range(1, n_max + 1):
         for gamma in all_partitions(n):
-            total, weighted, lineno = totals.get(gamma.parts, (0, 0, 0))
+            row = rows.get(gamma.parts, ())
+            total = sum(row)
+            weighted = sum(map(lshift, row, range(1, n + 1)))
+            lineno = last_line.get(gamma.parts)
             size = class_size(gamma)
             where = f"line {lineno}: " if lineno else ""
             if total != size:
@@ -221,47 +275,36 @@ def load_database(path) -> Database:
                     f"{where}counts of class {gamma} give sum_m 2^m count = "
                     f"{weighted}, not {expected}"
                 )
-    return Database(n_max, records)
-
-
-def _record_sort_key(record: CountRecord):
-    return (record.n, record.gamma.length, record.gamma.parts, record.m)
+            rows[gamma.parts] = tuple(row)
+    return Database(n_max, rows)
 
 
 def build_database(n_max: int) -> Database:
-    """Compute all counts for n <= n_max by the reduction sweep.
+    """Compute the row of counts of every class with n <= n_max by the reduction sweep.
 
     One-part classes come from the Zagier-Stanley formula; classes with
     more parts from the integer recursion with the smallest part removed,
-    working m downward so the same-class sum is always available.  Every
-    count is validated against the explicit formula before being kept; a
-    mismatch, or a recursion quotient that is not a nonnegative integer,
-    aborts the build.
+    one row at a time (see _reduced_row).  Every count is validated
+    against the explicit formula before its row is kept; a mismatch, or
+    a recursion quotient that is not a nonnegative integer, aborts the
+    build.
     """
     if n_max < 1:
         raise ValueError("build_database requires n_max >= 1")
     rows: dict = {}
-    records = []
     for n in range(1, n_max + 1):
         for gamma in all_partitions(n):
-            row = [0] * n
-            if gamma.length > 1:
+            if gamma.length == 1:
+                row = [zagier_stanley(n, m) for m in range(1, n + 1)]
+            else:
                 i = gamma.parts[-1]
-                reduced_row = rows[remove_part(gamma, i).parts]
+                row = _reduced_row(gamma, i, rows[remove_part(gamma, i).parts])
             for m in range(n, 0, -1):
-                if gamma.length == 1:
-                    count = zagier_stanley(n, m)
-                else:
-                    count = _reduced_count(gamma, m, i, row, reduced_row)
                 expected = mu(gamma, m)
-                if count != expected:
+                if row[m - 1] != expected:
                     raise DatabaseBuildError(
                         f"validation failed at (n={n}, m={m}, gamma={gamma}): "
-                        f"recursion gave {count}, explicit formula {expected}"
+                        f"recursion gave {row[m - 1]}, explicit formula {expected}"
                     )
-                row[m - 1] = count
-                if count:
-                    records.append(CountRecord(n, m, gamma, count))
-            rows[gamma.parts] = row
-    records.sort(key=_record_sort_key)
-    return Database(n_max, records)
+            rows[gamma.parts] = tuple(row)
+    return Database(n_max, rows)

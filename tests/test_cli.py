@@ -168,6 +168,20 @@ def test_db_build_n18_bytes_are_pinned(capsys, tmp_path):
     )
 
 
+def test_db_build_n20_bytes_are_pinned(capsys, tmp_path):
+    assert _db_build_sha256(capsys, tmp_path, 20) == (
+        "e00b63b4f97744857d63f39cc562339e04ef4a7e988d55aa5c27496520aebea8"
+    )
+
+
+def test_verify_dimred_stdout_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "dimred")
+    assert code == 0
+    assert out == "".join(
+        f"PASS recursion vs explicit n={n}\n" for n in range(2, 9)
+    ) + "PASS database build n_max=8 (151 records)\ndimred: 8/8 checks passed\n"
+
+
 def test_verify_all_stdout_is_pinned(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "all")
     assert code == 0

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -148,6 +149,36 @@ def test_file_format(tmp_path):
     ]
     assert keys == sorted(keys)
     assert all(int(val) > 0 for _, _, _, val in body)
+
+
+def test_loaded_rows_match_mu_including_zeros(tmp_path):
+    path = tmp_path / "counts.tsv"
+    built = build_database(10)
+    built.save(path)
+    db = load_database(path)
+    assert db.rows == built.rows
+    for n in range(1, 11):
+        for gamma in all_partitions(n):
+            for m in range(1, n + 1):
+                assert db.lookup(n, m, gamma) == mu(gamma, m), (gamma, m)
+
+
+def test_save_returns_the_number_of_records(tmp_path):
+    path = tmp_path / "counts.tsv"
+    db = build_database(8)
+    written = db.save(path)
+    assert written == len(db.records) == len(path.read_text().splitlines()) - 1
+
+
+def test_header_claiming_far_more_classes_fails_fast(tmp_path, n16_lines):
+    # p(200) is about 4e12: the loader must read the body before walking
+    # the classes the header claims, and stop at the first missing one.
+    path = tmp_path / "bad.tsv"
+    path.write_text("#permfact-db v1 n_max=200\n" + "".join(n16_lines[1:]), encoding="ascii")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="counts of class 17 sum to 0"):
+        load_database(path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bad_header_rejected(tmp_path):
