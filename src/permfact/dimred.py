@@ -306,5 +306,7 @@ def build_database(n_max: int) -> Database:
                         f"validation failed at (n={n}, m={m}, gamma={gamma}): "
                         f"recursion gave {row[m - 1]}, explicit formula {expected}"
                     )
-            rows[gamma.parts] = tuple(row)
+            # The validation filled mu's cache with an equal row: keep that
+            # tuple rather than a second copy.
+            rows[gamma.parts] = _mu_cached(gamma.parts)
     return Database(n_max, rows)

@@ -2,10 +2,14 @@
 
 Exhaustive factorization counting on plain permutations: a permutation
 of {0, ..., n-1} is the tuple of its images, and a product is a tuple
-lookup.  Everything here is deliberately naive: enumerate, filter by
-cycle type, count.  The only optimization is fixing the first factor to
-a class representative (the counts are conjugation invariant), which
-multiplies the feasible group size.
+lookup.  Pairs are counted by enumeration: the first factor is fixed to
+a class representative and weighted by its class size (the counts are
+conjugation invariant), every second factor is tried, and each product's
+cycle type is recorded.  Nothing here uses characters.
+
+Triples are not enumerated: they are composed from that pair table
+through the class of the first two factors' product (see _xi3_table),
+with every division checked to be exact.
 """
 
 from functools import lru_cache
@@ -65,8 +69,8 @@ _MU_LIMIT = 9
 
 
 @lru_cache(maxsize=None)
-def _xi2_table(n: int) -> dict:
-    """Counts keyed by (type1, type2, m) for pairs, first factor fixed."""
+def _pair_type_table(n: int) -> dict:
+    """Pair counts keyed by (type1, type2, product type), first factor fixed."""
     table: dict = {}
     classes = all_partitions(n)
     perms = list(_all_images(range(n)))
@@ -75,30 +79,46 @@ def _xi2_table(n: int) -> dict:
         rep = class_representative(n, c1)
         size1 = class_size(c1)
         for images, t2 in zip(perms, types):
-            product = tuple(rep[x] for x in images)
-            m = _cycle_count_raw(product)
-            key = (c1.parts, t2, m)
+            product = _cycle_type_raw(tuple(rep[x] for x in images))
+            key = (c1.parts, t2, product)
             table[key] = table.get(key, 0) + size1
     return table
 
 
 @lru_cache(maxsize=None)
-def _xi3_table(n: int) -> dict:
-    """Counts keyed by (type1, type2, type3, m) for triples, first fixed."""
+def _xi2_table(n: int) -> dict:
+    """Counts keyed by (type1, type2, m) for pairs: the pair table by cycle count."""
     table: dict = {}
-    classes = all_partitions(n)
-    perms = list(_all_images(range(n)))
-    types = [_cycle_type_raw(p) for p in perms]
-    for c1 in classes:
-        rep = class_representative(n, c1)
-        size1 = class_size(c1)
-        for imgs2, t2 in zip(perms, types):
-            first_two = tuple(rep[x] for x in imgs2)
-            for imgs3, t3 in zip(perms, types):
-                product = tuple(first_two[x] for x in imgs3)
-                m = _cycle_count_raw(product)
-                key = (c1.parts, t2, t3, m)
-                table[key] = table.get(key, 0) + size1
+    for (t1, t2, product), count in _pair_type_table(n).items():
+        key = (t1, t2, len(product))
+        table[key] = table.get(key, 0) + count
+    return table
+
+
+@lru_cache(maxsize=None)
+def _xi3_table(n: int) -> dict:
+    """Counts keyed by (type1, type2, type3, m) for triples.
+
+    For tau in class delta, P(c1, c2, delta) / |C_delta| pairs from c1, c2
+    have product tau, and xi2(delta, c3, m) / |C_delta| members of c3 give
+    tau*sigma3 with m cycles; summing over the |C_delta| members tau gives
+    P(c1, c2, delta) * xi2(delta, c3, m) / |C_delta|.
+    """
+    by_first: dict = {}
+    for (delta, t3, m), count in _xi2_table(n).items():
+        by_first.setdefault(delta, []).append((t3, m, count))
+    table: dict = {}
+    for (t1, t2, delta), count in _pair_type_table(n).items():
+        size = class_size(Partition._from_sorted(delta))
+        per_tau, rest = divmod(count, size)
+        if rest:
+            raise ArithmeticError(
+                f"{count} pairs of types {t1}, {t2} do not split evenly "
+                f"over the {size} members of class {delta}"
+            )
+        for t3, m, third in by_first[delta]:
+            key = (t1, t2, t3, m)
+            table[key] = table.get(key, 0) + per_tau * third
     return table
 
 

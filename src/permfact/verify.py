@@ -6,16 +6,14 @@ a CheckReport with one case per unit of work.  Suite sizes are capped by
 the brute-force guards where applicable.
 """
 
-from fractions import Fraction
 from itertools import product
 
 from .exactnum import binomial, factorial
-from .partition import Partition, all_partitions
-from .countcore import ConsistencyError, mu, xi
+from .partition import Partition, all_partitions, remove_part
+from .countcore import ConsistencyError, _mu_cached, mu, xi
 from . import closedform, dimred, oracle, symfun
 from .report import CheckReport
 
-_ORACLE_T3_CAP = 5
 _ORACLE_MU_CAP = 8
 
 DEFAULT_N_MAX = {
@@ -40,7 +38,7 @@ def suite_oracle(n_max: int) -> CheckReport:
             if xi((a, g), m) != oracle.brute_xi((a, g), m):
                 bad.append(f"({a};{g};m={m})")
         report.add(f"pairs n={n}", not bad, ", ".join(bad[:3]))
-    for n in range(1, min(n_max, _ORACLE_T3_CAP) + 1):
+    for n in range(1, min(n_max, oracle._T3_LIMIT) + 1):
         classes = all_partitions(n)
         bad = []
         for a, b, g in product(classes, repeat=3):
@@ -192,17 +190,16 @@ def suite_dimred(n_max: int) -> CheckReport:
             if gamma.length < 2:
                 continue
             for i in sorted(set(gamma.parts)):
+                reduced = _mu_cached(remove_part(gamma, i).parts)
+                row = dimred._reduced_row(gamma, i, reduced)
                 for m in range(1, n + 1):
-                    got = dimred.reduce_mu(gamma, m, i)
-                    want = Fraction(factorial(m) * mu(gamma, m), factorial(n))
-                    if got != want:
+                    if row[m - 1] != mu(gamma, m):
                         bad.append(f"({gamma};m={m};i={i})")
         report.add(f"recursion vs explicit n={n}", not bad, ", ".join(bad[:3]))
     try:
         db = dimred.build_database(n_max)
-        report.add(
-            f"database build n_max={n_max} ({len(db.records)} records)", True
-        )
+        records = sum(len(row) - row.count(0) for row in db.rows.values())
+        report.add(f"database build n_max={n_max} ({records} records)", True)
     except dimred.DatabaseBuildError as exc:
         report.add(f"database build n_max={n_max}", False, str(exc))
     return report

@@ -227,6 +227,12 @@ def test_verify_suite_pass(capsys):
     assert lines[-1].startswith("schur:")
 
 
+def test_verify_oracle_checks_triples_up_to_the_brute_force_limit(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--n-max", "6")
+    assert code == 0
+    assert "PASS triples n=6" in out.splitlines()
+
+
 def test_verify_unknown_suite(capsys):
     code = main(["verify", "--suite", "bogus"])
     capsys.readouterr()

@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from permfact import dimred
-from permfact.countcore import mu
+from permfact.countcore import _mu_cached, mu
 from permfact.dimred import (
     Database,
     DatabaseBuildError,
@@ -161,6 +161,14 @@ def test_loaded_rows_match_mu_including_zeros(tmp_path):
         for gamma in all_partitions(n):
             for m in range(1, n + 1):
                 assert db.lookup(n, m, gamma) == mu(gamma, m), (gamma, m)
+
+
+def test_build_keeps_the_validated_mu_rows():
+    # One copy of each row: the build stores the tuple mu's cache holds.
+    db = build_database(10)
+    assert len(db.rows) == sum(len(all_partitions(n)) for n in range(1, 11))
+    for parts, row in db.rows.items():
+        assert row is _mu_cached(parts), parts
 
 
 def test_save_returns_the_number_of_records(tmp_path):

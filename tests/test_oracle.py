@@ -1,8 +1,16 @@
-from itertools import permutations
+import hashlib
+from itertools import permutations, product
 
 import pytest
 
-from permfact.oracle import brute_mu, brute_xi, class_representative
+from permfact.countcore import xi
+from permfact.oracle import (
+    _xi2_table,
+    _xi3_table,
+    brute_mu,
+    brute_xi,
+    class_representative,
+)
 from permfact.partition import Partition, all_partitions, class_size
 
 
@@ -110,3 +118,45 @@ def test_count_independent_of_representative():
         for m in range(1, n + 1):
             counts = {_count_with_fixed_first(s, c2, m) for s in members}
             assert len(counts) == 1
+
+
+def _digest(table):
+    return hashlib.sha256(repr(sorted(table.items())).encode()).hexdigest()
+
+
+def test_tables_are_pinned():
+    # Digests of the tables as direct enumeration of every pair and
+    # triple computed them.
+    pairs = _xi2_table(7)
+    assert len(pairs) == 559
+    assert _digest(pairs) == (
+        "37999ccaa64c3fe3ff7a5647629ddd0d51353b202eeef95c09b0cb46a9225cf9"
+    )
+    triples = _xi3_table(5)
+    assert len(triples) == 781
+    assert _digest(triples) == (
+        "44002267e7730666c7c9444956ddc108fc3c91f4e1eeb1c4bb3897a1dab556cd"
+    )
+
+
+def test_composed_triples_match_enumeration():
+    for n in range(1, 5):
+        classes = all_partitions(n)
+        members = {c: _members(n, c) for c in classes}
+        direct = {}
+        for c1, c2, c3 in product(classes, repeat=3):
+            rep = class_representative(n, c1)
+            for s2 in members[c2]:
+                first_two = tuple(rep[x] for x in s2)
+                for s3 in members[c3]:
+                    m = _cycle_type(tuple(first_two[x] for x in s3)).length
+                    key = (c1.parts, c2.parts, c3.parts, m)
+                    direct[key] = direct.get(key, 0) + class_size(c1)
+        assert _xi3_table(n) == direct, n
+
+
+def test_xi_matches_brute_force_on_every_triple_at_n6():
+    classes = all_partitions(6)
+    for triple in product(classes, repeat=3):
+        for m in range(1, 7):
+            assert xi(triple, m) == brute_xi(triple, m), (triple, m)
