@@ -1,24 +1,28 @@
 """Symmetric-group character machinery.
 
 The one owner of a shape's cell data: its hook-length product and its
-content polynomial prod over the cells of (z + content), which countcore
-sums for xi.  On top of them: irreducible character values via the
-Murnaghan-Nakayama border-strip recursion, representation dimensions
-from the hook-length formula, the hook-content products m_{lam}(z) (the
-content polynomial at z over the hook product) and their alternating
-binomial transform, and the generating polynomial for hook-shape
-characters.
+content product prod over the cells of (z + content), as a polynomial
+and, summed over weighted shapes, at the points z = 0..n.  On top of them:
+irreducible character values via the Murnaghan-Nakayama border-strip
+rule, representation dimensions from the hook-length formula, the
+hook-content products m_{lam}(z) (the content polynomial at z over the
+hook product) and their alternating binomial transform, and the
+generating polynomial for hook-shape characters.
 
-The character recursion works on beta-sets (first-column hook lengths):
-removing a border strip of length r is moving a bead down r positions on
-the abacus, with sign (-1)^(number of beads jumped).  Values are memoized
-keyed by (remaining shape, remaining class parts); class parts are
-consumed largest first, and once only 1-cycles remain the value is the
-dimension of the remaining shape.
+Both character routes work on beta-sets (first-column hook lengths) on
+an abacus, where a border strip of length r is a bead moving r positions,
+with sign (-1)^(number of beads jumped).  character(lam, mu) removes
+strips from one shape: values are memoized keyed by (remaining shape,
+remaining class parts), class parts are consumed largest first on an
+explicit stack, and once only 1-cycles remain the value is the dimension
+of the remaining shape.  _char_column(mu) adds strips to every shape at
+once, giving a class's whole column; countcore reads xi from columns,
+and tests check them against character().
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, mul, sub
 
 from .exactnum import binomial, factorial
 from .partition import Partition
@@ -38,7 +42,8 @@ def _conjugate(parts: tuple) -> tuple:
 def _content_poly(parts: tuple) -> tuple:
     """Coefficients of prod over the cells of a shape of (z + content), z^0 first.
 
-    Cached, since every xi row and every frak_m value of a shape reads it;
+    Only frak_m reads it; xi takes the content product at points from
+    _content_sums.  Cached because frak_m is taken at several m per shape;
     512 entries hold every shape of one n up to n = 19.
     """
     poly = [1]
@@ -46,6 +51,42 @@ def _content_poly(parts: tuple) -> tuple:
         for j in range(row_len):
             poly = [(j - i) * a + b for a, b in zip(poly + [0], [0] + poly)]
     return tuple(poly)
+
+
+@lru_cache(maxsize=64)
+def _rising_columns(n: int) -> list:
+    """Entry [k][a] is the rising factorial a(a+1)...(a+k-1), for 0 <= a, k <= n."""
+    columns = [[1] * (n + 1)]
+    for k in range(1, n + 1):
+        prev = columns[-1]
+        columns.append([prev[a] * (a + k - 1) for a in range(n + 1)])
+    return columns
+
+
+def _content_sums(n: int, terms) -> list:
+    """Sum over (shape, weight) of weight * prod_cells (z + content), at z = 0..n.
+
+    Row i of a shape has contents -i..lam_i-1-i, so it contributes the
+    rising factorial (z-i)^(lam_i).  Below the last row longer than 1 the
+    rows have length 1 and continue its contents down the first column,
+    so those rows together contribute one rising factorial from z-l+1:
+    a hook costs one factor.  The product vanishes for z < l (the first
+    column's contents reach 1-l), so only z = l..n are evaluated, where
+    every argument z-i is at least 1.
+    """
+    rising = _rising_columns(n)
+    sums = [0] * (n + 1)
+    for shape, weight in terms:
+        length = len(shape)
+        stop = n - length + 2
+        last = max(length - shape.count(1) - 1, 0)
+        values = rising[sum(shape[last:])][1:stop]
+        for i in range(last):
+            factor = rising[shape[i]][length - i : stop + length - 1 - i]
+            values = list(map(mul, values, factor))
+        for z, value in enumerate(values, start=length):
+            sums[z] += weight * value
+    return sums
 
 
 @lru_cache(maxsize=None)
@@ -72,37 +113,55 @@ def dimension(lam: Partition) -> int:
 _char_cache: dict = {}
 
 
-def _mn_character(shape: tuple, parts: tuple) -> int:
+def _settled(key: tuple):
+    """The value at (shape, parts) if it needs no strip removal, else None."""
+    shape, parts = key
     if not parts:
         return 1
     if parts[0] == 1:
         # Parts are consumed largest first, so the rest is the identity
-        # class, where the character is the dimension; this also bounds the
-        # recursion depth by the number of parts >= 2.
+        # class, where the character is the dimension.
         return factorial(len(parts)) // _hook_product(shape)
-    key = (shape, parts)
-    cached = _char_cache.get(key)
-    if cached is not None:
-        return cached
+    return _char_cache.get(key)
+
+
+def _strip_removals(key: tuple) -> list:
+    """(key after removal, sign) for each border strip of length parts[0]."""
+    shape, parts = key
     r = parts[0]
     rest = parts[1:]
-    k = len(shape)
-    beta = [shape[i] + k - 1 - i for i in range(k)]
+    offsets = range(len(shape) - 1, -1, -1)
+    beta = list(map(add, shape, offsets))
     bset = set(beta)
-    total = 0
+    children = []
     for b in beta:
         nb = b - r
         if nb < 0 or nb in bset:
             continue
         height = sum(1 for c in beta if nb < c < b)
         newbeta = sorted([c for c in beta if c != b] + [nb], reverse=True)
-        newshape = tuple(
-            p for p in (newbeta[j] - (k - 1 - j) for j in range(k)) if p > 0
-        )
-        sub = _mn_character(newshape, rest)
-        total += sub if height % 2 == 0 else -sub
-    _char_cache[key] = total
-    return total
+        newshape = tuple(p for p in map(sub, newbeta, offsets) if p > 0)
+        children.append(((newshape, rest), -1 if height % 2 else 1))
+    return children
+
+
+def _mn_character(shape: tuple, parts: tuple) -> int:
+    key = (shape, parts)
+    value = _settled(key)
+    if value is not None:
+        return value
+    # Depth-first on an explicit stack: a key is summed once every key it
+    # removes a strip to is settled, so no depth limit applies.
+    stack = [(key, _strip_removals(key))]
+    while stack:
+        top, children = stack[-1]
+        pending = [child for child, _ in children if _settled(child) is None]
+        if pending:
+            stack.extend((child, _strip_removals(child)) for child in pending)
+            continue
+        stack.pop()
+        _char_cache[top] = sum(sign * _settled(child) for child, sign in children)
+    return _char_cache[key]
 
 
 def character(lam: Partition, mu: Partition) -> int:
@@ -112,6 +171,85 @@ def character(lam: Partition, mu: Partition) -> int:
     if lam.n < 1:
         raise ValueError("character requires partitions of n >= 1")
     return _mn_character(lam.parts, mu.parts)
+
+
+def _bead_parts(mask: int, beads: int) -> tuple:
+    """The shape whose beta-set on an abacus of the given beads is mask."""
+    parts = []
+    index = beads
+    for position in range(mask.bit_length() - 1, -1, -1):
+        if mask >> position & 1:
+            index -= 1
+            if position == index:
+                break  # this bead and every one below it mark empty rows
+            parts.append(position - index)
+    return tuple(parts)
+
+
+def _add_strips(column: dict, r: int) -> dict:
+    """Multiply a column of bitmask beta-sets by p_r: every border strip of r boxes.
+
+    Each bead moves up r places to a free slot, with sign (-1)^(beads
+    jumped); shapes whose values cancel are dropped.  The abacus must hold
+    enough beads for the new rows.
+    """
+    grown: dict = {}
+    for mask, value in column.items():
+        slots = (mask << r) & ~mask
+        while slots:
+            top = slots & -slots
+            slots ^= top
+            moved = mask ^ top ^ (top >> r)
+            if (mask & (top - (top >> (r - 1)))).bit_count() & 1:
+                grown[moved] = grown.get(moved, 0) - value
+            else:
+                grown[moved] = grown.get(moved, 0) + value
+    return {mask: value for mask, value in grown.items() if value}
+
+
+# Level k is the column of the identity class 1^k (each shape of k valued
+# by its dimension) as beta-sets on an abacus of k beads.  Every column
+# starts from the level of its class's 1-cycles, so one process walks the
+# single boxes once, to the most 1-cycles it has seen, however many
+# classes and sizes it asks for.  The levels are kept for the life of the
+# process: all of them together hold about as many shapes as a few
+# columns of the largest n.
+_identity_levels: list = [{0: 1}]
+
+
+def _identity_column(k: int) -> dict:
+    """Level k of _identity_levels, walking the levels below it first if needed."""
+    while len(_identity_levels) <= k:
+        # One more bead, below the others, marks one more empty row.
+        rebased = {mask << 1 | 1: value for mask, value in _identity_levels[-1].items()}
+        _identity_levels.append(_add_strips(rebased, 1))
+    return _identity_levels[k]
+
+
+@lru_cache(maxsize=128)
+def _char_column(class_parts: tuple) -> dict:
+    """Every nonzero character value at one class, keyed by beta-set mask.
+
+    The Murnaghan-Nakayama rule read as p_mu = sum_lam chi^lam(mu) s_lam
+    (Stanley, EC2 7.17), walked forward from the empty shape without
+    recursion.  A shape is a bitmask beta-set on an abacus of n beads (bit
+    lam_i + n - i for rows i = 1..n; _bead_parts turns it into parts).
+    Multiplying by p_r moves one bead up r places to a free slot, which
+    adds a border strip of r boxes, with sign (-1)^(beads jumped).  The
+    parts equal to 1 go first, as single boxes read from the shared
+    identity levels, then one strip per other part.  Columns of one n share
+    their keys, so a caller multiplying columns converts only the shapes it
+    keeps.  The cached dict is shared by every caller and must not be
+    changed.
+    """
+    beads = sum(class_parts)
+    ones = class_parts.count(1)
+    extra = beads - ones
+    low = (1 << extra) - 1
+    column = {mask << extra | low: value for mask, value in _identity_column(ones).items()}
+    for r in reversed(class_parts[: len(class_parts) - ones]):
+        column = _add_strips(column, r)
+    return column
 
 
 @lru_cache(maxsize=None)

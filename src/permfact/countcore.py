@@ -4,19 +4,31 @@ Counts tuples of permutations from prescribed conjugacy classes whose
 product has a given number of cycles (xi), and factorizations of a fixed
 full cycle into a class member times a permutation with m cycles (mu,
 which is the one-face bipartite map count).  xi is computed in integers
-from content polynomials; mu from an alternating Stirling sum scaled by n!
-so that it is integer too.  Each is cached as one row m = 1..n per class
-tuple (xi) or class (mu); every value in a row is divided exactly once,
-and asserted integral and nonnegative there.
+from whole character columns and the content products evaluated at
+z = 1..n, turned into coefficients by one cached integer interpolation
+matrix per n; mu from an alternating Stirling sum scaled by n! so that it
+is integer too.  Each is cached as one row m = 1..n per class tuple (xi)
+or class (mu); every value in a row that parity does not force to 0 is
+divided exactly once, and asserted integral and nonnegative there.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .exactnum import _stirling1_row, factorial
 from .partition import Partition, all_partitions, class_size
-from .charkit import _content_poly, character, dimension, frak_c, hook_character_poly
+from .charkit import (
+    _bead_parts,
+    _char_column,
+    _content_sums,
+    _hook_poly,
+    _hook_product,
+    character,
+    dimension,
+    frak_c,
+)
 
 
 class ConsistencyError(ArithmeticError):
@@ -81,9 +93,12 @@ def xi(classes, m: int) -> int:
     Read off the generating function (Stanley, EC2 7.21; Jackson 1988)
     sum_m xi(C, m) z^m = prod|C_i| / (n!)^t times the sum over shapes lam
     of prod_i chi_lam(C_i) * dim(lam) * H_lam^(t-1) * prod_cells (z + content),
-    with H_lam the hook-length product.  All arithmetic is integer, and
-    one pass over the shapes gives the whole row m = 1..n.  When some
-    class is the full cycles only the hook shapes survive, and their
+    with H_lam the hook-length product.  The characters come from whole
+    class columns (charkit._char_column).  The shape sum is evaluated at
+    z = 1..n, one rising factorial per row, and turned into coefficients by
+    an integer interpolation matrix, all in integers; one pass gives the
+    whole row m = 1..n, in which the m that parity rules out are 0.  When
+    some class is the full cycles only the hook shapes survive, and their
     characters come from the hook-character polynomials.
     """
     classes = _check_classes(classes)
@@ -91,6 +106,32 @@ def xi(classes, m: int) -> int:
     if not 1 <= m <= n:
         raise ValueError(f"m = {m} out of range 1..{n}")
     return _xi_cached(tuple(c.parts for c in classes))[m - 1]
+
+
+@lru_cache(maxsize=64)
+def _interpolation_rows(n: int) -> list:
+    """Row m holds n! times the z^m coefficient of each Lagrange basis
+    polynomial of the nodes z = 0..n, for m = 0..n.
+
+    So n! * coefficient m of a polynomial of degree <= n is the dot product
+    of row m with its values at the nodes.  The basis polynomial of node i
+    has forward differences (-1)^(k-i) C(k, i) at 0; divided by k! they
+    are its coordinates in the falling factorials z(z-1)...(z-k+1), whose
+    coefficients are the signed Stirling numbers of the first kind.
+    """
+    n_fact = factorial(n)
+    rows = [[0] * (n + 1) for _ in range(n + 1)]
+    for k in range(n + 1):
+        scale = n_fact // factorial(k)
+        stirling = _stirling1_row(k)
+        for i in range(k + 1):
+            newton = comb(k, i) * scale
+            if (k - i) % 2:
+                newton = -newton
+            for m in range(k + 1):
+                term = stirling[m] * newton
+                rows[m][i] += -term if (k - m) % 2 else term
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -101,31 +142,47 @@ def _xi_cached(parts_tuple: tuple) -> tuple:
     if (n,) in parts_tuple:
         others = list(parts_tuple)
         others.remove((n,))
-        hooks = [hook_character_poly(Partition._from_sorted(p)) for p in others]
-        shapes = [Partition._from_sorted((n - j,) + (1,) * j) for j in range(n)]
-        chis = [(-1) ** j * _character_product(h[j] for h in hooks) for j in range(n)]
+        hooks = [_hook_poly(p) for p in others]
+        chis = {
+            (n - j,) + (1,) * j: (-1) ** j * _character_product(h[j] for h in hooks)
+            for j in range(n)
+        }
     else:
-        shapes = all_partitions(n)
-        chis = (_character_product(character(lam, c) for c in classes) for lam in shapes)
-    n_fact = factorial(n)
-    coeffs = [0] * (n + 1)
-    for lam, chi_prod in zip(shapes, chis):
-        if chi_prod == 0:
-            continue
-        dim = dimension(lam)
-        weight = chi_prod * dim * (n_fact // dim) ** (t - 1)
-        for k, a in enumerate(_content_poly(lam.parts)):
-            coeffs[k] += weight * a
+        first, *rest = sorted((_char_column(p) for p in parts_tuple), key=len)
+        chis = {}
+        for mask, chi in first.items():
+            chi *= _character_product(col.get(mask, 0) for col in rest)
+            if chi:
+                chis[_bead_parts(mask, n)] = chi
+    # dim * H^(t-1) = n! * H^(t-2): for t >= 2 the n! joins the denominator,
+    # and pairs need no hook products at all.  The interpolation rows carry
+    # one more factor n!.
+    denominator = factorial(n) ** max(t, 2)
+    terms = []
+    for shape, chi in chis.items():
+        if chi:
+            if t == 1:
+                chi *= dimension(Partition._from_sorted(shape))
+            elif t > 2:
+                chi *= _hook_product(shape) ** (t - 2)
+            terms.append((shape, chi))
+    sums = _content_sums(n, terms)
     sizes = 1
     for c in classes:
         sizes *= class_size(c)
-    denominator = n_fact ** t
+    # The product of the classes has sign (-1)^(sum of n - parts), and a
+    # permutation with m cycles has sign (-1)^(n - m).
+    parity = sum(n - len(p) for p in parts_tuple) + n
     row = []
-    for m in range(1, n + 1):
-        value, rest = divmod(sizes * coeffs[m], denominator)
+    for m, coeffs in enumerate(_interpolation_rows(n)[1:], start=1):
+        if (parity - m) % 2:
+            row.append(0)
+            continue
+        numerator = sizes * sum(map(mul, coeffs, sums))
+        value, rest = divmod(numerator, denominator)
         if rest or value < 0:
             raise ConsistencyError(
-                f"xi came out {sizes * coeffs[m]}/{denominator} "
+                f"xi came out {numerator}/{denominator} "
                 f"for classes={parts_tuple}, m={m}"
             )
         row.append(value)

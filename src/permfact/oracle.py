@@ -4,12 +4,13 @@ Exhaustive factorization counting on plain permutations: a permutation
 of {0, ..., n-1} is the tuple of its images, and a product is a tuple
 lookup.  Pairs are counted by enumeration: the first factor is fixed to
 a class representative and weighted by its class size (the counts are
-conjugation invariant), every second factor is tried, and each product's
-cycle type is recorded.  Nothing here uses characters.
+conjugation invariant), and every second factor is tried.  Pair counts
+by cycle count record each product's cycle count; the pair table used
+for triples records its cycle type.  Nothing here uses characters.
 
-Triples are not enumerated: they are composed from that pair table
-through the class of the first two factors' product (see _xi3_table),
-with every division checked to be exact.
+Triples are not enumerated: they are composed from the pair table by
+product type through the class of the first two factors' product (see
+_xi3_table), with every division checked to be exact.
 """
 
 from functools import lru_cache
@@ -68,31 +69,38 @@ _T3_LIMIT = 6
 _MU_LIMIT = 9
 
 
-@lru_cache(maxsize=None)
-def _pair_type_table(n: int) -> dict:
-    """Pair counts keyed by (type1, type2, product type), first factor fixed."""
+def _pair_table(n: int, reduce) -> dict:
+    """Pair counts keyed by (type1, type2, reduce(product images)).
+
+    The first factor is fixed to its class representative and weighted by
+    its class size; every second factor is tried.
+    """
     table: dict = {}
-    classes = all_partitions(n)
     perms = list(_all_images(range(n)))
     types = [_cycle_type_raw(p) for p in perms]
-    for c1 in classes:
+    for c1 in all_partitions(n):
         rep = class_representative(n, c1)
         size1 = class_size(c1)
         for images, t2 in zip(perms, types):
-            product = _cycle_type_raw(tuple(rep[x] for x in images))
-            key = (c1.parts, t2, product)
+            key = (c1.parts, t2, reduce(tuple(rep[x] for x in images)))
             table[key] = table.get(key, 0) + size1
     return table
 
 
 @lru_cache(maxsize=None)
+def _pair_type_table(n: int) -> dict:
+    """Pair counts keyed by (type1, type2, product type), for triples."""
+    return _pair_table(n, _cycle_type_raw)
+
+
+@lru_cache(maxsize=None)
 def _xi2_table(n: int) -> dict:
-    """Counts keyed by (type1, type2, m) for pairs: the pair table by cycle count."""
-    table: dict = {}
-    for (t1, t2, product), count in _pair_type_table(n).items():
-        key = (t1, t2, len(product))
-        table[key] = table.get(key, 0) + count
-    return table
+    """Counts keyed by (type1, type2, m) for pairs.
+
+    Counted by cycle count directly, which needs no sort of the product's
+    cycle lengths; only the triple table needs product types.
+    """
+    return _pair_table(n, _cycle_count_raw)
 
 
 @lru_cache(maxsize=None)

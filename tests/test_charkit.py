@@ -4,7 +4,10 @@ from math import prod
 import pytest
 
 from permfact.charkit import (
+    _bead_parts,
+    _char_column,
     _content_poly,
+    _content_sums,
     _hook_product,
     character,
     dimension,
@@ -83,6 +86,33 @@ def test_long_identity_class_does_not_recurse_per_part():
     identity = Partition([1] * 1100)
     assert character(Partition([1100]), identity) == 1
     assert character(Partition([1] * 1100), identity) == 1
+
+
+def test_long_two_cycle_class_does_not_recurse_per_part():
+    twos = Partition([2] * 1100)
+    assert character(Partition([2200]), twos) == 1
+    assert character(Partition([1] * 2200), twos) == 1
+
+
+def test_char_column_matches_character():
+    classes = [c for n in range(1, 13) for c in all_partitions(n)]
+    classes += [Partition([2] * 7), Partition([3] + [1] * 13)]
+    for cls in classes:
+        column = {_bead_parts(mask, cls.n): v for mask, v in _char_column(cls.parts).items()}
+        assert 0 not in column.values()
+        for lam in all_partitions(cls.n):
+            assert column.get(lam.parts, 0) == character(lam, cls), (lam, cls)
+
+
+def test_content_sums_match_content_polynomials():
+    for n in range(1, 9):
+        terms = [(lam.parts, 3 * k - 7) for k, lam in enumerate(all_partitions(n))]
+        polys = [(_content_poly(s), w) for s, w in terms]
+        expected = [
+            sum(w * sum(a * z**k for k, a in enumerate(poly)) for poly, w in polys)
+            for z in range(n + 1)
+        ]
+        assert _content_sums(n, terms) == expected
 
 
 def test_column_orthogonality():

@@ -115,14 +115,9 @@ def test_xi_matches_w_number_route_sampled(data):
         assert xi(pair, m) == xi_by_w_numbers(pair, m), (pair, m)
 
 
-@settings(deadline=None, max_examples=20)
-@given(st.data())
-def test_xi_identities_past_brute_force(data):
-    n = data.draw(st.integers(min_value=10, max_value=16))
-    t = data.draw(st.integers(min_value=2, max_value=3))
-    classes = tuple(
-        data.draw(st.sampled_from(all_partitions(n))) for _ in range(t)
-    )
+def check_xi_identities(classes):
+    """Sum over m, parity vanishing and class-order invariance of one xi row."""
+    n = classes[0].n
     row = [xi(classes, m) for m in range(1, n + 1)]
     sizes = 1
     for c in classes:
@@ -134,6 +129,26 @@ def test_xi_identities_past_brute_force(data):
         if (sign + n - m) % 2:
             assert value == 0, (classes, m)
     assert [xi(classes[::-1], m) for m in range(1, n + 1)] == row
+
+
+@settings(deadline=None, max_examples=20)
+@given(st.data())
+def test_xi_identities_past_brute_force(data):
+    n = data.draw(st.integers(min_value=10, max_value=16))
+    t = data.draw(st.integers(min_value=2, max_value=3))
+    classes = tuple(
+        data.draw(st.sampled_from(all_partitions(n))) for _ in range(t)
+    )
+    check_xi_identities(classes)
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.data())
+def test_xi_pair_identities_at_large_n(data):
+    n = data.draw(st.integers(min_value=17, max_value=24))
+    classes = all_partitions(n)
+    pair = (data.draw(st.sampled_from(classes)), data.draw(st.sampled_from(classes)))
+    check_xi_identities(pair)
 
 
 @settings(deadline=None, max_examples=25)
