@@ -33,10 +33,20 @@ class HZTableRow:
     count: int
 
 
+def _exact_quotient(num: int, den: int, what: str) -> int:
+    """num / den (den > 0) as a count.
+
+    A remainder or a negative quotient means that a formula or its
+    input is wrong, so both raise ConsistencyError.
+    """
+    q, r = divmod(num, den)
+    if r or q < 0:
+        raise ConsistencyError(f"{what} came out {num}/{den}")
+    return q
+
+
 def _as_count(value: Fraction, what: str) -> int:
-    if value.denominator != 1 or value < 0:
-        raise ConsistencyError(f"{what} came out {value}")
-    return int(value)
+    return _exact_quotient(value.numerator, value.denominator, what)
 
 
 def mu_genus_zero(gamma: Partition) -> int:
@@ -84,8 +94,11 @@ def mu_one_p(n: int, p: int, m: int) -> int:
     gamma = Partition([1] * p + [n - p])
     c = stirling_first_unsigned(n + 1 - p, m)
     sign = -1 if (n + 1 - p - m) % 2 else 1
-    value = Fraction(c - sign * c, factorial(n + 1 - p)) * class_size(gamma)
-    return _as_count(value, f"mu_one_p({n},{p},{m})")
+    return _exact_quotient(
+        (c - sign * c) * class_size(gamma),
+        factorial(n + 1 - p),
+        f"mu_one_p({n},{p},{m})",
+    )
 
 
 def mu_t_p(n: int, t: int, p: int, m: int) -> int:
@@ -93,12 +106,14 @@ def mu_t_p(n: int, t: int, p: int, m: int) -> int:
 
     Single sum over j of ((-1)^(n-j-t) - (-1)^(j-m)) / j! * C(p, n+1-j-t)
     * c(j, m), times the class size.  Every term cancels when n - m - t
-    is even, so the parity branch is automatic.
+    is even, so the parity branch is automatic.  The sum runs in integers
+    scaled by (n-t)!, with one exact division at the end.
     """
     if p < 1 or t < 0 or n - p - t < 1 or m < 1:
         raise ValueError("mu_t_p requires p >= 1, t >= 0, n-p-t >= 1, m >= 1")
     gamma = Partition([1] * t + [p, n - p - t])
-    total = Fraction(0)
+    scale = factorial(n - t)
+    total = 0
     for j in range(1, n - t + 1):
         c = stirling_first_unsigned(j, m)
         if c == 0:
@@ -108,15 +123,18 @@ def mu_t_p(n: int, t: int, p: int, m: int) -> int:
             continue
         sign1 = -1 if (n - j - t) % 2 else 1
         sign2 = -1 if (j - m) % 2 else 1
-        total += Fraction((sign1 - sign2) * b * c, factorial(j))
-    return _as_count(total * class_size(gamma), f"mu_t_p({n},{t},{p},{m})")
+        total += (sign1 - sign2) * b * c * (scale // factorial(j))
+    return _exact_quotient(
+        total * class_size(gamma), scale, f"mu_t_p({n},{t},{p},{m})"
+    )
 
 
 def mu_two_parts(n: int, p: int, m: int) -> int:
     """Count for a two-part class [p, n-p].
 
     -2 sum_{j=m}^{n} C(p, n+1-j) s(j, m) / j! times the class size when
-    n - m is odd, and 0 when n - m is even.
+    n - m is odd, and 0 when n - m is even; summed in integers scaled by
+    n!, with one exact division at the end.
     """
     if not 1 <= p <= n - 1:
         raise ValueError("mu_two_parts requires 1 <= p <= n-1")
@@ -125,13 +143,16 @@ def mu_two_parts(n: int, p: int, m: int) -> int:
     if (n - m) % 2 == 0:
         return 0
     gamma = Partition([p, n - p])
-    total = Fraction(0)
+    scale = factorial(n)
+    total = 0
     for j in range(m, n + 1):
         b = binomial(p, n + 1 - j)
         if b == 0:
             continue
-        total += Fraction(b * stirling_first_signed(j, m), factorial(j))
-    return _as_count(-2 * total * class_size(gamma), f"mu_two_parts({n},{p},{m})")
+        total += b * stirling_first_signed(j, m) * (scale // factorial(j))
+    return _exact_quotient(
+        -2 * total * class_size(gamma), scale, f"mu_two_parts({n},{p},{m})"
+    )
 
 
 def one_face_map_count(n_edges: int, g: int) -> int:
@@ -163,10 +184,12 @@ def one_face_map_count(n_edges: int, g: int) -> int:
 def mu_p_power(n_blocks: int, p: int, m: int) -> int:
     """Count for the rectangular class [p^n_blocks] on n_blocks*p points.
 
-    Runs the alternating Stirling sum over W-numbers computed from the
-    binomial form specific to equal parts, then divides by (np-1)!.
-    At the extreme m = n_blocks*(p-1)+1 this is the generalized Catalan
-    number C(np, n) / (n(p-1)+1).
+    Runs the alternating Stirling sum over the W-numbers of equal parts,
+    w(j) = (N-1)! N! / (j! k! p^k) * sum_i (-1)^i C(k, i) C(p(k-i), N-j+1)
+    with N = kp and k = n_blocks, then divides by (N-1)!.  The sum is
+    kept in integers scaled by k! p^k, so the only division is one exact
+    division by k! p^k at the end.  At the extreme m = n_blocks*(p-1)+1
+    this is the generalized Catalan number C(np, n) / (n(p-1)+1).
     """
     if n_blocks < 1 or p < 1 or m < 1:
         raise ValueError("mu_p_power requires positive arguments")
@@ -174,22 +197,22 @@ def mu_p_power(n_blocks: int, p: int, m: int) -> int:
     if m > big_n:
         return 0
 
-    def w(j: int) -> Fraction:
+    def w_scaled(j: int) -> int:
+        """w(j) * k! p^k / (N-1)!, an integer."""
         inner = 0
         for i in range(n_blocks + 1):
             term = binomial(n_blocks, i) * binomial(p * (n_blocks - i), big_n - j + 1)
             inner += -term if i % 2 else term
-        return Fraction(
-            factorial(big_n - 1) * factorial(big_n) * inner,
-            factorial(j) * factorial(n_blocks) * p ** n_blocks,
-        )
+        return factorial(big_n) // factorial(j) * inner
 
-    total = Fraction(0)
+    total = 0
     for k in range(big_n - m + 1):
-        term = stirling_first_unsigned(m + k, m) * w(m + k)
+        term = stirling_first_unsigned(m + k, m) * w_scaled(m + k)
         total += -term if k % 2 else term
-    return _as_count(
-        total / factorial(big_n - 1), f"mu_p_power({n_blocks},{p},{m})"
+    return _exact_quotient(
+        total,
+        factorial(n_blocks) * p ** n_blocks,
+        f"mu_p_power({n_blocks},{p},{m})",
     )
 
 
@@ -198,12 +221,15 @@ def jackson_by_length(n: int, m: int, d: int) -> int:
 
     Computed two ways, which must agree: directly summing mu over the
     length-d partitions, and by the closed single sum
-    n! sum_k (-1)^(k-m) c(k,m)/k! C(n-1,k-1) c(n-k+1,d)/(n-k+1)!.
+    n! sum_k (-1)^(k-m) c(k,m)/k! C(n-1,k-1) c(n-k+1,d)/(n-k+1)!,
+    summed in integers as sum_k (-1)^(k-m) c(k,m) C(n-1,k-1) c(n-k+1,d)
+    C(n+1,k) and divided exactly by n+1, since n!/(k!(n-k+1)!) equals
+    C(n+1,k)/(n+1).
     """
     if n < 1 or not 1 <= m <= n or not 1 <= d <= n:
         raise ValueError("jackson_by_length requires 1 <= m, d <= n")
     direct = sum(mu(lam, m) for lam in all_partitions(n) if lam.length == d)
-    closed = Fraction(0)
+    closed = 0
     for k in range(1, n + 1):
         c1 = stirling_first_unsigned(k, m)
         if c1 == 0:
@@ -212,9 +238,9 @@ def jackson_by_length(n: int, m: int, d: int) -> int:
         c2 = stirling_first_unsigned(n - k + 1, d)
         if b == 0 or c2 == 0:
             continue
-        term = Fraction(c1 * b * c2, factorial(k) * factorial(n - k + 1))
+        term = c1 * b * c2 * binomial(n + 1, k)
         closed += -term if (k - m) % 2 else term
-    closed *= factorial(n)
+    closed = _exact_quotient(closed, n + 1, f"jackson_by_length({n},{m},{d})")
     if closed != direct:
         raise ConsistencyError(
             f"by-length count mismatch at (n={n}, m={m}, d={d}): "
@@ -224,11 +250,30 @@ def jackson_by_length(n: int, m: int, d: int) -> int:
 
 
 def hz_table(n_edges: int) -> list[HZTableRow]:
-    """One-face map counts for all genera at the given edge number."""
-    return [
-        HZTableRow(n_edges, g, one_face_map_count(n_edges, g))
-        for g in range(n_edges // 2 + 1)
-    ]
+    """One-face map counts for all genera at the given edge number.
+
+    Built by the Harer-Zagier recursion
+    (n+1) e_g(n) = 2(2n-1) e_g(n-1) + (n-1)(2n-1)(2n-3) e_{g-1}(n-2)
+    from e_0(0) = 1, iteratively, keeping two rows of counts; each
+    division by n+1 is checked exact.  This takes O(n_edges^2) integer
+    steps for the whole table.  one_face_map_count is the independent
+    per-value route, and hz_series_check compares the two.
+    """
+    if n_edges < 0:
+        raise ValueError("hz_table requires n_edges >= 0")
+    older: list[int] = []
+    row = [1]
+    for n in range(1, n_edges + 1):
+        a = 2 * (2 * n - 1)
+        b = (n - 1) * (2 * n - 1) * (2 * n - 3)
+        new = []
+        for g in range(n // 2 + 1):
+            total = a * row[g] if g < len(row) else 0
+            if g:
+                total += b * older[g - 1]
+            new.append(_exact_quotient(total, n + 1, f"hz_table at ({n}, {g})"))
+        older, row = row, new
+    return [HZTableRow(n_edges, g, count) for g, count in enumerate(row)]
 
 
 def _series_ratio_power(x: int, limit: int) -> list[int]:
@@ -253,7 +298,10 @@ def hz_series_check(n_max: int) -> CheckReport:
     bivariate series 1 + 2 sum_{n,g} count(n,g)/(2n-1)!! x^(n+1-2g)
     y^(n+1) equals ((1+y)/(1-y))^x up to y^(n_max+1); the y-coefficients
     are polynomials in x of degree <= n_max+1, so they are compared
-    exactly via evaluation at the integer points x = 0..n_max+2.
+    exactly via evaluation at the integer points x = 0..n_max+2.  Both
+    identities are compared in integers after clearing denominators.
+    The counts come from hz_table, and each per-n case also compares
+    every table row with one_face_map_count.
     """
     if n_max < 0:
         raise ValueError("hz_series_check requires n_max >= 0")
@@ -262,49 +310,46 @@ def hz_series_check(n_max: int) -> CheckReport:
     counts = {n: hz_table(n) for n in range(n_max + 1)}
 
     for n in range(1, n_max + 1):
-        ok = True
         detail = ""
-        lhs_coeffs = {n + 1 - 2 * row.genus: Fraction(row.count) for row in counts[n]}
+        # Both sides times (n+1)!, so that each C(x,i)/i! term is an integer.
+        scale = factorial(n + 1)
+        odd = double_factorial_odd(n)
+        lhs_coeffs = {n + 1 - 2 * row.genus: row.count * scale for row in counts[n]}
         for m in range(n + 2):
             # Coefficient of x^m on the right: expand C(x,i) over x-powers.
-            rhs = double_factorial_odd(n) * sum(
-                (
-                    Fraction(
-                        binomial(n, i - 1)
-                        * 2 ** (i - 1)
-                        * stirling_first_signed(i, m),
-                        factorial(i),
-                    )
-                    for i in range(1, n + 2)
-                ),
-                Fraction(0),
+            rhs = odd * sum(
+                binomial(n, i - 1)
+                * 2 ** (i - 1)
+                * stirling_first_signed(i, m)
+                * (scale // factorial(i))
+                for i in range(1, n + 2)
             )
-            if lhs_coeffs.get(m, Fraction(0)) != rhs:
-                ok = False
+            if lhs_coeffs.get(m, 0) != rhs:
                 detail = f"coefficient at n={n}, g={(n + 1 - m) // 2}"
                 break
-        report.add(f"single-variable identity n={n}", ok, detail)
+        else:
+            for row in counts[n]:
+                if row.count != one_face_map_count(n, row.genus):
+                    detail = f"table row at n={n}, g={row.genus} vs explicit sum"
+                    break
+        report.add(f"single-variable identity n={n}", not detail, detail)
 
     limit = n_max + 1
+    # The y^(n+1) coefficients times (2n-1)!!, so that the left side is an integer.
+    odds = [1] + [double_factorial_odd(n) for n in range(n_max + 1)]
     for x in xs:
         series = _series_ratio_power(x, limit)
-        lhs = [Fraction(0)] * (limit + 1)
-        lhs[0] = Fraction(1)
-        for n in range(n_max + 1):
-            odd = double_factorial_odd(n)
-            lhs[n + 1] = sum(
-                (Fraction(2 * row.count, odd) * x ** (n + 1 - 2 * row.genus)
-                 for row in counts[n]),
-                Fraction(0),
-            )
+        lhs = [1] + [
+            sum(2 * row.count * x ** (n + 1 - 2 * row.genus) for row in counts[n])
+            for n in range(n_max + 1)
+        ]
         for deg in range(limit + 1):
-            ok = lhs[deg] == series[deg]
-            if not ok:
-                n = deg - 1
+            rhs = series[deg] * odds[deg]
+            if lhs[deg] != rhs:
                 report.add(
-                    f"bivariate identity n={n}",
+                    f"bivariate identity n={deg - 1}",
                     False,
-                    f"x={x}, y^{deg}: {lhs[deg]} != {series[deg]}",
+                    f"x={x}, y^{deg}: {lhs[deg]} != {rhs} (both times (2n-1)!!)",
                 )
                 return report
     report.add(f"bivariate identity n<={n_max} at {len(list(xs))} x-points", True)
@@ -318,11 +363,17 @@ def _power_sum_value(exponents: tuple, point: tuple) -> int:
     return value
 
 
-def _solvable(matrix: list[list[Fraction]], rhs: list[Fraction]) -> bool:
-    """Whether A c = v admits a solution (rank(A) == rank([A|v]))."""
+def _solvable(matrix: list[list[int]], rhs: list[int]) -> bool:
+    """Whether A c = v admits a solution (rank(A) == rank([A|v])).
+
+    Fraction-free (Bareiss) forward elimination: each update of a row
+    below the pivot divides exactly by the previous pivot, so every entry
+    stays an integer minor of [A|v].
+    """
     rows = [row + [val] for row, val in zip(matrix, rhs)]
     ncols = len(matrix[0]) if matrix else 0
     pivot_row = 0
+    prev = 1
     for col in range(ncols):
         pivot = next(
             (r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None
@@ -330,11 +381,12 @@ def _solvable(matrix: list[list[Fraction]], rhs: list[Fraction]) -> bool:
         if pivot is None:
             continue
         rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        lead = rows[pivot_row][col]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
+        top = rows[pivot_row]
+        lead = top[col]
+        for r in range(pivot_row + 1, len(rows)):
+            factor = rows[r][col]
+            rows[r] = [(lead * a - factor * b) // prev for a, b in zip(rows[r], top)]
+        prev = lead
         pivot_row += 1
     # Inconsistent iff some row is all zeros except the augmented column.
     return not any(
@@ -349,7 +401,9 @@ def polynomiality_check(n: int, d: int, g: int) -> CheckReport:
     gamma of n with d parts and tests whether these values extend to a
     symmetric polynomial of total degree <= 2g in the parts (fit in the
     power-sum product basis, exact rank test).  For g = 0 additionally
-    requires the constant value 1/(n+1-d)!.
+    requires the constant value 1/(n+1-d)!.  The values are scaled by n!
+    (so they are the integers aut(gamma) * mu(gamma, m)), which changes
+    neither test.
     """
     if not 1 <= d <= n or g < 0:
         raise ValueError("polynomiality_check requires 1 <= d <= n and g >= 0")
@@ -358,15 +412,13 @@ def polynomiality_check(n: int, d: int, g: int) -> CheckReport:
         raise ValueError(f"no valid cycle number for (n={n}, d={d}, g={g})")
     report = CheckReport("polynomiality")
     points = [lam for lam in all_partitions(n) if lam.length == d]
-    values = [
-        Fraction(aut_lambda(lam) * mu(lam, m), factorial(n)) for lam in points
-    ]
+    values = [aut_lambda(lam) * mu(lam, m) for lam in points]
     label = f"(n={n}, d={d}, g={g})"
 
     if g == 0:
-        expected = Fraction(1, factorial(n + 1 - d))
+        expected = factorial(n) // factorial(n + 1 - d)
         bad = [
-            f"{lam}: {val}" for lam, val in zip(points, values) if val != expected
+            f"{lam}: {val}/{n}!" for lam, val in zip(points, values) if val != expected
         ]
         report.add(
             f"constant 1/{n + 1 - d}! at {label}",
@@ -378,9 +430,7 @@ def polynomiality_check(n: int, d: int, g: int) -> CheckReport:
     basis: list[tuple] = []
     for weight in range(2 * g + 1):
         basis.extend(lam.parts for lam in all_partitions(weight))
-    matrix = [
-        [Fraction(_power_sum_value(b, lam.parts)) for b in basis] for lam in points
-    ]
+    matrix = [[_power_sum_value(b, lam.parts) for b in basis] for lam in points]
     ok = _solvable(matrix, values)
     report.add(f"degree<={2 * g} symmetric fit at {label}", ok)
     return report

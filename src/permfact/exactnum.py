@@ -29,10 +29,10 @@ def binomial(a: int, k: int) -> int:
     """Binomial coefficient C(a, k) via the falling factorial.
 
     Defined for any integer a, including negative (C(-1, 2) = 1).
-    Returns 0 for k < 0, and for 0 <= a < k the falling factorial hits
-    zero so the result is 0 as well.
+    Returns 0 for k < 0 and for 0 <= a < k, the latter without running
+    the falling factorial (it would pass through the factor 0).
     """
-    if k < 0:
+    if k < 0 or 0 <= a < k:
         return 0
     num = 1
     for i in range(k):

@@ -1,6 +1,10 @@
 import pytest
 
+from permfact import closedform
 from permfact.closedform import (
+    HZTableRow,
+    _exact_quotient,
+    _solvable,
     hz_series_check,
     hz_table,
     jackson_by_length,
@@ -13,7 +17,7 @@ from permfact.closedform import (
     polynomiality_check,
     zagier_stanley,
 )
-from permfact.countcore import mu
+from permfact.countcore import ConsistencyError, mu
 from permfact.exactnum import binomial, stirling_first_unsigned
 from permfact.partition import Partition, all_partitions
 
@@ -135,6 +139,64 @@ def test_hz_table_shape():
         (4, 0, 14),
         (4, 1, 70),
         (4, 2, 21),
+    ]
+
+
+def test_hz_table_rejects_negative_edges():
+    with pytest.raises(ValueError):
+        hz_table(-1)
+    assert [r.count for r in hz_table(0)] == [1]
+
+
+def test_hz_table_recursion_matches_explicit_sum():
+    for n in [*range(61), 100, 150, 200]:
+        counts = [r.count for r in hz_table(n)]
+        assert counts == [one_face_map_count(n, g) for g in range(n // 2 + 1)], n
+
+
+def test_exact_quotient_rejects_remainder_and_negative():
+    assert _exact_quotient(12, 4, "q") == 3
+    assert _exact_quotient(0, 5, "q") == 0
+    with pytest.raises(ConsistencyError):
+        _exact_quotient(7, 2, "q")
+    with pytest.raises(ConsistencyError):
+        _exact_quotient(-6, 3, "q")
+
+
+def test_solvable_rank_test():
+    assert _solvable([[1, 2], [2, 4]], [1, 2])  # consistent, singular
+    assert not _solvable([[1, 2], [2, 4]], [1, 3])
+    assert _solvable([[0, 1], [0, 2], [0, 3]], [2, 4, 6])  # empty column
+    assert not _solvable([[0, 1], [0, 2], [0, 3]], [2, 4, 7])
+    assert _solvable([[2, 3], [4, 5]], [7, 11])  # invertible
+
+
+def test_hz_series_check_catches_perturbed_table(monkeypatch):
+    true_table = closedform.hz_table
+
+    def perturbed(n_edges):
+        rows = true_table(n_edges)
+        if n_edges == 4:
+            rows[1] = HZTableRow(4, 1, rows[1].count + 1)
+        return rows
+
+    monkeypatch.setattr(closedform, "hz_table", perturbed)
+    report = hz_series_check(6)
+    labels = [c.label for c in report.failures]
+    assert "single-variable identity n=4" in labels
+    assert any(label.startswith("bivariate identity") for label in labels)
+
+
+def test_hz_series_check_compares_table_with_explicit_sum(monkeypatch):
+    true_count = closedform.one_face_map_count
+
+    def perturbed(n_edges, g):
+        return true_count(n_edges, g) + ((n_edges, g) == (3, 1))
+
+    monkeypatch.setattr(closedform, "one_face_map_count", perturbed)
+    report = hz_series_check(6)
+    assert [(c.label, c.detail) for c in report.failures] == [
+        ("single-variable identity n=3", "table row at n=3, g=1 vs explicit sum")
     ]
 
 

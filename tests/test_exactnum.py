@@ -23,7 +23,7 @@ def test_double_factorial_odd(n, expected):
 
 @pytest.mark.parametrize(
     "a,k,expected",
-    [(5, 2, 10), (3, 5, 0), (-1, 2, 1), (0, 0, 1), (4, -1, 0), (-2, 3, -4)],
+    [(5, 2, 10), (3, 5, 0), (0, 3, 0), (-1, 2, 1), (0, 0, 1), (4, -1, 0), (-2, 3, -4)],
 )
 def test_binomial(a, k, expected):
     assert binomial(a, k) == expected
