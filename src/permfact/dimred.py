@@ -10,11 +10,23 @@ The sweep runs in integers: multiplied through by n!, the recursion
 relates plain counts through the integer kernel l! tilde_S, and each
 count comes out of one exact division.  The kernel is cached as one row
 over l per (m, i), so both sums of the recursion are dot products of a
-kernel row with a row of counts, and one class's whole row m = n..1 is
-solved in one pass.  The database is those rows, one tuple of counts
-per class: build_database runs the sweep and cross-validates every count
-against the general explicit formula, save writes the nonzero counts in
-a line-oriented ASCII format and load reads them back into rows (see
+kernel row with a row of counts.
+
+Only the genus-admissible support is solved.  By the Euler relation
+(countcore.genus_of) a count of gamma is nonzero only at
+m = n+1-l(gamma)-2g with g >= 0, so every entry above the genus-0 one,
+top = n+1-l(gamma), is exactly 0.  One class's row is solved for
+m = top..1 in one pass and padded with those zeros, and the dot products
+stop at the reduced class's own top, top+1-i.  The recursion agrees:
+K(m,i,l) = 0 for l < m+1-i (S(l,k) = 0 for l < k), so above top it only
+meets zeros, the reduced row's past its top and the row's own above m,
+and gives 0.  Every skipped entry is a structural zero, not a parity
+guess.
+
+The database is those rows, one tuple of counts per class:
+build_database runs the sweep and cross-validates every row against the
+general explicit formula, save writes the nonzero counts in a
+line-oriented ASCII format and load reads them back into rows (see
 Database.save).
 """
 
@@ -25,7 +37,7 @@ from operator import lshift, mul
 
 from .exactnum import _stirling2_row, binomial, factorial, stirling_second
 from .partition import Partition, all_partitions, class_size, parse_partition, remove_part
-from .countcore import _mu_cached, mu
+from .countcore import _mu_cached
 from .closedform import zagier_stanley
 
 DB_HEADER_PREFIX = "#permfact-db v1 n_max="
@@ -90,14 +102,25 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
     With K(m,i,l) = l! tilde_S and mult the multiplicity of i in gamma,
     m! i mult mu(gamma, m) = n!/(n-i)! sum_l K(m,i,l) mu(gamma - i, l)
                              - i mult sum_{l>m} K(m,1,l) mu(gamma, l),
-    so solving m = n..1 has the same-class sum ready each time, and each
-    count is divided exactly once.
+    so solving m = top..1, top = n+1-l(gamma), has the same-class sum
+    ready each time, and each count is divided exactly once.  Entries
+    above top are the Euler relation's exact zeros (see the module
+    docstring).  The reduced row must be 0 past its own top, top+1-i:
+    a nonzero entry there raises DatabaseBuildError.
     """
     n = gamma.n
+    top = n + 1 - gamma.length
+    reduced_top = top + 1 - i
+    if any(reduced_row[reduced_top:]):
+        raise DatabaseBuildError(
+            f"reduced row of (n={n}, gamma={gamma}, i={i}) is nonzero "
+            f"past its top m={reduced_top}"
+        )
+    reduced_row = reduced_row[:reduced_top]
     weight = i * gamma.parts.count(i)
     falling = factorial(n) // factorial(n - i)
-    row = [0] * n
-    for m in range(n, 0, -1):
+    row = [0] * top
+    for m in range(top, 0, -1):
         smaller = sum(map(mul, _kernel_row(m, i, n - i), reduced_row))
         # row[l-1] is still 0 for every l <= m, so the full dot product is
         # the sum over l > m.
@@ -111,7 +134,7 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
                 f"at (n={n}, m={m}, gamma={gamma}, i={i})"
             )
         row[m - 1] = count
-    return row
+    return row + [0] * (n - top)
 
 
 def reduce_mu(gamma: Partition, m: int, i: int) -> Fraction:
@@ -284,9 +307,10 @@ def build_database(n_max: int) -> Database:
 
     One-part classes come from the Zagier-Stanley formula; classes with
     more parts from the integer recursion with the smallest part removed,
-    one row at a time (see _reduced_row).  Every count is validated
-    against the explicit formula before its row is kept; a mismatch, or
-    a recursion quotient that is not a nonnegative integer, aborts the
+    one row at a time (see _reduced_row).  Every row is compared as a
+    whole with the explicit formula's row before it is kept, so every
+    count is validated; a mismatch (reported at its largest m), or a
+    recursion quotient that is not a nonnegative integer, aborts the
     build.
     """
     if n_max < 1:
@@ -299,14 +323,14 @@ def build_database(n_max: int) -> Database:
             else:
                 i = gamma.parts[-1]
                 row = _reduced_row(gamma, i, rows[remove_part(gamma, i).parts])
-            for m in range(n, 0, -1):
-                expected = mu(gamma, m)
-                if row[m - 1] != expected:
-                    raise DatabaseBuildError(
-                        f"validation failed at (n={n}, m={m}, gamma={gamma}): "
-                        f"recursion gave {row[m - 1]}, explicit formula {expected}"
-                    )
-            # The validation filled mu's cache with an equal row: keep that
-            # tuple rather than a second copy.
-            rows[gamma.parts] = _mu_cached(gamma.parts)
+            expected = _mu_cached(gamma.parts)
+            if tuple(row) != expected:
+                m = max(m for m in range(1, n + 1) if row[m - 1] != expected[m - 1])
+                raise DatabaseBuildError(
+                    f"validation failed at (n={n}, m={m}, gamma={gamma}): "
+                    f"recursion gave {row[m - 1]}, explicit formula {expected[m - 1]}"
+                )
+            # Keep mu's cached tuple, which the validation filled, rather
+            # than a second copy of an equal row.
+            rows[gamma.parts] = expected
     return Database(n_max, rows)

@@ -141,17 +141,31 @@ def all_partitions(n: int) -> tuple:
     return tuple(result)
 
 
+def _z(parts: tuple) -> int:
+    # i^m_i * m_i! is the product of i*k over k = 1..m_i, so each part of a
+    # sorted tuple contributes itself times its place in its run.
+    z = run = 1
+    prev = None
+    for part in parts:
+        run = run + 1 if part == prev else 1
+        z *= part * run
+        prev = part
+    return z
+
+
 def z_lambda(lam: Partition) -> int:
     """Centralizer order z = prod over part values i of i^m_i * m_i!."""
-    z = 1
-    for i, m in lam.multiplicities().items():
-        z *= i ** m * factorial(m)
-    return z
+    return _z(lam.parts)
 
 
 def class_size(lam: Partition) -> int:
     """Number of permutations with cycle type lam: n! / z."""
-    return factorial(lam.n) // z_lambda(lam)
+    return _class_size(lam.parts)
+
+
+@lru_cache(maxsize=256)
+def _class_size(parts: tuple) -> int:
+    return factorial(sum(parts)) // _z(parts)
 
 
 def aut_lambda(lam: Partition) -> int:

@@ -16,7 +16,7 @@ from permfact.dimred import (
     tilde_S,
 )
 from permfact.exactnum import binomial, factorial, stirling_second
-from permfact.partition import Partition, all_partitions
+from permfact.partition import Partition, all_partitions, remove_part
 
 
 def test_tilde_S_examples():
@@ -99,12 +99,39 @@ def test_database_values_match_general(n_max=7):
 
 
 def test_build_rejects_a_count_the_recursion_disagrees_with(monkeypatch):
-    def skewed_mu(gamma, m):
-        return mu(gamma, m) + (gamma.parts == (2, 2) and m == 3)
+    def skewed_mu_row(parts):
+        row = _mu_cached(parts)
+        if parts == (2, 2):
+            row = row[:2] + (row[2] + 1,) + row[3:]
+        return row
 
-    monkeypatch.setattr(dimred, "mu", skewed_mu)
+    monkeypatch.setattr(dimred, "_mu_cached", skewed_mu_row)
     with pytest.raises(DatabaseBuildError, match=r"n=4, m=3, gamma=2,2"):
         build_database(5)
+
+
+def test_reduced_rows_equal_the_explicit_rows(n_max=14):
+    # Every class with two or more parts, every distinct removable part:
+    # the row solved on the genus-admissible support, padded with zeros,
+    # is mu's whole row.
+    for n in range(2, n_max + 1):
+        for gamma in all_partitions(n):
+            if gamma.length < 2:
+                continue
+            expected = _mu_cached(gamma.parts)
+            for i in set(gamma.parts):
+                reduced = _mu_cached(remove_part(gamma, i).parts)
+                row = dimred._reduced_row(gamma, i, reduced)
+                assert len(row) == n
+                assert tuple(row) == expected, (gamma, i)
+
+
+def test_reduced_row_nonzero_past_its_top_is_rejected():
+    # (2,1) has top n+1-l = 2, so its m = 3 entry must be 0.
+    reduced = list(_mu_cached((2, 1)))
+    reduced[2] = 1
+    with pytest.raises(DatabaseBuildError, match=r"nonzero past its top m=2"):
+        dimred._reduced_row(Partition([2, 1, 1]), 1, reduced)
 
 
 def test_lookup_range_errors():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from permfact import partition
 from permfact.exactnum import factorial
 from permfact.partition import (
     Partition,
@@ -113,6 +114,25 @@ def test_aut_lambda(parts, expected):
 def test_class_sizes_partition_the_group():
     for n in range(11):
         assert sum(class_size(p) for p in all_partitions(n)) == factorial(n)
+
+
+@given(part_lists)
+def test_z_from_runs_matches_the_multiplicity_formula(parts):
+    lam = Partition(parts)
+    z = 1
+    for i, m in lam.multiplicities().items():
+        z *= i ** m * factorial(m)
+    assert z_lambda(lam) == z
+    assert class_size(lam) == factorial(lam.n) // z
+
+
+def test_class_size_cache_is_bounded():
+    info = partition._class_size.cache_info()
+    assert info.maxsize is not None
+    for n in range(16):
+        for lam in all_partitions(n):
+            class_size(lam)
+    assert partition._class_size.cache_info().currsize <= info.maxsize
 
 
 def test_remove_part():
