@@ -4,12 +4,14 @@ Counts tuples of permutations drawn from prescribed conjugacy classes of
 the symmetric group whose product has a given number of cycles, and the
 special case of factorizations of a fixed full cycle (one-face bipartite
 maps, indexed by genus).  All arithmetic is exact: integers are
-arbitrary precision and intermediate values are integers or rationals.
+arbitrary precision and divisions are checked to be exact; only
+one_face_map_count and the symmetric-function checks sum rationals.
 
-Every counting route has an independent cross-check: a brute-force
-oracle on small symmetric groups, specialized closed forms, symmetric
-function identities, and a dimension-reduction recursion that also
-drives the persisted count database.
+Each count has one production route, and every one of them has an
+independent cross-check: a brute-force oracle on small symmetric
+groups, specialized closed forms, symmetric function identities, and a
+dimension-reduction recursion that also drives the persisted count
+database.
 """
 
 from .partition import (
@@ -33,11 +35,9 @@ from .exactnum import (
 from .charkit import (
     character,
     dimension,
-    frak_c,
-    frak_m,
     hook_character_poly,
 )
-from .countcore import ConsistencyError, genus_of, mu, w_number, xi
+from .countcore import ConsistencyError, genus_of, mu, xi
 from .closedform import (
     HZTableRow,
     hz_series_check,
@@ -55,14 +55,11 @@ from .closedform import (
 from .symfun import verify_m1_identities, verify_schur_identity
 from .oracle import brute_mu, brute_xi
 from .dimred import (
-    CountRecord,
     Database,
     DatabaseBuildError,
     DatabaseRangeError,
     build_database,
     load_database,
-    reduce_mu,
-    tilde_S,
 )
 from .report import CaseResult, CheckReport
 
@@ -85,13 +82,10 @@ __all__ = [
     "stirling_second",
     "character",
     "dimension",
-    "frak_c",
-    "frak_m",
     "hook_character_poly",
     "ConsistencyError",
     "genus_of",
     "mu",
-    "w_number",
     "xi",
     "HZTableRow",
     "hz_series_check",
@@ -109,14 +103,11 @@ __all__ = [
     "verify_schur_identity",
     "brute_mu",
     "brute_xi",
-    "CountRecord",
     "Database",
     "DatabaseBuildError",
     "DatabaseRangeError",
     "build_database",
     "load_database",
-    "reduce_mu",
-    "tilde_S",
     "CaseResult",
     "CheckReport",
     "__version__",

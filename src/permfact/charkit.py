@@ -1,13 +1,11 @@
 """Symmetric-group character machinery.
 
 The one owner of a shape's cell data: its hook-length product and its
-content product prod over the cells of (z + content), as a polynomial
-and, summed over weighted shapes, at the points z = 0..n.  On top of them:
-irreducible character values via the Murnaghan-Nakayama border-strip
-rule, representation dimensions from the hook-length formula, the
-hook-content products m_{lam}(z) (the content polynomial at z over the
-hook product) and their alternating binomial transform, and the
-generating polynomial for hook-shape characters.
+content product prod over the cells of (z + content), summed over
+weighted shapes at the points z = 0..n, all in integers.  On top of
+them: irreducible character values via the Murnaghan-Nakayama
+border-strip rule, representation dimensions from the hook-length
+formula, and the generating polynomial for hook-shape characters.
 
 Both character routes work on beta-sets (first-column hook lengths) on
 an abacus, where a border strip of length r is a bead moving r positions,
@@ -20,11 +18,10 @@ once, giving a class's whole column; countcore reads xi from columns,
 and tests check them against character().
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import add, mul, sub
 
-from .exactnum import binomial, factorial
+from .exactnum import factorial
 from .partition import Partition
 
 
@@ -36,21 +33,6 @@ def _conjugate(parts: tuple) -> tuple:
         for j in range(p):
             conj[j] += 1
     return tuple(conj)
-
-
-@lru_cache(maxsize=512)
-def _content_poly(parts: tuple) -> tuple:
-    """Coefficients of prod over the cells of a shape of (z + content), z^0 first.
-
-    Only frak_m reads it; xi takes the content product at points from
-    _content_sums.  Cached because frak_m is taken at several m per shape;
-    512 entries hold every shape of one n up to n = 19.
-    """
-    poly = [1]
-    for i, row_len in enumerate(parts):
-        for j in range(row_len):
-            poly = [(j - i) * a + b for a, b in zip(poly + [0], [0] + poly)]
-    return tuple(poly)
 
 
 @lru_cache(maxsize=64)
@@ -289,42 +271,3 @@ def hook_character_poly(alpha: Partition) -> list[int]:
     if alpha.n < 1:
         raise ValueError("hook_character_poly requires a nonempty partition")
     return list(_hook_poly(alpha.parts))
-
-
-@lru_cache(maxsize=None)
-def _frak_m(parts: tuple, m: int) -> Fraction:
-    value = 0
-    for a in reversed(_content_poly(parts)):
-        value = value * m + a
-    return Fraction(value, _hook_product(parts))
-
-
-def frak_m(lam: Partition, m: int) -> Fraction:
-    """Hook-content product: prod over cells of (m + content) / hook.
-
-    Vanishes for m = 0 since the corner cell has content 0.
-    """
-    if not lam.parts:
-        raise ValueError("frak_m requires a nonempty partition")
-    return _frak_m(lam.parts, m)
-
-
-@lru_cache(maxsize=None)
-def _frak_c(parts: tuple, m: int) -> Fraction:
-    total = Fraction(0)
-    for d in range(m + 1):
-        term = binomial(m, d) * _frak_m(parts, m - d)
-        total += -term if d % 2 else term
-    return total
-
-
-def frak_c(lam: Partition, m: int) -> Fraction:
-    """Alternating binomial transform of the hook-content products.
-
-    Sum over d = 0..m of (-1)^d C(m,d) frak_m(lam, m-d).
-    """
-    if not lam.parts:
-        raise ValueError("frak_c requires a nonempty partition")
-    if m < 0:
-        raise ValueError("frak_c requires m >= 0")
-    return _frak_c(lam.parts, m)

@@ -10,24 +10,24 @@ matrix per n; mu from an alternating Stirling sum scaled by n! so that it
 is integer too.  Each is cached as one row m = 1..n per class tuple (xi)
 or class (mu); every value in a row that parity does not force to 0 is
 divided exactly once, and asserted integral and nonnegative there.
+These are the only production routes to xi and mu; the independent
+routes that check them (the W-number transform of single characters,
+the brute-force oracle, the closed forms) live in verify and the tests.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import mul
 
 from .exactnum import _stirling1_row, factorial
-from .partition import Partition, all_partitions, class_size
+from .partition import Partition, class_size
 from .charkit import (
     _bead_parts,
     _char_column,
     _content_sums,
     _hook_poly,
     _hook_product,
-    character,
     dimension,
-    frak_c,
 )
 
 
@@ -59,32 +59,6 @@ def _character_product(values) -> int:
             return 0
         prod *= chi
     return prod
-
-
-def w_number(classes, m: int) -> Fraction:
-    """Character-weighted class-product sum over all shapes.
-
-    For classes C_1..C_t of S_n and 1 <= m <= n this is
-    prod|C_i| / m! times the sum over shapes lam of
-    frak_c(lam, m) * dim(lam)^(1-t) * prod_i character(lam, C_i).
-    Together with an alternating Stirling transform it gives xi by a
-    route independent of the content polynomials; tests compare the two.
-    """
-    classes = _check_classes(classes)
-    n = classes[0].n
-    if not 1 <= m <= n:
-        raise ValueError(f"m = {m} out of range 1..{n}")
-    t = len(classes)
-    total = Fraction(0)
-    for lam in all_partitions(n):
-        chi_prod = _character_product(character(lam, c) for c in classes)
-        if chi_prod == 0:
-            continue
-        total += frak_c(lam, m) * Fraction(chi_prod, dimension(lam) ** (t - 1))
-    sizes = 1
-    for c in classes:
-        sizes *= class_size(c)
-    return Fraction(sizes, factorial(m)) * total
 
 
 def xi(classes, m: int) -> int:

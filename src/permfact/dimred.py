@@ -2,15 +2,17 @@
 
 The count for a class with several parts reduces to counts for classes
 with one part fewer: scaled counts mu~(n,m) = m!/n! mu(n,m) satisfy a
-two-sum recursion whose kernel tilde_S is a binomial/Stirling transform.
+two-sum recursion whose kernel is a binomial/Stirling transform.
 Sweeping part counts upward therefore grounds every value in the one-part
 case, which the Zagier-Stanley formula gives directly.
 
 The sweep runs in integers: multiplied through by n!, the recursion
-relates plain counts through the integer kernel l! tilde_S, and each
-count comes out of one exact division.  The kernel is cached as one row
-over l per (m, i), so both sums of the recursion are dot products of a
-kernel row with a row of counts.
+relates plain counts through the integer kernel
+K(m, i, l) = sum_{j=1..i} C(i,j) (m+j-i)! S(l, m+j-i), with S the
+Stirling numbers of the second kind (l! times the kernel of the scaled
+recursion), and each count comes out of one exact division.  The kernel
+is cached as one row over l per (m, i), so both sums of the recursion
+are dot products of a kernel row with a row of counts.
 
 Only the genus-admissible support is solved.  By the Euler relation
 (countcore.genus_of) a count of gamma is nonzero only at
@@ -30,12 +32,10 @@ line-oriented ASCII format and load reads them back into rows (see
 Database.save).
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from operator import lshift, mul
 
-from .exactnum import _stirling2_row, binomial, factorial, stirling_second
+from .exactnum import _stirling2_row, binomial, factorial
 from .partition import Partition, all_partitions, class_size, parse_partition, remove_part
 from .countcore import _mu_cached
 from .closedform import zagier_stanley
@@ -51,27 +51,9 @@ class DatabaseRangeError(KeyError):
     """Lookup outside the built range (distinct from a stored zero)."""
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """One persisted one-face bipartite map count."""
-
-    n: int
-    m: int
-    gamma: Partition
-    value: int
-
-
-def _kernel(m: int, i: int, l: int) -> int:
-    """l! tilde_S(m, i, l) = sum_{j=1..i} C(i,j) (m+j-i)! S(l, m+j-i), an integer."""
-    return sum(
-        binomial(i, j) * factorial(m + j - i) * stirling_second(l, m + j - i)
-        for j in range(max(1, i - m), i + 1)
-    )
-
-
 @lru_cache(maxsize=None)
 def _kernel_row(m: int, i: int, length: int) -> tuple:
-    """(K(m, i, 1), ..., K(m, i, length)) with K = _kernel.
+    """(K(m, i, 1), ..., K(m, i, length)), K the kernel of the module docstring.
 
     With k = m+j-i, K(m, i, l) = sum_k C(i, k-m+i) k! S(l, k) over
     k = max(0, m+1-i)..m: a dot product of one coefficient list with
@@ -84,22 +66,11 @@ def _kernel_row(m: int, i: int, length: int) -> tuple:
     )
 
 
-def tilde_S(m: int, i: int, l: int) -> Fraction:
-    """Recursion kernel: sum_{j=1..i} C(i,j) (m+j-i)! S(l, m+j-i) / l!.
-
-    S is the Stirling number of the second kind; terms with m+j-i < 0
-    contribute nothing.
-    """
-    if m < 1 or i < 1 or l < 1:
-        raise ValueError("tilde_S requires positive arguments")
-    return Fraction(_kernel(m, i, l), factorial(l))
-
-
 def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
     """[mu(gamma, 1), ..., mu(gamma, n)] by the recursion removing one part i.
 
     reduced_row[l-1] must hold mu(gamma minus one part i, l) for every l.
-    With K(m,i,l) = l! tilde_S and mult the multiplicity of i in gamma,
+    With K the kernel and mult the multiplicity of i in gamma,
     m! i mult mu(gamma, m) = n!/(n-i)! sum_l K(m,i,l) mu(gamma - i, l)
                              - i mult sum_{l>m} K(m,1,l) mu(gamma, l),
     so solving m = top..1, top = n+1-l(gamma), has the same-class sum
@@ -137,25 +108,6 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
     return row + [0] * (n - top)
 
 
-def reduce_mu(gamma: Partition, m: int, i: int) -> Fraction:
-    """Scaled count mu~(n,m) = m!/n! mu(gamma, m) via removal of one part equal to i.
-
-    Solves gamma's whole row by the integer recursion, the route the
-    database build takes, from the reduced class's row of the explicit
-    formula's cache, and reads entry m.  Only defined for classes with
-    at least two parts: the one-part base case is the Zagier-Stanley
-    formula.
-    """
-    n = gamma.n
-    if gamma.length < 2:
-        raise ValueError("base case: use Zagier-Stanley for one-part classes")
-    if not 1 <= m <= n:
-        raise ValueError(f"m = {m} out of range 1..{n}")
-    reduced = remove_part(gamma, i)
-    count = _reduced_row(gamma, i, _mu_cached(reduced.parts))[m - 1]
-    return Fraction(factorial(m) * count, factorial(n))
-
-
 def _save_order(parts: tuple) -> tuple:
     return (sum(parts), len(parts), parts)
 
@@ -175,16 +127,6 @@ class Database:
 
     def _rows_in_save_order(self) -> list:
         return sorted(self.rows.items(), key=lambda item: _save_order(item[0]))
-
-    @property
-    def records(self) -> list:
-        """The nonzero counts as CountRecords in save order, built on each access."""
-        return [
-            CountRecord(len(row), m, Partition._from_sorted(parts), value)
-            for parts, row in self._rows_in_save_order()
-            for m, value in enumerate(row, start=1)
-            if value
-        ]
 
     def lookup(self, n: int, m: int, gamma: Partition) -> int:
         """Stored count, 0 included, after checking the key is in range."""

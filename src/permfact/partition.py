@@ -25,7 +25,7 @@ class Partition:
     '()'
     """
 
-    __slots__ = ("_parts",)
+    __slots__ = ("_parts", "_n")
 
     def __init__(self, parts=()):
         ps = tuple(sorted(parts, reverse=True))
@@ -33,12 +33,14 @@ class Partition:
             if not isinstance(p, int) or isinstance(p, bool) or p <= 0:
                 raise ValueError(f"partition parts must be positive integers, got {p!r}")
         self._parts = ps
+        self._n = sum(ps)
 
     @classmethod
     def _from_sorted(cls, parts: tuple) -> "Partition":
         # Internal fast path: caller guarantees a canonical tuple.
         self = object.__new__(cls)
         self._parts = parts
+        self._n = sum(parts)
         return self
 
     @property
@@ -48,7 +50,7 @@ class Partition:
     @property
     def n(self) -> int:
         """Sum of the parts (the integer being partitioned)."""
-        return sum(self._parts)
+        return self._n
 
     @property
     def length(self) -> int:

@@ -26,7 +26,7 @@ from random import Random
 
 from .exactnum import factorial
 from .partition import all_partitions
-from .charkit import dimension, frak_c, frak_m
+from .charkit import _content_sums
 from .closedform import _power_sum_value
 from .countcore import ConsistencyError, xi
 from .report import CheckReport
@@ -118,6 +118,15 @@ def _form(values, coeffs) -> list:
     return [[Fraction(sum(map(mul, x, y)), den) for y in right] for x in columns]
 
 
+def _content_products(n: int, shapes) -> list:
+    """Per shape, prod over its cells of (z + content) at z = 0..n.
+
+    Divided by n! = dim * H this is the hook-content product over the
+    dimension, the weight of s_lam(x) s_lam(y) in the shape expansions.
+    """
+    return [_content_sums(n, [(lam.parts, 1)]) for lam in shapes]
+
+
 def _diagonal(weights) -> list:
     size = len(weights)
     return [[w if a == b else 0 for b in range(size)] for a, w in enumerate(weights)]
@@ -137,8 +146,8 @@ def verify_schur_identity(n: int) -> CheckReport:
 
     The left side, (1/n!^2) sum of xi((alpha, gamma), m) z^m p_alpha(x)
     p_gamma(y), comes from the counting engine; the right side, the sum
-    over shapes lam of frak_m(lam, z) / dim(lam) s_lam(x) s_lam(y), from
-    hook-content products and bialternant Schur values.  One case per
+    over shapes lam of prod_cells (z + content) / n! s_lam(x) s_lam(y),
+    from content products and bialternant Schur values.  One case per
     z = 0..n, each comparing every pair of grid points.
     """
     if n < 1:
@@ -149,13 +158,14 @@ def verify_schur_identity(n: int) -> CheckReport:
     p_values = _power_sum_values(shapes, points)
     s_values = [[_schur_value(lam.parts, x) for x in points] for lam in shapes]
     rows = [[[xi((a, g), m) for m in range(1, n + 1)] for g in shapes] for a in shapes]
+    products = _content_products(n, shapes)
     scale = factorial(n) ** 2
     for z in range(n + 1):
         counts = [
             [Fraction(sum(v * z ** m for m, v in enumerate(row, 1)), scale) for row in r]
             for r in rows
         ]
-        weights = [frak_m(lam, z) / dimension(lam) for lam in shapes]
+        weights = [Fraction(values[z], factorial(n)) for values in products]
         lhs = _form(p_values, counts)
         rhs = _form(s_values, _diagonal(weights))
         detail = _mismatch(lhs, rhs, points)
@@ -168,7 +178,9 @@ def verify_m1_identities(n: int) -> CheckReport:
 
     (a) direct counts, (b) the alternating hook-content weights on Schur
     pairs, (c) the monomial-basis expression with factorial weights; each
-    evaluated at every pair of grid points.
+    evaluated at every pair of grid points.  The weight of a shape is
+    sum_k (-1)^(k-1) D_k / (k n!) over k = 1..n, with D_k the k-th forward
+    difference at 0 of its content product prod_cells (z + content).
     """
     if n < 1:
         raise ValueError("verify_m1_identities requires n >= 1")
@@ -182,12 +194,13 @@ def verify_m1_identities(n: int) -> CheckReport:
     )
 
     weights = []
-    for lam in shapes:
+    for values in _content_products(n, shapes):
         weight = Fraction(0)
-        for j in range(n):
-            term = frak_c(lam, j + 1) / (j + 1)
-            weight += -term if j % 2 else term
-        weights.append(weight / dimension(lam))
+        for k in range(1, n + 1):
+            values = [b - a for a, b in zip(values, values[1:])]
+            term = Fraction(values[0], k)
+            weight += term if k % 2 else -term
+        weights.append(weight / factorial(n))
     s_values = [[_schur_value(lam.parts, x) for x in points] for lam in shapes]
     shape_side = _form(s_values, _diagonal(weights))
 

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from math import prod
 
 import pytest
@@ -6,16 +5,12 @@ import pytest
 from permfact.charkit import (
     _bead_parts,
     _char_column,
-    _content_poly,
     _content_sums,
     _hook_product,
     character,
     dimension,
-    frak_c,
-    frak_m,
     hook_character_poly,
 )
-from permfact.exactnum import binomial
 from permfact.partition import Partition, all_partitions, z_lambda
 
 
@@ -28,11 +23,10 @@ def test_diagram_cells():
         ((), [], []),
     ]
     for parts, contents, hooks in cells:
-        poly = _content_poly(parts)
-        assert len(poly) == len(contents) + 1
-        for z in range(-3, 4):
-            value = sum(a * z**k for k, a in enumerate(poly))
-            assert value == prod(z + c for c in contents), (parts, z)
+        n = len(contents)
+        if n:
+            expected = [prod(z + c for c in contents) for z in range(n + 1)]
+            assert _content_sums(n, [(parts, 1)]) == expected, parts
         assert _hook_product(parts) == prod(hooks)
 
 
@@ -107,9 +101,11 @@ def test_char_column_matches_character():
 def test_content_sums_match_content_polynomials():
     for n in range(1, 9):
         terms = [(lam.parts, 3 * k - 7) for k, lam in enumerate(all_partitions(n))]
-        polys = [(_content_poly(s), w) for s, w in terms]
         expected = [
-            sum(w * sum(a * z**k for k, a in enumerate(poly)) for poly, w in polys)
+            sum(
+                w * prod(z + j - i for i, row in enumerate(s) for j in range(row))
+                for s, w in terms
+            )
             for z in range(n + 1)
         ]
         assert _content_sums(n, terms) == expected
@@ -148,30 +144,3 @@ def test_hook_character_poly_matches_direct_characters():
             for j in range(n):
                 hook = Partition([n - j] + [1] * j)
                 assert coeffs[j] == character(hook, alpha), (alpha, j)
-
-
-def test_frak_m_examples():
-    assert frak_m(Partition([2, 1]), 2) == 2
-    assert frak_m(Partition([3]), 2) == 4
-    assert frak_m(Partition([2, 2]), 0) == 0
-
-
-def test_frak_m_single_row_and_column():
-    for n in range(1, 9):
-        for m in range(13):
-            assert frak_m(Partition([n]), m) == binomial(m + n - 1, n)
-            assert frak_m(Partition([1] * n), m) == binomial(m, n)
-
-
-def test_frak_c_examples():
-    assert frak_c(Partition([1]), 1) == 1
-    assert frak_c(Partition([1]), 2) == 0
-    assert frak_c(Partition([2]), 2) == 1
-    assert isinstance(frak_c(Partition([2, 1]), 3), Fraction)
-
-
-def test_frak_requires_nonempty():
-    with pytest.raises(ValueError):
-        frak_m(Partition(), 1)
-    with pytest.raises(ValueError):
-        frak_c(Partition(), 1)

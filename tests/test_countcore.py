@@ -1,23 +1,64 @@
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from permfact.countcore import genus_of, mu, w_number, xi
+from permfact.charkit import character, dimension
+from permfact.countcore import genus_of, mu, xi
 from permfact.exactnum import binomial, factorial, stirling_first_unsigned
 from permfact.oracle import brute_mu, brute_xi
 from permfact.partition import Partition, all_partitions, class_size
 
 
-def xi_by_w_numbers(classes, m):
-    """Reference xi: alternating Stirling transform of the W-numbers."""
+def w_numbers(classes):
+    """Reference W-numbers W(C, m) for m = 1..n, from single characters.
+
+    W(C, m) is prod|C_i| / m! times the sum over shapes lam of
+    frak_c(lam, m) dim(lam)^(1-t) prod_i chi_lam(C_i), where
+    frak_c(lam, m) = D_m / H_lam and D_m = sum_d (-1)^d C(m, d) P(m - d),
+    with P(z) = prod over the cells (i, j) of (z + j - i).  Since
+    H dim = n!, the summand is D_m H^(t-2) chi / (n!)^(t-1) for t >= 2 and
+    D_m dim chi / n! for t = 1, so m! (n!)^max(t-1, 1) W is a sum of
+    integers; it is divided exactly.
+    """
     n = classes[0].n
-    total = 0
-    for k in range(n - m + 1):
-        term = stirling_first_unsigned(m + k, m) * w_number(classes, m + k)
-        total += -term if k % 2 else term
-    return total
+    t = len(classes)
+    sizes = prod(class_size(c) for c in classes)
+    terms = []
+    for lam in all_partitions(n):
+        chi = prod(character(lam, c) for c in classes)
+        if chi:
+            dim = dimension(lam)
+            weight = dim if t == 1 else (factorial(n) // dim) ** (t - 2)
+            cells = [j - i for i, row in enumerate(lam.parts) for j in range(row)]
+            values = [prod(z + c for c in cells) for z in range(n + 1)]
+            terms.append((chi * weight, values))
+    row = []
+    for m in range(1, n + 1):
+        total = sum(
+            weight * (-1) ** d * comb(m, d) * values[m - d]
+            for weight, values in terms
+            for d in range(m + 1)
+        )
+        value, rest = divmod(sizes * total, factorial(m) * factorial(n) ** max(t - 1, 1))
+        assert rest == 0, (classes, m)
+        row.append(value)
+    return row
+
+
+def xi_by_w_numbers(classes):
+    """Reference xi row: alternating Stirling transform of the W-numbers."""
+    n = classes[0].n
+    w = w_numbers(classes)
+    return [
+        sum(
+            (-1) ** k * stirling_first_unsigned(m + k, m) * w[m + k - 1]
+            for k in range(n - m + 1)
+        )
+        for m in range(1, n + 1)
+    ]
 
 
 def mu_by_fractions(gamma, m):
@@ -41,21 +82,6 @@ def mu_by_fractions(gamma, m):
         )
         total += -term if k % 2 else term
     return class_size(gamma) * total
-
-
-def test_w_number_examples():
-    assert w_number((Partition([2]), Partition([2])), 2) == 1
-    assert w_number((Partition([1]),), 1) == 1
-    assert w_number((Partition([3]), Partition([3])), 3) == 2
-
-
-def test_w_number_range_errors():
-    with pytest.raises(ValueError):
-        w_number((Partition([2]), Partition([2])), 0)
-    with pytest.raises(ValueError):
-        w_number((Partition([2]), Partition([2])), 3)
-    with pytest.raises(ValueError):
-        w_number((Partition([2]), Partition([3])), 1)
 
 
 def test_xi_examples():
@@ -94,15 +120,17 @@ def test_xi_class_order_invariance():
                         ] == base
 
 
+def xi_row(classes):
+    return [xi(classes, m) for m in range(1, classes[0].n + 1)]
+
+
 def test_xi_matches_w_number_route():
     for n in range(1, 8):
         for classes in product(all_partitions(n), repeat=2):
-            for m in range(1, n + 1):
-                assert xi(classes, m) == xi_by_w_numbers(classes, m), (classes, m)
+            assert xi_row(classes) == xi_by_w_numbers(classes), classes
     for n in range(1, 6):
         for classes in product(all_partitions(n), repeat=3):
-            for m in range(1, n + 1):
-                assert xi(classes, m) == xi_by_w_numbers(classes, m), (classes, m)
+            assert xi_row(classes) == xi_by_w_numbers(classes), classes
 
 
 @settings(deadline=None, max_examples=15)
@@ -111,8 +139,7 @@ def test_xi_matches_w_number_route_sampled(data):
     n = data.draw(st.integers(min_value=8, max_value=12))
     classes = all_partitions(n)
     pair = (data.draw(st.sampled_from(classes)), data.draw(st.sampled_from(classes)))
-    for m in range(1, n + 1):
-        assert xi(pair, m) == xi_by_w_numbers(pair, m), (pair, m)
+    assert xi_row(pair) == xi_by_w_numbers(pair), pair
 
 
 def check_xi_identities(classes):

@@ -12,17 +12,18 @@ from permfact.dimred import (
     DatabaseRangeError,
     build_database,
     load_database,
-    reduce_mu,
-    tilde_S,
 )
 from permfact.exactnum import binomial, factorial, stirling_second
 from permfact.partition import Partition, all_partitions, remove_part
 
 
-def test_tilde_S_examples():
-    assert tilde_S(1, 1, 2) == Fraction(1, 2)
-    assert tilde_S(3, 2, 2) == 2
-    assert tilde_S(2, 1, 1) == 0
+def _kernel(m, i, l):
+    """l! times the kernel of the scaled recursion, one value at a time:
+    sum_{j=1..i} C(i,j) (m+j-i)! S(l, m+j-i)."""
+    return sum(
+        binomial(i, j) * factorial(m + j - i) * stirling_second(l, m + j - i)
+        for j in range(max(1, i - m), i + 1)
+    )
 
 
 def test_scaled_kernel_is_integral():
@@ -33,8 +34,7 @@ def test_scaled_kernel_is_integral():
             for j in range(1, i + 1)
             if m + j - i >= 0
         )
-        assert tilde_S(m, i, l) == reference, (m, i, l)
-        assert (factorial(l) * reference).denominator == 1, (m, i, l)
+        assert factorial(l) * reference == _kernel(m, i, l), (m, i, l)
 
 
 def test_kernel_row_matches_kernel():
@@ -42,44 +42,25 @@ def test_kernel_row_matches_kernel():
         row = dimred._kernel_row(m, i, length)
         assert len(row) == length, (m, i, length)
         for l in range(1, length + 1):
-            assert row[l - 1] == dimred._kernel(m, i, l), (m, i, length, l)
-
-
-def test_reduce_mu_examples():
-    assert reduce_mu(Partition([2, 2]), 1, 2) == Fraction(1, 24)
-    assert reduce_mu(Partition([2, 2]), 3, 2) == Fraction(1, 2)
-    assert reduce_mu(Partition([1, 1]), 2, 1) == 0
-
-
-def test_reduce_mu_errors():
-    with pytest.raises(ValueError, match="Zagier-Stanley"):
-        reduce_mu(Partition([4]), 1, 4)
-    with pytest.raises(ValueError):
-        reduce_mu(Partition([3, 1]), 1, 2)  # 2 is not a part
+            assert row[l - 1] == _kernel(m, i, l), (m, i, length, l)
 
 
 def test_reduce_mu_agrees_for_every_removable_part(n_max=8):
+    # The recursion's whole row from each removable part i, fed the
+    # explicit formula's row of gamma minus i, is the explicit formula's row.
     for n in range(2, n_max + 1):
         for gamma in all_partitions(n):
             if gamma.length < 2:
                 continue
             for i in sorted(set(gamma.parts)):
-                for m in range(1, n + 1):
-                    scaled = Fraction(factorial(m) * mu(gamma, m), factorial(n))
-                    assert reduce_mu(gamma, m, i) == scaled, (gamma, m, i)
+                reduced = _mu_cached(remove_part(gamma, i).parts)
+                row = dimred._reduced_row(gamma, i, reduced)
+                assert tuple(row) == _mu_cached(gamma.parts), (gamma, i)
 
 
 def test_build_database_smallest_cases():
-    db = build_database(1)
-    assert [(r.n, r.m, r.gamma.parts, r.value) for r in db.records] == [
-        (1, 1, (1,), 1)
-    ]
-    db = build_database(2)
-    assert [(r.n, r.m, r.gamma.parts, r.value) for r in db.records] == [
-        (1, 1, (1,), 1),
-        (2, 2, (2,), 1),
-        (2, 1, (1, 1), 1),
-    ]
+    assert build_database(1).rows == {(1,): (1,)}
+    assert build_database(2).rows == {(1,): (1,), (2,): (0, 1), (1, 1): (1, 0)}
 
 
 def test_build_database_known_values():
@@ -150,9 +131,7 @@ def test_save_load_round_trip(tmp_path):
     db.save(path)
     loaded = load_database(path)
     assert loaded.n_max == db.n_max
-    assert [(r.n, r.m, r.gamma, r.value) for r in loaded.records] == [
-        (r.n, r.m, r.gamma, r.value) for r in db.records
-    ]
+    assert loaded.rows == db.rows
 
 
 def test_rebuild_is_byte_identical(tmp_path):
@@ -202,7 +181,8 @@ def test_save_returns_the_number_of_records(tmp_path):
     path = tmp_path / "counts.tsv"
     db = build_database(8)
     written = db.save(path)
-    assert written == len(db.records) == len(path.read_text().splitlines()) - 1
+    nonzero = sum(len(row) - row.count(0) for row in db.rows.values())
+    assert written == nonzero == len(path.read_text().splitlines()) - 1
 
 
 def test_header_claiming_far_more_classes_fails_fast(tmp_path, n16_lines):
