@@ -4,8 +4,9 @@ Counts tuples of permutations drawn from prescribed conjugacy classes of
 the symmetric group whose product has a given number of cycles, and the
 special case of factorizations of a fixed full cycle (one-face bipartite
 maps, indexed by genus).  All arithmetic is exact: integers are
-arbitrary precision and divisions are checked to be exact; only
-one_face_map_count and the symmetric-function checks sum rationals.
+arbitrary precision and divisions are checked to be exact (exactnum
+owns the check and the exact elimination); only one_face_map_count sums
+rationals.
 
 Each count has one production route, and every one of them has an
 independent cross-check: a brute-force oracle on small symmetric

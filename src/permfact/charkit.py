@@ -7,19 +7,20 @@ them: irreducible character values via the Murnaghan-Nakayama
 border-strip rule, representation dimensions from the hook-length
 formula, and the generating polynomial for hook-shape characters.
 
-Both character routes work on beta-sets (first-column hook lengths) on
-an abacus, where a border strip of length r is a bead moving r positions,
-with sign (-1)^(number of beads jumped).  character(lam, mu) removes
-strips from one shape: values are memoized keyed by (remaining shape,
-remaining class parts), class parts are consumed largest first on an
-explicit stack, and once only 1-cycles remain the value is the dimension
-of the remaining shape.  _char_column(mu) adds strips to every shape at
-once, giving a class's whole column; countcore reads xi from columns,
-and tests check them against character().
+Both character routes work on bitmask beta-sets (first-column hook
+lengths) on an abacus, where a border strip of length r is a bead moving
+r positions, with sign (-1)^(number of beads jumped).  character(lam, mu)
+removes strips from one shape, moving beads down: values are memoized
+keyed by (remaining shape's mask, remaining class parts), class parts are
+consumed largest first on an explicit stack, and once only 1-cycles
+remain the value is the dimension of the remaining shape.
+_char_column(mu) adds strips to every shape at once, moving beads up,
+giving a class's whole column; countcore reads xi from columns, and
+tests check them against character().
 """
 
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import mul
 
 from .exactnum import factorial
 from .partition import Partition
@@ -91,44 +92,50 @@ def dimension(lam: Partition) -> int:
     return factorial(lam.n) // _hook_product(lam.parts)
 
 
-# Memo of character values keyed by (shape parts, remaining class parts).
+# Memo of character values keyed by (shape mask, remaining class parts).
+# A shape's mask is its beta-set on an abacus of one bead per row, so
+# bit 0 (an empty row) is never set and each shape has one mask.
 _char_cache: dict = {}
 
 
 def _settled(key: tuple):
-    """The value at (shape, parts) if it needs no strip removal, else None."""
-    shape, parts = key
+    """The value at (mask, parts) if it needs no strip removal, else None."""
+    mask, parts = key
     if not parts:
         return 1
     if parts[0] == 1:
         # Parts are consumed largest first, so the rest is the identity
         # class, where the character is the dimension.
+        shape = _bead_parts(mask, mask.bit_count())
         return factorial(len(parts)) // _hook_product(shape)
     return _char_cache.get(key)
 
 
 def _strip_removals(key: tuple) -> list:
-    """(key after removal, sign) for each border strip of length parts[0]."""
-    shape, parts = key
+    """(key after removal, sign) for each border strip of length parts[0].
+
+    A bead moves parts[0] places down to a free slot; beads left at the
+    bottom mark empty rows and are dropped.
+    """
+    mask, parts = key
     r = parts[0]
     rest = parts[1:]
-    offsets = range(len(shape) - 1, -1, -1)
-    beta = list(map(add, shape, offsets))
-    bset = set(beta)
     children = []
-    for b in beta:
-        nb = b - r
-        if nb < 0 or nb in bset:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        newbeta = sorted([c for c in beta if c != b] + [nb], reverse=True)
-        newshape = tuple(p for p in map(sub, newbeta, offsets) if p > 0)
-        children.append(((newshape, rest), -1 if height % 2 else 1))
+    movable = (mask & ~(mask << r)) >> r << r
+    while movable:
+        bead = movable & -movable
+        movable ^= bead
+        moved = mask ^ bead ^ (bead >> r)
+        while moved & 1:
+            moved >>= 1
+        jumped = (mask & (bead - (bead >> (r - 1)))).bit_count()
+        children.append(((moved, rest), -1 if jumped & 1 else 1))
     return children
 
 
 def _mn_character(shape: tuple, parts: tuple) -> int:
-    key = (shape, parts)
+    length = len(shape)
+    key = (sum(1 << (p + length - i) for i, p in enumerate(shape, 1)), parts)
     value = _settled(key)
     if value is not None:
         return value

@@ -6,13 +6,16 @@ cross-check.  Covered: the genus-zero quotient, the Zagier-Stanley
 two-full-cycles formula, near-hook and two/three-part class types, the
 one-face map numbers by genus with their generating-function identities,
 power-block classes, the by-part-count aggregation, and the polynomial
-dependence of weighted counts on the parts.
+dependence of weighted counts on the parts.  Every formula but
+one_face_map_count sums in integers, ending in one checked division.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
+    _echelon,
+    _exact_quotient,
     binomial,
     double_factorial_odd,
     factorial,
@@ -20,7 +23,7 @@ from .exactnum import (
     stirling_first_unsigned,
 )
 from .partition import Partition, all_partitions, aut_lambda, class_size
-from .countcore import ConsistencyError, mu
+from .countcore import mu
 from .report import CheckReport
 
 
@@ -31,22 +34,6 @@ class HZTableRow:
     n_edges: int
     genus: int
     count: int
-
-
-def _exact_quotient(num: int, den: int, what: str) -> int:
-    """num / den (den > 0) as a count.
-
-    A remainder or a negative quotient means that a formula or its
-    input is wrong, so both raise ConsistencyError.
-    """
-    q, r = divmod(num, den)
-    if r or q < 0:
-        raise ConsistencyError(f"{what} came out {num}/{den}")
-    return q
-
-
-def _as_count(value: Fraction, what: str) -> int:
-    return _exact_quotient(value.numerator, value.denominator, what)
 
 
 def mu_genus_zero(gamma: Partition) -> int:
@@ -60,10 +47,7 @@ def mu_genus_zero(gamma: Partition) -> int:
     denom = factorial(n + 1 - gamma.length)
     for m_i in gamma.multiplicities().values():
         denom *= factorial(m_i)
-    q, r = divmod(factorial(n), denom)
-    if r:
-        raise ConsistencyError(f"genus-zero quotient not integral for {gamma}")
-    return q
+    return _exact_quotient(factorial(n), denom, "mu_genus_zero({})", gamma)
 
 
 def zagier_stanley(n: int, m: int) -> int:
@@ -75,10 +59,8 @@ def zagier_stanley(n: int, m: int) -> int:
         raise ValueError("zagier_stanley requires 1 <= m <= n")
     if (n - m) % 2 != 0:
         return 0
-    q, r = divmod(stirling_first_unsigned(n + 1, m), binomial(n + 1, 2))
-    if r:
-        raise ConsistencyError(f"Zagier-Stanley quotient not integral at ({n}, {m})")
-    return q
+    c = stirling_first_unsigned(n + 1, m)
+    return _exact_quotient(c, binomial(n + 1, 2), "zagier_stanley({},{})", n, m)
 
 
 def mu_one_p(n: int, p: int, m: int) -> int:
@@ -94,11 +76,8 @@ def mu_one_p(n: int, p: int, m: int) -> int:
     gamma = Partition([1] * p + [n - p])
     c = stirling_first_unsigned(n + 1 - p, m)
     sign = -1 if (n + 1 - p - m) % 2 else 1
-    return _exact_quotient(
-        (c - sign * c) * class_size(gamma),
-        factorial(n + 1 - p),
-        f"mu_one_p({n},{p},{m})",
-    )
+    total = (c - sign * c) * class_size(gamma)
+    return _exact_quotient(total, factorial(n + 1 - p), "mu_one_p({},{},{})", n, p, m)
 
 
 def mu_t_p(n: int, t: int, p: int, m: int) -> int:
@@ -125,7 +104,7 @@ def mu_t_p(n: int, t: int, p: int, m: int) -> int:
         sign2 = -1 if (j - m) % 2 else 1
         total += (sign1 - sign2) * b * c * (scale // factorial(j))
     return _exact_quotient(
-        total * class_size(gamma), scale, f"mu_t_p({n},{t},{p},{m})"
+        total * class_size(gamma), scale, "mu_t_p({},{},{},{})", n, t, p, m
     )
 
 
@@ -151,7 +130,7 @@ def mu_two_parts(n: int, p: int, m: int) -> int:
             continue
         total += b * stirling_first_signed(j, m) * (scale // factorial(j))
     return _exact_quotient(
-        -2 * total * class_size(gamma), scale, f"mu_two_parts({n},{p},{m})"
+        -2 * total * class_size(gamma), scale, "mu_two_parts({},{},{})", n, p, m
     )
 
 
@@ -178,7 +157,10 @@ def one_face_map_count(n_edges: int, g: int) -> int:
             factorial(m + k),
         )
         total += -term if k % 2 else term
-    return _as_count(double_factorial_odd(n) * total, f"one_face_map_count({n},{g})")
+    total *= double_factorial_odd(n)
+    return _exact_quotient(
+        total.numerator, total.denominator, "one_face_map_count({},{})", n, g
+    )
 
 
 def mu_p_power(n_blocks: int, p: int, m: int) -> int:
@@ -209,26 +191,22 @@ def mu_p_power(n_blocks: int, p: int, m: int) -> int:
     for k in range(big_n - m + 1):
         term = stirling_first_unsigned(m + k, m) * w_scaled(m + k)
         total += -term if k % 2 else term
-    return _exact_quotient(
-        total,
-        factorial(n_blocks) * p ** n_blocks,
-        f"mu_p_power({n_blocks},{p},{m})",
-    )
+    scale = factorial(n_blocks) * p ** n_blocks
+    return _exact_quotient(total, scale, "mu_p_power({},{},{})", n_blocks, p, m)
 
 
 def jackson_by_length(n: int, m: int, d: int) -> int:
     """Total count over all classes of n with exactly d parts.
 
-    Computed two ways, which must agree: directly summing mu over the
-    length-d partitions, and by the closed single sum
+    The closed single sum
     n! sum_k (-1)^(k-m) c(k,m)/k! C(n-1,k-1) c(n-k+1,d)/(n-k+1)!,
     summed in integers as sum_k (-1)^(k-m) c(k,m) C(n-1,k-1) c(n-k+1,d)
     C(n+1,k) and divided exactly by n+1, since n!/(k!(n-k+1)!) equals
-    C(n+1,k)/(n+1).
+    C(n+1,k)/(n+1).  verify's jackson suite and the tests compare it with
+    the direct sum of mu over the length-d classes.
     """
     if n < 1 or not 1 <= m <= n or not 1 <= d <= n:
         raise ValueError("jackson_by_length requires 1 <= m, d <= n")
-    direct = sum(mu(lam, m) for lam in all_partitions(n) if lam.length == d)
     closed = 0
     for k in range(1, n + 1):
         c1 = stirling_first_unsigned(k, m)
@@ -240,13 +218,7 @@ def jackson_by_length(n: int, m: int, d: int) -> int:
             continue
         term = c1 * b * c2 * binomial(n + 1, k)
         closed += -term if (k - m) % 2 else term
-    closed = _exact_quotient(closed, n + 1, f"jackson_by_length({n},{m},{d})")
-    if closed != direct:
-        raise ConsistencyError(
-            f"by-length count mismatch at (n={n}, m={m}, d={d}): "
-            f"direct {direct}, closed {closed}"
-        )
-    return direct
+    return _exact_quotient(closed, n + 1, "jackson_by_length({},{},{})", n, m, d)
 
 
 def hz_table(n_edges: int) -> list[HZTableRow]:
@@ -271,7 +243,7 @@ def hz_table(n_edges: int) -> list[HZTableRow]:
             total = a * row[g] if g < len(row) else 0
             if g:
                 total += b * older[g - 1]
-            new.append(_exact_quotient(total, n + 1, f"hz_table at ({n}, {g})"))
+            new.append(_exact_quotient(total, n + 1, "hz_table at ({}, {})", n, g))
         older, row = row, new
     return [HZTableRow(n_edges, g, count) for g, count in enumerate(row)]
 
@@ -366,32 +338,12 @@ def _power_sum_value(exponents: tuple, point: tuple) -> int:
 def _solvable(matrix: list[list[int]], rhs: list[int]) -> bool:
     """Whether A c = v admits a solution (rank(A) == rank([A|v])).
 
-    Fraction-free (Bareiss) forward elimination: each update of a row
-    below the pivot divides exactly by the previous pivot, so every entry
-    stays an integer minor of [A|v].
+    [A|v] is eliminated over A's columns; the rows past A's rank are then
+    zero in A, so the system is consistent iff they are zero in v too.
     """
     rows = [row + [val] for row, val in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
-    pivot_row = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next(
-            (r for r in range(pivot_row, len(rows)) if rows[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        top = rows[pivot_row]
-        lead = top[col]
-        for r in range(pivot_row + 1, len(rows)):
-            factor = rows[r][col]
-            rows[r] = [(lead * a - factor * b) // prev for a, b in zip(rows[r], top)]
-        prev = lead
-        pivot_row += 1
-    # Inconsistent iff some row is all zeros except the augmented column.
-    return not any(
-        all(v == 0 for v in row[:-1]) and row[-1] != 0 for row in rows
-    )
+    rank, _ = _echelon(rows, len(matrix[0]) if matrix else 0)
+    return not any(row[-1] for row in rows[rank:])
 
 
 def polynomiality_check(n: int, d: int, g: int) -> CheckReport:

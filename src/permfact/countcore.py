@@ -19,7 +19,8 @@ from functools import lru_cache
 from math import comb
 from operator import mul
 
-from .exactnum import _stirling1_row, factorial
+from .exactnum import _exact_quotient, _stirling1_row, factorial
+from .exactnum import ConsistencyError  # noqa: F401 (re-exported)
 from .partition import Partition, class_size
 from .charkit import (
     _bead_parts,
@@ -29,11 +30,6 @@ from .charkit import (
     _hook_product,
     dimension,
 )
-
-
-class ConsistencyError(ArithmeticError):
-    """A count came out non-integral or negative, or an exact check could not
-    be set up (a singular evaluation grid): an implementation bug."""
 
 
 def _check_classes(classes) -> tuple:
@@ -153,13 +149,7 @@ def _xi_cached(parts_tuple: tuple) -> tuple:
             row.append(0)
             continue
         numerator = sizes * sum(map(mul, coeffs, sums))
-        value, rest = divmod(numerator, denominator)
-        if rest or value < 0:
-            raise ConsistencyError(
-                f"xi came out {numerator}/{denominator} "
-                f"for classes={parts_tuple}, m={m}"
-            )
-        row.append(value)
+        row.append(_exact_quotient(numerator, denominator, "xi({}, {})", parts_tuple, m))
     return tuple(row)
 
 
@@ -224,12 +214,7 @@ def _mu_cached(gamma_parts: tuple) -> tuple:
         total = sum(stirling[j][m] * a[j] for j in range(m, top + 1))
         if m % 2:
             total = -total
-        result, rest = divmod(size * total, n_fact)
-        if rest or result < 0:
-            raise ConsistencyError(
-                f"mu came out {size * total}/{n_fact} for gamma={gamma}, m={m}"
-            )
-        row.append(result)
+        row.append(_exact_quotient(size * total, n_fact, "mu({}, {})", gamma, m))
     return tuple(row)
 
 

@@ -98,6 +98,8 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
         same = sum(map(mul, _kernel_row(m, 1, n), row))
         scaled = falling * smaller - weight * same
         divisor = factorial(m) * weight
+        # Not _exact_quotient: a build failure is a DatabaseBuildError,
+        # which the CLI reports as a validation failure.
         count, rest = divmod(scaled, divisor)
         if rest or count < 0:
             raise DatabaseBuildError(

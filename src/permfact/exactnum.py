@@ -1,15 +1,61 @@
-"""Exact integer number families: factorials, binomials, Stirling numbers.
+"""Exact integer arithmetic: number families, checked division, elimination.
 
-Everything here is computed in arbitrary-precision integer arithmetic.
 The Stirling families are memoized in triangular tables grown on demand,
 since the counting formulas evaluate them repeatedly.  Out-of-range
 indices return 0 rather than raising, matching the usual convention for
-generalized binomial/Stirling coefficients.
+generalized binomial/Stirling coefficients.  Counts end in one division
+checked by _exact_quotient, and exact linear algebra runs on _echelon.
 """
 
 import math
 
 factorial = math.factorial
+
+
+class ConsistencyError(ArithmeticError):
+    """A count came out non-integral or negative, or an exact check could not
+    be set up (a singular evaluation grid): an implementation bug."""
+
+
+def _exact_quotient(num: int, den: int, what: str, *where) -> int:
+    """num / den (den > 0) as a count; a remainder or a negative quotient
+    raises ConsistencyError.  what, formatted with where, names the count
+    and is formatted only on failure, so a passing division builds no text.
+    """
+    q, r = divmod(num, den)
+    if r or q < 0:
+        raise ConsistencyError(f"{what.format(*where)} came out {num}/{den}")
+    return q
+
+
+def _echelon(rows: list, ncols: int) -> tuple:
+    """Echelon form of integer rows over their first ncols columns, in place.
+
+    Fraction-free (Bareiss) elimination that skips columns with no pivot
+    left: each row update divides exactly by the previous pivot, so every
+    entry stays an integer minor.  Returns (rank, sign of the row swaps);
+    a square matrix of full rank ends with sign * determinant.
+    """
+    rank, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
+        lead = rows[rank][col]
+        tail = rows[rank][col + 1 :]
+        zeros = [0] * (col + 1)
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            factor = row[col]
+            rows[r] = zeros + [
+                (lead * a - factor * b) // prev for a, b in zip(row[col + 1 :], tail)
+            ]
+        prev = lead
+        rank += 1
+    return rank, sign
 
 
 def double_factorial_odd(n: int) -> int:

@@ -16,6 +16,7 @@ _xi3_table), with every division checked to be exact.
 from functools import lru_cache
 from itertools import permutations as _all_images
 
+from .exactnum import _exact_quotient
 from .partition import Partition, class_size, all_partitions
 
 
@@ -118,12 +119,8 @@ def _xi3_table(n: int) -> dict:
     table: dict = {}
     for (t1, t2, delta), count in _pair_type_table(n).items():
         size = class_size(Partition._from_sorted(delta))
-        per_tau, rest = divmod(count, size)
-        if rest:
-            raise ArithmeticError(
-                f"{count} pairs of types {t1}, {t2} do not split evenly "
-                f"over the {size} members of class {delta}"
-            )
+        what = "pairs of types {}, {} per member of class {}"
+        per_tau = _exact_quotient(count, size, what, t1, t2, delta)
         for t3, m, third in by_first[delta]:
             key = (t1, t2, t3, m)
             table[key] = table.get(key, 0) + per_tau * third

@@ -11,7 +11,8 @@ they agree at every grid pair.  Each grid is checked for that with an
 exact integer determinant before it is used; a singular grid raises
 ConsistencyError instead of passing.  The cycle-count marker z is
 handled the same way: both sides are polynomials of degree <= n in z, so
-equality at z = 0..n is equivalence.
+equality at z = 0..n is equivalence.  Both sides of each identity are
+multiplied by one known factor, so that everything runs in integers.
 
 Schur values come from the bialternant det(x_i^(lam_j + n - j)) /
 det(x_i^(n - j)) (Macdonald, Symmetric Functions and Hall Polynomials,
@@ -19,40 +20,23 @@ I.3), not from the characters the counting engine uses; monomial
 symmetric values come from a dynamic program over the variables.
 """
 
-from fractions import Fraction
 from math import lcm
 from operator import mul
 from random import Random
 
-from .exactnum import factorial
+from .exactnum import ConsistencyError, _echelon, factorial
 from .partition import all_partitions
 from .charkit import _content_sums
 from .closedform import _power_sum_value
-from .countcore import ConsistencyError, xi
+from .countcore import xi
 from .report import CheckReport
 
 
 def _det(rows) -> int:
-    """Exact determinant of a square integer matrix (Bareiss elimination)."""
+    """Exact determinant of a square integer matrix."""
     a = [list(row) for row in rows]
-    size = len(a)
-    sign, prev = 1, 1
-    for c in range(size - 1):
-        pivot = next((r for r in range(c, size) if a[r][c]), None)
-        if pivot is None:
-            return 0
-        if pivot != c:
-            a[c], a[pivot] = a[pivot], a[c]
-            sign = -sign
-        top = a[c]
-        for r in range(c + 1, size):
-            row, lead = a[r], a[r][c]
-            a[r] = row[: c + 1] + [
-                (v * top[c] - lead * t) // prev
-                for v, t in zip(row[c + 1 :], top[c + 1 :])
-            ]
-        prev = top[c]
-    return sign * a[-1][-1]
+    rank, sign = _echelon(a, len(a))
+    return sign * a[-1][-1] if rank == len(a) else 0
 
 
 def _grid(n: int) -> list:
@@ -79,6 +63,7 @@ def _schur_value(parts: tuple, point: tuple) -> int:
     padded = parts + (0,) * (k - len(parts))
     num = _det([[x ** (padded[j] + k - 1 - j) for j in range(k)] for x in point])
     den = _det([[x ** (k - 1 - j) for j in range(k)] for x in point])
+    # Not _exact_quotient: both determinants, and s_lam itself, may be negative.
     value, rest = divmod(num, den)
     if rest:
         raise ConsistencyError(f"bialternant of {parts} at {point} is not exact")
@@ -108,14 +93,11 @@ def _monomial_value(parts: tuple, point: tuple) -> int:
 def _form(values, coeffs) -> list:
     """Values [sum over a, b of coeffs[a][b] f_a(x_i) f_b(x_j)] at grid pairs.
 
-    values[a][i] is f_a at point i.  The coefficients are cleared to one
-    common denominator so that both matrix products run in integers.
+    values[a][i] is f_a at point i; values and coefficients are integers.
     """
-    den = lcm(*(Fraction(c).denominator for row in coeffs for c in row))
-    scaled = [[int(c * den) for c in row] for row in coeffs]
     columns = list(zip(*values))
-    right = list(zip(*([sum(map(mul, r, col)) for col in columns] for r in scaled)))
-    return [[Fraction(sum(map(mul, x, y)), den) for y in right] for x in columns]
+    right = list(zip(*([sum(map(mul, r, col)) for col in columns] for r in coeffs)))
+    return [[sum(map(mul, x, y)) for y in right] for x in columns]
 
 
 def _content_products(n: int, shapes) -> list:
@@ -147,8 +129,8 @@ def verify_schur_identity(n: int) -> CheckReport:
     The left side, (1/n!^2) sum of xi((alpha, gamma), m) z^m p_alpha(x)
     p_gamma(y), comes from the counting engine; the right side, the sum
     over shapes lam of prod_cells (z + content) / n! s_lam(x) s_lam(y),
-    from content products and bialternant Schur values.  One case per
-    z = 0..n, each comparing every pair of grid points.
+    from content products and bialternant Schur values, both times n!^2.
+    One case per z = 0..n, each comparing every pair of grid points.
     """
     if n < 1:
         raise ValueError("verify_schur_identity requires n >= 1")
@@ -159,13 +141,12 @@ def verify_schur_identity(n: int) -> CheckReport:
     s_values = [[_schur_value(lam.parts, x) for x in points] for lam in shapes]
     rows = [[[xi((a, g), m) for m in range(1, n + 1)] for g in shapes] for a in shapes]
     products = _content_products(n, shapes)
-    scale = factorial(n) ** 2
+    n_fact = factorial(n)
     for z in range(n + 1):
         counts = [
-            [Fraction(sum(v * z ** m for m, v in enumerate(row, 1)), scale) for row in r]
-            for r in rows
+            [sum(v * z ** m for m, v in enumerate(row, 1)) for row in r] for r in rows
         ]
-        weights = [Fraction(values[z], factorial(n)) for values in products]
+        weights = [n_fact * values[z] for values in products]
         lhs = _form(p_values, counts)
         rhs = _form(s_values, _diagonal(weights))
         detail = _mismatch(lhs, rhs, points)
@@ -180,36 +161,38 @@ def verify_m1_identities(n: int) -> CheckReport:
     pairs, (c) the monomial-basis expression with factorial weights; each
     evaluated at every pair of grid points.  The weight of a shape is
     sum_k (-1)^(k-1) D_k / (k n!) over k = 1..n, with D_k the k-th forward
-    difference at 0 of its content product prod_cells (z + content).
+    difference at 0 of its content product prod_cells (z + content).  All
+    three are times L n!^2 with L = lcm(1..n), which makes the weights
+    integers, and the monomial coefficients L n! (n-v)! (n-l)!/(n+1-l-v)!
+    for shapes of lengths l and v.
     """
     if n < 1:
         raise ValueError("verify_m1_identities requires n >= 1")
     report = CheckReport("m1-identities")
     shapes = all_partitions(n)
     points = _grid(n)
-    scale = factorial(n) ** 2
+    big_l = lcm(*range(1, n + 1))
+    n_fact = factorial(n)
     direct = _form(
         _power_sum_values(shapes, points),
-        [[Fraction(xi((a, g), 1), scale) for g in shapes] for a in shapes],
+        [[big_l * xi((a, g), 1) for g in shapes] for a in shapes],
     )
 
     weights = []
     for values in _content_products(n, shapes):
-        weight = Fraction(0)
+        weight = 0
         for k in range(1, n + 1):
             values = [b - a for a, b in zip(values, values[1:])]
-            term = Fraction(values[0], k)
+            term = values[0] * (big_l // k)
             weight += term if k % 2 else -term
-        weights.append(weight / factorial(n))
+        weights.append(n_fact * weight)
     s_values = [[_schur_value(lam.parts, x) for x in points] for lam in shapes]
     shape_side = _form(s_values, _diagonal(weights))
 
     coeffs = [
         [
-            Fraction(
-                factorial(n - lam.length) * factorial(n - nu.length),
-                factorial(n) * factorial(n + 1 - lam.length - nu.length),
-            )
+            big_l * n_fact * factorial(n - nu.length) * factorial(n - lam.length)
+            // factorial(n + 1 - lam.length - nu.length)
             if lam.length + nu.length <= n + 1
             else 0
             for nu in shapes

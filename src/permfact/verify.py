@@ -10,11 +10,9 @@ from itertools import product
 
 from .exactnum import binomial, factorial
 from .partition import Partition, all_partitions, remove_part
-from .countcore import ConsistencyError, _mu_cached, mu, xi
+from .countcore import _mu_cached, mu, xi
 from . import closedform, dimred, oracle, symfun
 from .report import CheckReport
-
-_ORACLE_MU_CAP = 8
 
 DEFAULT_N_MAX = {
     "oracle": 5,
@@ -46,7 +44,7 @@ def suite_oracle(n_max: int) -> CheckReport:
                 if xi((a, b, g), m) != oracle.brute_xi((a, b, g), m):
                     bad.append(f"({a};{b};{g};m={m})")
         report.add(f"triples n={n}", not bad, ", ".join(bad[:3]))
-    for n in range(1, min(n_max, _ORACLE_MU_CAP) + 1):
+    for n in range(1, min(n_max, oracle._MU_LIMIT) + 1):
         bad = []
         for g in all_partitions(n):
             for m in range(1, n + 1):
@@ -129,17 +127,19 @@ def suite_m1(n_max: int) -> CheckReport:
 
 
 def suite_jackson(n_max: int) -> CheckReport:
-    """By-part-count aggregation: internal agreement and the bivariate identity."""
+    """By-part-count aggregation: closed vs direct sum, and the bivariate identity."""
     report = CheckReport("jackson")
     for n in range(1, n_max + 1):
+        # Direct totals over the classes with d parts, from each class's mu row.
+        totals = dict.fromkeys(product(range(1, n + 1), repeat=2), 0)
+        for gamma in all_partitions(n):
+            for m, count in enumerate(_mu_cached(gamma.parts), start=1):
+                totals[m, gamma.length] += count
         bad = []
-        totals = {}
-        for m in range(1, n + 1):
-            for d in range(1, n + 1):
-                try:
-                    totals[m, d] = closedform.jackson_by_length(n, m, d)
-                except ConsistencyError as exc:
-                    bad.append(str(exc))
+        for (m, d), direct in totals.items():
+            closed = closedform.jackson_by_length(n, m, d)
+            if closed != direct:
+                bad.append(f"(m={m}, d={d}): direct {direct}, closed {closed}")
         report.add(f"direct vs closed sum n={n}", not bad, "; ".join(bad[:2]))
 
         # Bivariate identity with the n! normalization, at integer points.

@@ -146,7 +146,8 @@ def test_criterion_07_jackson_formula():
     for n in range(1, 9):
         for m in range(1, n + 1):
             for d in range(1, n + 1):
-                jackson_by_length(n, m, d)  # raises on any disagreement
+                direct = sum(mu(g, m) for g in all_partitions(n) if g.length == d)
+                assert jackson_by_length(n, m, d) == direct, (n, m, d)
     assert jackson_by_length(2, 2, 1) == 1  # the x^2 y record
     assert jackson_by_length(2, 1, 2) == 1  # the x y^2 record
     _ok(7, "direct sum equals the closed sum (n! normalization) for n <= 8")

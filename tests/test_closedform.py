@@ -3,7 +3,6 @@ import pytest
 from permfact import closedform
 from permfact.closedform import (
     HZTableRow,
-    _exact_quotient,
     _solvable,
     hz_series_check,
     hz_table,
@@ -18,7 +17,7 @@ from permfact.closedform import (
     zagier_stanley,
 )
 from permfact.countcore import ConsistencyError, mu
-from permfact.exactnum import binomial, stirling_first_unsigned
+from permfact.exactnum import _exact_quotient, binomial, stirling_first_unsigned
 from permfact.partition import Partition, all_partitions
 
 
@@ -169,6 +168,8 @@ def test_solvable_rank_test():
     assert _solvable([[0, 1], [0, 2], [0, 3]], [2, 4, 6])  # empty column
     assert not _solvable([[0, 1], [0, 2], [0, 3]], [2, 4, 7])
     assert _solvable([[2, 3], [4, 5]], [7, 11])  # invertible
+    assert _solvable([[0, 1], [1, 0], [1, 1]], [2, 3, 5])  # needs a row swap
+    assert not _solvable([[0, 1], [1, 0], [1, 1]], [2, 3, 6])
 
 
 def test_hz_series_check_catches_perturbed_table(monkeypatch):
@@ -231,15 +232,19 @@ def test_jackson_by_length_examples():
 
 
 def test_jackson_by_length_internal_agreement(n_max=7):
-    # jackson_by_length raises if its two routes disagree; the grand total
-    # over m and d counts every possible class factor exactly once.
+    # The closed sum equals the direct sum of mu over the length-d classes;
+    # the grand total over m and d counts every possible class factor
+    # exactly once.
     from permfact.exactnum import factorial
 
     for n in range(1, n_max + 1):
         total = 0
         for m in range(1, n + 1):
             for d in range(1, n + 1):
-                total += jackson_by_length(n, m, d)
+                closed = jackson_by_length(n, m, d)
+                direct = sum(mu(g, m) for g in all_partitions(n) if g.length == d)
+                assert closed == direct, (n, m, d)
+                total += closed
         assert total == factorial(n)
 
 

@@ -44,12 +44,18 @@ def test_removed_names_are_gone_and_documented():
         assert f"`{name}" in removed, name
 
 
+def _module_trees():
+    """Each library module's name with its parsed source."""
+    for path in sorted((ROOT / "src" / "permfact").glob("*.py")):
+        yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def _top_level_imports():
     """Map each library module's name to the top-level packages it imports."""
     imports = {}
-    for path in sorted((ROOT / "src" / "permfact").glob("*.py")):
-        top_level = imports[path.stem] = set()
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for name, tree in _module_trees():
+        top_level = imports[name] = set()
+        for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 top_level.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -65,7 +71,20 @@ def test_library_imports_only_the_standard_library():
 
 def test_fractions_only_where_a_rational_is_summed():
     # Counts come from integer routes; a Fraction cross-check belongs in
-    # the tests, so only the closed-form map count and the
-    # symmetric-function checks may import fractions.
+    # the tests, so only the closed-form map count may import fractions.
     users = {name for name, top in _top_level_imports().items() if "fractions" in top}
-    assert users == {"closedform", "symfun"}
+    assert users == {"closedform"}
+
+
+def test_checked_division_has_one_owner():
+    # Count divisions go through exactnum._exact_quotient.  dimred raises
+    # its own build error, and symfun divides signed determinants.
+    users = {
+        name
+        for name, tree in _module_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "divmod"
+    }
+    assert users == {"exactnum", "dimred", "symfun"}
