@@ -9,17 +9,21 @@ z = 1..n, turned into coefficients by one cached integer interpolation
 matrix per n; mu from an alternating Stirling sum scaled by n! so that it
 is integer too.  Each is cached as one row m = 1..n per class tuple (xi)
 or class (mu); every value in a row that parity does not force to 0 is
-divided exactly once, and asserted integral and nonnegative there.
+divided exactly once, and asserted integral and nonnegative there.  mu's
+edge-choice polynomials are kept in _edge_polys, keyed by the class's
+parts >= 2 (its core), at most _EDGE_POLY_BOUND = 1024 of them: a class
+multiplies only the factors past the longest stored prefix of its core,
+so a sweep over classes by n pays one multiplication per distinct core.
 These are the only production routes to xi and mu; the independent
 routes that check them (the W-number transform of single characters,
 the brute-force oracle, the closed forms) live in verify and the tests.
 """
 
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 from operator import mul
 
-from .exactnum import _exact_quotient, _stirling1_row, factorial
+from .exactnum import _exact_quotient, _stirling1_table, factorial
 from .exactnum import ConsistencyError  # noqa: F401 (re-exported)
 from .partition import Partition, class_size
 from .charkit import (
@@ -91,9 +95,10 @@ def _interpolation_rows(n: int) -> list:
     """
     n_fact = factorial(n)
     rows = [[0] * (n + 1) for _ in range(n + 1)]
+    stirling_rows = _stirling1_table(n)
     for k in range(n + 1):
         scale = n_fact // factorial(k)
-        stirling = _stirling1_row(k)
+        stirling = stirling_rows[k]
         for i in range(k + 1):
             newton = comb(k, i) * scale
             if (k - i) % 2:
@@ -153,12 +158,32 @@ def _xi_cached(parts_tuple: tuple) -> tuple:
     return tuple(row)
 
 
+_EDGE_POLY_BOUND = 1024  # every core of n <= 22 fits
+_edge_polys: dict = {(): [1]}
+
+
 def _edge_choice_poly(gamma_parts: tuple) -> list:
-    """Coefficients of prod over parts g of ((1+y)^g - 1), dense and exact."""
-    poly = [1]
-    for g in gamma_parts:
-        if g == 1:
-            continue  # the factor y, applied at the end as a shift
+    """Coefficients of prod over parts g of ((1+y)^g - 1), dense and exact.
+
+    Each part 1 contributes the factor y, a shift.  The product over the
+    other parts, the core, starts from the polynomial of the core's
+    longest prefix in _edge_polys (the core without its smallest parts),
+    found by a loop rather than recursion, and multiplies in only the
+    factors past it.  The store is keyed by core and prefix-closed: a core
+    enters only when the core without its last part is stored, so each
+    entry cost one multiplication and a one-off class leaves nothing
+    behind.  It takes no new entry once it holds _EDGE_POLY_BOUND.  In
+    the sweep over classes by n, the core without its last part belongs
+    to a class already visited, so while the store has room each distinct
+    core costs one multiplication and a class with 1-parts none.
+    """
+    ones = gamma_parts.count(1)
+    core = gamma_parts[: len(gamma_parts) - ones]
+    stored = len(core)
+    while core[:stored] not in _edge_polys:
+        stored -= 1
+    poly = _edge_polys[core[:stored]]
+    for g in core[stored:]:
         binomials = [comb(g, b) for b in range(1, g + 1)]
         prod = [0] * (len(poly) + g)
         for a, ca in enumerate(poly):
@@ -166,7 +191,9 @@ def _edge_choice_poly(gamma_parts: tuple) -> list:
                 for b, c in enumerate(binomials, start=a + 1):
                     prod[b] += ca * c
         poly = prod
-    return [0] * gamma_parts.count(1) + poly
+    if stored == len(core) - 1 and len(_edge_polys) < _EDGE_POLY_BOUND:
+        _edge_polys[core] = poly
+    return [0] * ones + poly
 
 
 def mu(gamma: Partition, m: int) -> int:
@@ -194,16 +221,17 @@ def _mu_cached(gamma_parts: tuple) -> tuple:
     poly = _edge_choice_poly(gamma_parts)
     # a[j] = (-1)^j e_(n-j+1) n!/j!, the alternating Stirling sum's terms
     # scaled by n! so that they are integers; one exact division per m.
-    # e_k vanishes below the part count, so a[j] vanishes above top.
+    # e_k vanishes below the part count, so a[j] vanishes above top and
+    # only j <= top is filled.
     top = n + 1 - len(gamma_parts)
-    a = [0] * (n + 1)
-    falling = 1
-    for j in range(n, 0, -1):
+    a = [0] * (top + 1)
+    falling = perm(n, n - top)
+    for j in range(top, 0, -1):
         term = poly[n - j + 1] * falling
         a[j] = -term if j % 2 else term
         falling *= j
     n_fact = falling
-    stirling = [_stirling1_row(j) for j in range(top + 1)]
+    stirling = _stirling1_table(top)
     gamma = Partition._from_sorted(gamma_parts)
     size = class_size(gamma)
     row = []

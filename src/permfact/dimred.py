@@ -11,8 +11,10 @@ relates plain counts through the integer kernel
 K(m, i, l) = sum_{j=1..i} C(i,j) (m+j-i)! S(l, m+j-i), with S the
 Stirling numbers of the second kind (l! times the kernel of the scaled
 recursion), and each count comes out of one exact division.  The kernel
-is cached as one row over l per (m, i), so both sums of the recursion
-are dot products of a kernel row with a row of counts.
+is cached as one row l = 1..length per (m, i, length), the length being
+n-i for the sum over the reduced class and n for the sum over the class
+itself, so both sums of the recursion are dot products of a kernel row
+with a row of counts.
 
 Only the genus-admissible support is solved.  By the Euler relation
 (countcore.genus_of) a count of gamma is nonzero only at

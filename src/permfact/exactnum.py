@@ -92,7 +92,9 @@ _STIRLING1_ROWS: list[list[int]] = [[1]]
 _STIRLING2_ROWS: list[list[int]] = [[1]]
 
 
-def _stirling1_row(n: int) -> list[int]:
+def _stirling1_table(n: int) -> list[list[int]]:
+    """The table _STIRLING1_ROWS itself, grown to hold rows 0..n at least,
+    so that a caller reading many rows pays for one call."""
     while len(_STIRLING1_ROWS) <= n:
         m = len(_STIRLING1_ROWS)
         prev = _STIRLING1_ROWS[m - 1]
@@ -101,7 +103,7 @@ def _stirling1_row(n: int) -> list[int]:
             # c(n,k) = c(n-1,k-1) + (n-1)*c(n-1,k)
             row[k] = prev[k - 1] + (m - 1) * (prev[k] if k <= m - 1 else 0)
         _STIRLING1_ROWS.append(row)
-    return _STIRLING1_ROWS[n]
+    return _STIRLING1_ROWS
 
 
 def _stirling2_row(n: int) -> list[int]:
@@ -126,7 +128,7 @@ def stirling_first_unsigned(n: int, k: int) -> int:
         raise ValueError("stirling_first_unsigned requires n >= 0")
     if k < 0 or k > n:
         return 0
-    return _stirling1_row(n)[k]
+    return _stirling1_table(n)[n][k]
 
 
 def stirling_first_signed(n: int, k: int) -> int:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, prod
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permfact.charkit import character, dimension
-from permfact.countcore import genus_of, mu, xi
+from permfact import countcore
+from permfact.countcore import _edge_choice_poly, _mu_cached, genus_of, mu, xi
 from permfact.exactnum import binomial, factorial, stirling_first_unsigned
 from permfact.oracle import brute_mu, brute_xi
 from permfact.partition import Partition, all_partitions, class_size
@@ -61,19 +63,49 @@ def xi_by_w_numbers(classes):
     ]
 
 
+def edge_choice_by_parts(parts):
+    """prod over every part g of ((1+y)^g - 1), multiplied out from [1]."""
+    poly = [1]
+    for g in parts:
+        prod = [0] * (len(poly) + g)
+        for a, ca in enumerate(poly):
+            for b in range(1, g + 1):
+                prod[a + b] += ca * binomial(g, b)
+        poly = prod
+    return poly
+
+
+def mu_row_by_parts(parts):
+    """Reference mu row m = 1..n: the edge-choice polynomial multiplied out
+    part by part and the alternating Stirling sum term by term,
+    class_size(gamma) sum_{j=m..n} (-1)^(j-m) c(j, m) e_(n-j+1) n!/j!
+    divided exactly by n!.
+    """
+    gamma = Partition(parts)
+    n = gamma.n
+    poly = edge_choice_by_parts(gamma.parts)
+    row = []
+    for m in range(1, n + 1):
+        total = sum(
+            (-1) ** (j - m)
+            * stirling_first_unsigned(j, m)
+            * poly[n - j + 1]
+            * (factorial(n) // factorial(j))
+            for j in range(m, n + 1)
+        )
+        value, rest = divmod(class_size(gamma) * total, factorial(n))
+        assert rest == 0 and value >= 0, (gamma, m)
+        row.append(value)
+    return tuple(row)
+
+
 def mu_by_fractions(gamma, m):
     """Reference mu: the alternating Stirling sum in exact rationals.
 
     class_size(gamma) times the sum over k of (-1)^k c(m+k, m) e_(n-m-k+1)
     / (m+k)!, with e_j the coefficients of prod over parts g of ((1+y)^g - 1).
     """
-    poly = [1]
-    for g in gamma.parts:
-        prod = [0] * (len(poly) + g)
-        for a, ca in enumerate(poly):
-            for b in range(1, g + 1):
-                prod[a + b] += ca * binomial(g, b)
-        poly = prod
+    poly = edge_choice_by_parts(gamma.parts)
     n = gamma.n
     total = Fraction(0)
     for k in range(n - m + 1):
@@ -230,6 +262,49 @@ def test_mu_matches_fraction_route_sampled(data):
     gamma = data.draw(st.sampled_from(all_partitions(n)))
     for m in range(1, n + 1):
         assert mu(gamma, m) == mu_by_fractions(gamma, m), (gamma, m)
+
+
+def test_mu_rows_match_reference_rows():
+    for n in range(1, 17):
+        for gamma in all_partitions(n):
+            assert _mu_cached(gamma.parts) == mu_row_by_parts(gamma.parts), gamma
+
+
+def test_mu_rows_match_reference_rows_sampled():
+    rng = random.Random(14)
+    for _ in range(40):
+        left, parts = rng.randint(20, 40), []
+        while left:
+            parts.append(rng.randint(1, left))
+            left -= parts[-1]
+        gamma = Partition(parts)
+        assert _mu_cached(gamma.parts) == mu_row_by_parts(gamma.parts), gamma
+
+
+def test_edge_choice_poly_of_a_long_class(monkeypatch):
+    # (1+y)^2 - 1 = y (2 + y): deeper than the default recursion limit.
+    store = {(): [1]}
+    monkeypatch.setattr(countcore, "_edge_polys", store)
+    k, r = 1100, 3
+    poly = _edge_choice_poly((2,) * k + (1,) * r)
+    assert poly == [0] * (k + r) + [comb(k, i) * 2 ** (k - i) for i in range(k + 1)]
+    # No prefix of its core was stored, so the one-off class stores nothing.
+    assert store == {(): [1]}
+
+
+def test_edge_choice_store_is_bounded(monkeypatch):
+    monkeypatch.setattr(countcore, "_EDGE_POLY_BOUND", 8)
+    classes = [gamma.parts for n in range(1, 13) for gamma in all_partitions(n)]
+    expected = {parts: mu_row_by_parts(parts) for parts in classes}
+    for order in (classes, classes[::-1]):
+        store = {(): [1]}
+        monkeypatch.setattr(countcore, "_edge_polys", store)
+        for parts in order:
+            assert _mu_cached.__wrapped__(parts) == expected[parts], parts
+            assert len(store) <= 8
+        assert len(store) == 8
+        # Prefix-closed: every stored core extends a stored one.
+        assert all(core[:-1] in store for core in store if core)
 
 
 def mu_at_two_matches(gamma):

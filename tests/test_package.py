@@ -88,3 +88,23 @@ def test_checked_division_has_one_owner():
         and node.func.id == "divmod"
     }
     assert users == {"exactnum", "dimred", "symfun"}
+
+
+def test_mu_shares_no_code_with_the_routes_it_checks():
+    # mu's rows validate the reduction build and are checked by the oracle
+    # and the closed forms, so nothing countcore reaches may come from them.
+    local = {}
+    for name, tree in _module_trees():
+        local[name] = {
+            alias.name if node.module is None else node.module
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level
+            for alias in node.names
+        }
+    reached, todo = set(), ["countcore"]
+    while todo:
+        for name in local[todo.pop()] - reached:
+            reached.add(name)
+            todo.append(name)
+    assert {"charkit", "exactnum", "partition"} <= reached
+    assert reached.isdisjoint({"dimred", "verify", "oracle", "closedform"})
