@@ -10,13 +10,13 @@ formula, and the generating polynomial for hook-shape characters.
 Both character routes work on bitmask beta-sets (first-column hook
 lengths) on an abacus, where a border strip of length r is a bead moving
 r positions, with sign (-1)^(number of beads jumped).  character(lam, mu)
-removes strips from one shape, moving beads down: values are memoized
-keyed by (remaining shape's mask, remaining class parts), class parts are
-consumed largest first on an explicit stack, and once only 1-cycles
-remain the value is the dimension of the remaining shape.
+removes strips from lam, moving beads down: a frontier of shapes with
+signed values loses one strip per class part r >= 2, largest first, and
+once only 1-cycles remain each shape counts its dimension.  Only the
+finished value is kept, one entry per distinct query.
 _char_column(mu) adds strips to every shape at once, moving beads up,
 giving a class's whole column; countcore reads xi from columns, and
-tests check them against character().
+tests check them against character(), which shares no code with them.
 """
 
 from functools import lru_cache
@@ -92,74 +92,57 @@ def dimension(lam: Partition) -> int:
     return factorial(lam.n) // _hook_product(lam.parts)
 
 
-# Memo of character values keyed by (shape mask, remaining class parts).
-# A shape's mask is its beta-set on an abacus of one bead per row, so
-# bit 0 (an empty row) is never set and each shape has one mask.
+# Finished character values keyed by (lam.parts, mu.parts): one entry per
+# distinct query.
 _char_cache: dict = {}
 
 
-def _settled(key: tuple):
-    """The value at (mask, parts) if it needs no strip removal, else None."""
-    mask, parts = key
-    if not parts:
-        return 1
-    if parts[0] == 1:
-        # Parts are consumed largest first, so the rest is the identity
-        # class, where the character is the dimension.
-        shape = _bead_parts(mask, mask.bit_count())
-        return factorial(len(parts)) // _hook_product(shape)
-    return _char_cache.get(key)
+def _remove_strips(frontier: dict, r: int) -> dict:
+    """Remove a border strip of r boxes from every shape of a frontier of beta-sets.
 
-
-def _strip_removals(key: tuple) -> list:
-    """(key after removal, sign) for each border strip of length parts[0].
-
-    A bead moves parts[0] places down to a free slot; beads left at the
-    bottom mark empty rows and are dropped.
+    Each bead moves down r places to a free slot, with sign (-1)^(beads
+    jumped); shapes whose values cancel are dropped.  Beads that reach the
+    bottom mark empty rows, so the abacus keeps its bead count.
     """
-    mask, parts = key
-    r = parts[0]
-    rest = parts[1:]
-    children = []
-    movable = (mask & ~(mask << r)) >> r << r
-    while movable:
-        bead = movable & -movable
-        movable ^= bead
-        moved = mask ^ bead ^ (bead >> r)
-        while moved & 1:
-            moved >>= 1
-        jumped = (mask & (bead - (bead >> (r - 1)))).bit_count()
-        children.append(((moved, rest), -1 if jumped & 1 else 1))
-    return children
-
-
-def _mn_character(shape: tuple, parts: tuple) -> int:
-    length = len(shape)
-    key = (sum(1 << (p + length - i) for i, p in enumerate(shape, 1)), parts)
-    value = _settled(key)
-    if value is not None:
-        return value
-    # Depth-first on an explicit stack: a key is summed once every key it
-    # removes a strip to is settled, so no depth limit applies.
-    stack = [(key, _strip_removals(key))]
-    while stack:
-        top, children = stack[-1]
-        pending = [child for child, _ in children if _settled(child) is None]
-        if pending:
-            stack.extend((child, _strip_removals(child)) for child in pending)
-            continue
-        stack.pop()
-        _char_cache[top] = sum(sign * _settled(child) for child, sign in children)
-    return _char_cache[key]
+    shrunk: dict = {}
+    for mask, value in frontier.items():
+        movable = (mask & ~(mask << r)) >> r << r
+        while movable:
+            bead = movable & -movable
+            movable ^= bead
+            moved = mask ^ bead ^ (bead >> r)
+            if (mask & (bead - (bead >> (r - 1)))).bit_count() & 1:
+                shrunk[moved] = shrunk.get(moved, 0) - value
+            else:
+                shrunk[moved] = shrunk.get(moved, 0) + value
+    return {mask: value for mask, value in shrunk.items() if value}
 
 
 def character(lam: Partition, mu: Partition) -> int:
-    """Irreducible character value of shape lam at class mu (same n >= 1)."""
+    """Irreducible character value of shape lam at class mu (same n >= 1).
+
+    Murnaghan-Nakayama as a forward walk: lam's beta-set on an abacus of
+    lam.length beads starts a frontier of (shape, signed value), every
+    part r >= 2 of mu removes one border strip of r boxes from each shape,
+    largest first, and the 1-cycles left give each remaining shape its
+    dimension.
+    """
     if lam.n != mu.n:
         raise ValueError(f"size mismatch: {lam} is not a partition of {mu.n}")
     if lam.n < 1:
         raise ValueError("character requires partitions of n >= 1")
-    return _mn_character(lam.parts, mu.parts)
+    key = (lam.parts, mu.parts)
+    if key not in _char_cache:
+        beads = lam.length
+        frontier = {sum(1 << (p + beads - i) for i, p in enumerate(lam.parts, 1)): 1}
+        ones = mu.parts.count(1)
+        for r in mu.parts[: mu.length - ones]:
+            frontier = _remove_strips(frontier, r)
+        _char_cache[key] = sum(
+            value * factorial(ones) // _hook_product(_bead_parts(mask, beads))
+            for mask, value in frontier.items()
+        )
+    return _char_cache[key]
 
 
 def _bead_parts(mask: int, beads: int) -> tuple:

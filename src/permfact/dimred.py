@@ -35,9 +35,10 @@ Database.save).
 """
 
 from functools import lru_cache
+from math import comb
 from operator import lshift, mul
 
-from .exactnum import _stirling2_row, binomial, factorial
+from .exactnum import _stirling2_table, factorial
 from .partition import Partition, all_partitions, class_size, parse_partition, remove_part
 from .countcore import _mu_cached
 from .closedform import zagier_stanley
@@ -62,9 +63,11 @@ def _kernel_row(m: int, i: int, length: int) -> tuple:
     each Stirling row.
     """
     low = max(0, m + 1 - i)
-    coeffs = [binomial(i, k - m + i) * factorial(k) for k in range(low, m + 1)]
+    # k - m + i runs over max(1, i - m)..i, so math.comb needs no guard.
+    coeffs = [comb(i, k - m + i) * factorial(k) for k in range(low, m + 1)]
+    stirling = _stirling2_table(length)
     return tuple(
-        sum(map(mul, coeffs, _stirling2_row(l)[low:])) for l in range(1, length + 1)
+        sum(map(mul, coeffs, stirling[l][low:])) for l in range(1, length + 1)
     )
 
 

@@ -8,6 +8,8 @@ checked by _exact_quotient, and exact linear algebra runs on _echelon.
 """
 
 import math
+from itertools import repeat
+from operator import add, mul
 
 factorial = math.factorial
 
@@ -92,30 +94,31 @@ _STIRLING1_ROWS: list[list[int]] = [[1]]
 _STIRLING2_ROWS: list[list[int]] = [[1]]
 
 
+def _grow_triangle(rows: list, n: int, weights) -> None:
+    """Grow a triangular table to hold rows 0..n: row m follows from row m-1 by
+    T(m,k) = T(m-1,k-1) + w_k T(m-1,k) for k = 1..m, weights(m) giving w_1..w_m.
+    """
+    while len(rows) <= n:
+        m = len(rows)
+        prev = rows[-1]
+        rows.append([0, *map(add, prev, map(mul, weights(m), prev[1:] + [0]))])
+
+
 def _stirling1_table(n: int) -> list[list[int]]:
     """The table _STIRLING1_ROWS itself, grown to hold rows 0..n at least,
     so that a caller reading many rows pays for one call."""
-    while len(_STIRLING1_ROWS) <= n:
-        m = len(_STIRLING1_ROWS)
-        prev = _STIRLING1_ROWS[m - 1]
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            # c(n,k) = c(n-1,k-1) + (n-1)*c(n-1,k)
-            row[k] = prev[k - 1] + (m - 1) * (prev[k] if k <= m - 1 else 0)
-        _STIRLING1_ROWS.append(row)
+    if len(_STIRLING1_ROWS) <= n:
+        # c(m,k) = c(m-1,k-1) + (m-1) c(m-1,k)
+        _grow_triangle(_STIRLING1_ROWS, n, lambda m: repeat(m - 1))
     return _STIRLING1_ROWS
 
 
-def _stirling2_row(n: int) -> list[int]:
-    while len(_STIRLING2_ROWS) <= n:
-        m = len(_STIRLING2_ROWS)
-        prev = _STIRLING2_ROWS[m - 1]
-        row = [0] * (m + 1)
-        for k in range(1, m + 1):
-            # S(n,k) = S(n-1,k-1) + k*S(n-1,k)
-            row[k] = prev[k - 1] + k * (prev[k] if k <= m - 1 else 0)
-        _STIRLING2_ROWS.append(row)
-    return _STIRLING2_ROWS[n]
+def _stirling2_table(n: int) -> list[list[int]]:
+    """The table _STIRLING2_ROWS itself, grown to hold rows 0..n at least."""
+    if len(_STIRLING2_ROWS) <= n:
+        # S(m,k) = S(m-1,k-1) + k S(m-1,k)
+        _grow_triangle(_STIRLING2_ROWS, n, lambda m: range(1, m + 1))
+    return _STIRLING2_ROWS
 
 
 def stirling_first_unsigned(n: int, k: int) -> int:
@@ -147,4 +150,4 @@ def stirling_second(n: int, k: int) -> int:
         raise ValueError("stirling_second requires n >= 0")
     if k < 0 or k > n:
         return 0
-    return _stirling2_row(n)[k]
+    return _stirling2_table(n)[n][k]

@@ -54,61 +54,55 @@ def suite_oracle(n_max: int) -> CheckReport:
     return report
 
 
+def _closedform_cases(n: int):
+    """(family, tag template, [(tag fields, closed form, mu value)]) for each
+    specialized formula at n; a tag is formatted only for a failing case."""
+    ms = range(1, n + 1)
+    cycle = Partition([n])
+    yield "zagier-stanley", "m={}", [
+        ((m,), closedform.zagier_stanley(n, m), mu(cycle, m)) for m in ms
+    ]
+    yield "near-hook", "(p={},m={})", [
+        ((p, m), closedform.mu_one_p(n, p, m), mu(gamma, m))
+        for p in range(n)
+        for gamma in [Partition([1] * p + [n - p])]
+        for m in ms
+    ]
+    yield "three-block", "(t={},p={},m={})", [
+        ((t, p, m), closedform.mu_t_p(n, t, p, m), mu(gamma, m))
+        for t in range(n - 1)
+        for p in range(1, n - t)
+        for gamma in [Partition([1] * t + [p, n - p - t])]
+        for m in ms
+    ]
+    two_part = []
+    for p in range(1, n):
+        gamma = Partition([p, n - p])
+        for m in ms:
+            closed = closedform.mu_two_parts(n, p, m)
+            two_part.append(((p, m, ""), closed, mu(gamma, m)))
+            two_part.append(((p, m, " vs three-block"), closed, closedform.mu_t_p(n, 0, p, m)))
+    yield "two-part", "(p={},m={}){}", two_part
+    yield "genus-zero", "{}", [
+        ((gamma,), closedform.mu_genus_zero(gamma), mu(gamma, n + 1 - gamma.length))
+        for gamma in all_partitions(n)
+    ]
+    yield "equal-part", "(p={},m={})", [
+        ((p, m), closedform.mu_p_power(n // p, p, m), mu(gamma, m))
+        for p in range(1, n + 1)
+        if n % p == 0
+        for gamma in [Partition([p] * (n // p))]
+        for m in ms
+    ]
+
+
 def suite_closedform(n_max: int) -> CheckReport:
     """Every specialized formula against the general explicit one."""
     report = CheckReport("closedform")
     for n in range(1, n_max + 1):
-        bad = []
-        for m in range(1, n + 1):
-            if closedform.zagier_stanley(n, m) != mu(Partition([n]), m):
-                bad.append(f"m={m}")
-        report.add(f"zagier-stanley n={n}", not bad, ", ".join(bad[:3]))
-
-        bad = []
-        for p in range(0, n):
-            gamma = Partition([1] * p + [n - p])
-            for m in range(1, n + 1):
-                if closedform.mu_one_p(n, p, m) != mu(gamma, m):
-                    bad.append(f"(p={p},m={m})")
-        report.add(f"near-hook n={n}", not bad, ", ".join(bad[:3]))
-
-        bad = []
-        for t in range(0, n - 1):
-            for p in range(1, n - t):
-                if n - p - t < 1:
-                    continue
-                gamma = Partition([1] * t + [p, n - p - t])
-                for m in range(1, n + 1):
-                    if closedform.mu_t_p(n, t, p, m) != mu(gamma, m):
-                        bad.append(f"(t={t},p={p},m={m})")
-        report.add(f"three-block n={n}", not bad, ", ".join(bad[:3]))
-
-        bad = []
-        for p in range(1, n):
-            gamma = Partition([p, n - p])
-            for m in range(1, n + 1):
-                if closedform.mu_two_parts(n, p, m) != mu(gamma, m):
-                    bad.append(f"(p={p},m={m})")
-                if closedform.mu_two_parts(n, p, m) != closedform.mu_t_p(n, 0, p, m):
-                    bad.append(f"(p={p},m={m}) vs three-block")
-        report.add(f"two-part n={n}", not bad, ", ".join(bad[:3]))
-
-        bad = []
-        for gamma in all_partitions(n):
-            if closedform.mu_genus_zero(gamma) != mu(gamma, n + 1 - gamma.length):
-                bad.append(str(gamma))
-        report.add(f"genus-zero n={n}", not bad, ", ".join(bad[:3]))
-
-        bad = []
-        for p in range(1, n + 1):
-            if n % p:
-                continue
-            blocks = n // p
-            gamma = Partition([p] * blocks)
-            for m in range(1, n + 1):
-                if closedform.mu_p_power(blocks, p, m) != mu(gamma, m):
-                    bad.append(f"(p={p},m={m})")
-        report.add(f"equal-part n={n}", not bad, ", ".join(bad[:3]))
+        for family, tag, cases in _closedform_cases(n):
+            bad = [tag.format(*fields) for fields, closed, value in cases if closed != value]
+            report.add(f"{family} n={n}", not bad, ", ".join(bad[:3]))
     return report
 
 

@@ -2,6 +2,7 @@ from math import prod
 
 import pytest
 
+from permfact import charkit
 from permfact.charkit import (
     _bead_parts,
     _char_column,
@@ -86,6 +87,13 @@ def test_long_two_cycle_class_does_not_recurse_per_part():
     twos = Partition([2] * 1100)
     assert character(Partition([2200]), twos) == 1
     assert character(Partition([1] * 2200), twos) == 1
+
+
+def test_char_cache_keeps_one_entry_per_query():
+    # Only the finished value is kept, not the shapes the walk passes.
+    charkit._char_cache.clear()
+    assert character(Partition([1] * 2200), Partition([2] * 1100)) == 1
+    assert charkit._char_cache == {((1,) * 2200, (2,) * 1100): 1}
 
 
 def test_char_column_matches_character():

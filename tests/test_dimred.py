@@ -45,19 +45,6 @@ def test_kernel_row_matches_kernel():
             assert row[l - 1] == _kernel(m, i, l), (m, i, length, l)
 
 
-def test_reduce_mu_agrees_for_every_removable_part(n_max=8):
-    # The recursion's whole row from each removable part i, fed the
-    # explicit formula's row of gamma minus i, is the explicit formula's row.
-    for n in range(2, n_max + 1):
-        for gamma in all_partitions(n):
-            if gamma.length < 2:
-                continue
-            for i in sorted(set(gamma.parts)):
-                reduced = _mu_cached(remove_part(gamma, i).parts)
-                row = dimred._reduced_row(gamma, i, reduced)
-                assert tuple(row) == _mu_cached(gamma.parts), (gamma, i)
-
-
 def test_build_database_smallest_cases():
     assert build_database(1).rows == {(1,): (1,)}
     assert build_database(2).rows == {(1,): (1,), (2,): (0, 1), (1, 1): (1, 0)}

@@ -108,3 +108,21 @@ def test_mu_shares_no_code_with_the_routes_it_checks():
             todo.append(name)
     assert {"charkit", "exactnum", "partition"} <= reached
     assert reached.isdisjoint({"dimred", "verify", "oracle", "closedform"})
+
+
+def test_character_shares_no_code_with_the_columns():
+    # character() is the independent check of the columns xi reads, so no
+    # function it reaches inside charkit may be a column builder.
+    tree = dict(_module_trees())["charkit"]
+    calls = {
+        node.name: {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    reached, todo = set(), ["character"]
+    while todo:
+        for name in (calls[todo.pop()] & calls.keys()) - reached:
+            reached.add(name)
+            todo.append(name)
+    assert {"_remove_strips", "_bead_parts", "_hook_product"} <= reached
+    assert reached.isdisjoint({"_add_strips", "_char_column", "_identity_column"})
