@@ -89,7 +89,7 @@ def _cmd_mu(args, out) -> int:
         if args.genus < 0:
             raise UsageError("--genus must be nonnegative")
         m = 1 - 2 * args.genus + gamma.n - gamma.length
-        out.write(f"{mu(gamma, m) if m >= 1 else 0}\n")
+        out.write(f"{mu(gamma, m)}\n")
         return 0
     out.write(f"{mu(gamma, args.m)}\n")
     return 0

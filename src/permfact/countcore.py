@@ -5,23 +5,26 @@ product has a given number of cycles (xi), and factorizations of a fixed
 full cycle into a class member times a permutation with m cycles (mu,
 which is the one-face bipartite map count).  xi is computed in integers
 from whole character columns and the content products evaluated at
-z = 1..n, turned into coefficients by one cached integer interpolation
-matrix per n; mu from an alternating Stirling sum scaled by n! so that it
-is integer too.  Each is cached as one row m = 1..n per class tuple (xi)
-or class (mu); every value in a row that parity does not force to 0 is
-divided exactly once, and asserted integral and nonnegative there.  mu's
-edge-choice polynomials are kept in _edge_polys, keyed by the class's
-parts >= 2 (its core), at most _EDGE_POLY_BOUND = 1024 of them: a class
-multiplies only the factors past the longest stored prefix of its core,
-so a sweep over classes by n pays one multiplication per distinct core.
-These are the only production routes to xi and mu; the independent
-routes that check them (the W-number transform of single characters,
-the brute-force oracle, the closed forms) live in verify and the tests.
+z = 0..n, whose forward differences give the shape sum in falling
+factorials; mu's edge-choice coefficients are such coefficients
+already.  One finish, _finish_row, turns either into the row m = 1..n by
+the signed Stirling numbers of the first kind, scaled by n! so that it
+stays in integers.  Each is cached as one row m = 1..n per class tuple
+(xi) or class (mu); every value in a row that parity does not force to 0
+is divided exactly once, and asserted integral and nonnegative there.
+mu's edge-choice polynomials are kept in _edge_polys, keyed by the
+class's parts >= 2 (its core), at most _EDGE_POLY_BOUND = 1024 of them:
+a class multiplies only the factors past the longest stored prefix of
+its core, so a sweep over classes by n pays one multiplication per
+distinct core.  These are the only production routes to xi and mu; the
+independent routes that check them (the W-number transform of single
+characters, the brute-force oracle, the closed forms) live in verify and
+the tests.
 """
 
 from functools import lru_cache
 from math import comb, perm
-from operator import mul
+from operator import sub
 
 from .exactnum import _exact_quotient, _stirling1_table, factorial
 from .exactnum import ConsistencyError  # noqa: F401 (re-exported)
@@ -69,44 +72,19 @@ def xi(classes, m: int) -> int:
     of prod_i chi_lam(C_i) * dim(lam) * H_lam^(t-1) * prod_cells (z + content),
     with H_lam the hook-length product.  The characters come from whole
     class columns (charkit._char_column).  The shape sum is evaluated at
-    z = 1..n, one rising factorial per row, and turned into coefficients by
-    an integer interpolation matrix, all in integers; one pass gives the
-    whole row m = 1..n, in which the m that parity rules out are 0.  When
-    some class is the full cycles only the hook shapes survive, and their
-    characters come from the hook-character polynomials.
+    z = 0..n, one rising factorial per row; its forward differences at 0
+    are its coefficients in the falling factorials z(z-1)...(z-k+1)/k!,
+    which the signed Stirling numbers turn into powers of z, all in
+    integers.  One pass gives the whole row m = 1..n, in which the m that
+    parity rules out are 0.  When some class is the full cycles only the
+    hook shapes survive, and their characters come from the hook-character
+    polynomials.
     """
     classes = _check_classes(classes)
     n = classes[0].n
     if not 1 <= m <= n:
         raise ValueError(f"m = {m} out of range 1..{n}")
     return _xi_cached(tuple(c.parts for c in classes))[m - 1]
-
-
-@lru_cache(maxsize=64)
-def _interpolation_rows(n: int) -> list:
-    """Row m holds n! times the z^m coefficient of each Lagrange basis
-    polynomial of the nodes z = 0..n, for m = 0..n.
-
-    So n! * coefficient m of a polynomial of degree <= n is the dot product
-    of row m with its values at the nodes.  The basis polynomial of node i
-    has forward differences (-1)^(k-i) C(k, i) at 0; divided by k! they
-    are its coordinates in the falling factorials z(z-1)...(z-k+1), whose
-    coefficients are the signed Stirling numbers of the first kind.
-    """
-    n_fact = factorial(n)
-    rows = [[0] * (n + 1) for _ in range(n + 1)]
-    stirling_rows = _stirling1_table(n)
-    for k in range(n + 1):
-        scale = n_fact // factorial(k)
-        stirling = stirling_rows[k]
-        for i in range(k + 1):
-            newton = comb(k, i) * scale
-            if (k - i) % 2:
-                newton = -newton
-            for m in range(k + 1):
-                term = stirling[m] * newton
-                rows[m][i] += -term if (k - m) % 2 else term
-    return rows
 
 
 @lru_cache(maxsize=None)
@@ -130,8 +108,8 @@ def _xi_cached(parts_tuple: tuple) -> tuple:
             if chi:
                 chis[_bead_parts(mask, n)] = chi
     # dim * H^(t-1) = n! * H^(t-2): for t >= 2 the n! joins the denominator,
-    # and pairs need no hook products at all.  The interpolation rows carry
-    # one more factor n!.
+    # and pairs need no hook products at all.  The finish carries one more
+    # factor n!.
     denominator = factorial(n) ** max(t, 2)
     terms = []
     for shape, chi in chis.items():
@@ -141,20 +119,48 @@ def _xi_cached(parts_tuple: tuple) -> tuple:
             elif t > 2:
                 chi *= _hook_product(shape) ** (t - 2)
             terms.append((shape, chi))
-    sums = _content_sums(n, terms)
+    # The forward differences D_k at 0 of the values at z = 0..n make the
+    # shape sum sum_k D_k z(z-1)...(z-k+1)/k!; D_0, the value at 0, is 0.
+    values = _content_sums(n, terms)
+    differences = []
+    for _ in range(n):
+        values = list(map(sub, values[1:], values))
+        differences.append(values[0])
     sizes = 1
     for c in classes:
         sizes *= class_size(c)
     # The product of the classes has sign (-1)^(sum of n - parts), and a
     # permutation with m cycles has sign (-1)^(n - m).
     parity = sum(n - len(p) for p in parts_tuple) + n
-    row = []
-    for m, coeffs in enumerate(_interpolation_rows(n)[1:], start=1):
-        if (parity - m) % 2:
-            row.append(0)
-            continue
-        numerator = sizes * sum(map(mul, coeffs, sums))
-        row.append(_exact_quotient(numerator, denominator, "xi({}, {})", parts_tuple, m))
+    return _finish_row(
+        differences, n, parity, sizes, denominator, "xi({}, {})", parts_tuple
+    )
+
+
+def _finish_row(
+    d: list, n: int, parity: int, size: int, denominator: int, what: str, where
+) -> tuple:
+    """Row m = 1..n of size * n! * [z^m] sum_k d_k z(z-1)...(z-k+1)/k!
+    divided by denominator, for d = [d_1, .., d_top] with top <= n.
+
+    The falling factorial z(z-1)...(z-k+1) has the signed Stirling numbers
+    (-1)^(k-m) c(k, m) as coefficients, and n!/k! keeps each term an
+    integer.  An m whose parity differs from parity's is 0; every other
+    entry is one exact division, named by what formatted with where and m.
+    """
+    top = len(d)
+    # Only m = parity mod 2 is computed, so (-1)^(k-m) = (-1)^(k-parity).
+    scaled = [0] * (top + 1)  # scaled[k] = (-1)^(k-parity) d_k n!/k!
+    falling = perm(n, n - top)
+    for k in range(top, 0, -1):
+        term = d[k - 1] * falling
+        scaled[k] = -term if (k - parity) % 2 else term
+        falling *= k
+    stirling = _stirling1_table(top)
+    row = [0] * n
+    for m in range(2 - parity % 2, top + 1, 2):
+        total = sum(stirling[k][m] * scaled[k] for k in range(m, top + 1))
+        row[m - 1] = _exact_quotient(size * total, denominator, what, where, m)
     return tuple(row)
 
 
@@ -218,32 +224,15 @@ def mu(gamma: Partition, m: int) -> int:
 @lru_cache(maxsize=None)
 def _mu_cached(gamma_parts: tuple) -> tuple:
     n = sum(gamma_parts)
-    poly = _edge_choice_poly(gamma_parts)
-    # a[j] = (-1)^j e_(n-j+1) n!/j!, the alternating Stirling sum's terms
-    # scaled by n! so that they are integers; one exact division per m.
-    # e_k vanishes below the part count, so a[j] vanishes above top and
-    # only j <= top is filled.
-    top = n + 1 - len(gamma_parts)
-    a = [0] * (top + 1)
-    falling = perm(n, n - top)
-    for j in range(top, 0, -1):
-        term = poly[n - j + 1] * falling
-        a[j] = -term if j % 2 else term
-        falling *= j
-    n_fact = falling
-    stirling = _stirling1_table(top)
+    length = len(gamma_parts)
+    # The sum's falling-factorial coefficients are d_j = e_(n-j+1); e_k
+    # vanishes below the part count, so j stops at n + 1 - length, which
+    # is also the parity: otherwise sgn(sigma) sgn(pi) is not the n-cycle's.
+    d = _edge_choice_poly(gamma_parts)[: length - 1 : -1]
     gamma = Partition._from_sorted(gamma_parts)
-    size = class_size(gamma)
-    row = []
-    for m in range(1, n + 1):
-        if (top - m) % 2:
-            row.append(0)  # sgn(sigma) sgn(pi) differs from the n-cycle's sign
-            continue
-        total = sum(stirling[j][m] * a[j] for j in range(m, top + 1))
-        if m % 2:
-            total = -total
-        row.append(_exact_quotient(size * total, n_fact, "mu({}, {})", gamma, m))
-    return tuple(row)
+    return _finish_row(
+        d, n, n + 1 - length, class_size(gamma), factorial(n), "mu({}, {})", gamma
+    )
 
 
 def genus_of(n: int, d: int, m: int):

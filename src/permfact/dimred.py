@@ -53,6 +53,8 @@ class DatabaseBuildError(RuntimeError):
 class DatabaseRangeError(KeyError):
     """Lookup outside the built range (distinct from a stored zero)."""
 
+    __str__ = Exception.__str__  # KeyError's would quote the message
+
 
 @lru_cache(maxsize=None)
 def _kernel_row(m: int, i: int, length: int) -> tuple:
@@ -185,9 +187,14 @@ def load_database(path) -> Database:
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().rstrip("\n")
-        if not header.startswith(DB_HEADER_PREFIX):
+        n_text = header[len(DB_HEADER_PREFIX):]
+        # n_max as save writes it: a positive decimal with no sign, space,
+        # underscore or leading zero.
+        if not header.startswith(DB_HEADER_PREFIX) or not (
+            n_text.isdigit() and n_text[0] != "0"
+        ):
             raise ValueError(f"bad database header: {header!r}")
-        n_max = int(header[len(DB_HEADER_PREFIX):])
+        n_max = int(n_text)
         rows = {}
         last_line = {}  # class parts -> line of its last record
         # Save order keeps each class's records on adjacent lines, so each

@@ -213,6 +213,19 @@ def test_db_lookup_beyond_range(capsys, tmp_path):
     assert code == 2 and "not built" in err
 
 
+def test_db_lookup_range_error_text(capsys, tmp_path):
+    path = tmp_path / "db.tsv"
+    run(capsys, "db", "build", "--n-max", "3", "--out", str(path))
+    code, out, err = run(capsys, "db", "lookup", "--db", str(path),
+                         "--gamma", "4", "--m", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: n = 4 not in built range 1..3 (not built, not zero)\n"
+    code, out, err = run(capsys, "db", "lookup", "--db", str(path),
+                         "--gamma", "3", "--m", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: m = 5 not in range 1..3 (not built, not zero)\n"
+
+
 def test_db_lookup_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "db", "lookup", "--db", str(tmp_path / "no.tsv"),
                        "--gamma", "2", "--m", "1")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from itertools import permutations, product
@@ -208,6 +209,35 @@ def test_xi_pair_identities_at_large_n(data):
     classes = all_partitions(n)
     pair = (data.draw(st.sampled_from(classes)), data.draw(st.sampled_from(classes)))
     check_xi_identities(pair)
+
+
+def _seeded_class(n, rng):
+    """Parts drawn uniformly from 1..7 until n is filled (the last one cut)."""
+    parts = []
+    while sum(parts) < n:
+        parts.append(min(rng.randint(1, 7), n - sum(parts)))
+    return Partition(parts)
+
+
+def test_xi_rows_past_the_references_are_pinned():
+    # The W-number reference stops at n = 12 and the identities sample
+    # n <= 24, so these digests pin whole xi rows beyond them: general
+    # pairs at n = 26..32, a triple without a full cycle at n = 27, and
+    # hook-path pairs at n = 40 and 60.
+    cases = []
+    for seed, n in [(1, 26), (2, 28), (3, 30), (4, 32)]:
+        rng = random.Random(seed)
+        cases.append((_seeded_class(n, rng), _seeded_class(n, rng)))
+    rng = random.Random(5)
+    cases.append(tuple(_seeded_class(27, rng) for _ in range(3)))
+    for n in (40, 60):
+        cases.append((Partition([n]), _seeded_class(n, random.Random(n))))
+    digest = hashlib.sha256()
+    for classes in cases:
+        digest.update(repr(xi_row(classes)).encode())
+    assert digest.hexdigest() == (
+        "0138f3c359f3e034e6b3980b96fb37e814ea6aecc30012d6b2c575af6c02e135"
+    )
 
 
 @settings(deadline=None, max_examples=25)

@@ -191,6 +191,22 @@ def test_bad_header_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "n_text",
+    ["0", "-3", "0_3", "+3", " 3", ""],
+    ids=["zero", "negative", "underscore", "plus", "space", "empty"],
+)
+def test_non_canonical_header_rejected(tmp_path, n_text):
+    # save writes n_max as a positive decimal; anything else int() would
+    # take (or choke on) is a bad header, not an empty or n <= 3 database.
+    path = tmp_path / "bad.tsv"
+    build_database(3).save(path)
+    body = path.read_text(encoding="ascii").split("\n", 1)[1]
+    path.write_text(f"#permfact-db v1 n_max={n_text}\n" + body, encoding="ascii")
+    with pytest.raises(ValueError, match="^bad database header: "):
+        load_database(path)
+
+
+@pytest.mark.parametrize(
     "body,reason",
     [
         ("3\tx\t3\t1\n", "invalid literal"),
