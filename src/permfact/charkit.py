@@ -2,10 +2,11 @@
 
 The one owner of a shape's cell data: its hook-length product and its
 content product prod over the cells of (z + content), summed over
-weighted shapes at the points z = 0..n, all in integers.  On top of
-them: irreducible character values via the Murnaghan-Nakayama
-border-strip rule, representation dimensions from the hook-length
-formula, and the generating polynomial for hook-shape characters.
+weighted shapes at the points z = 0..top for a chosen top <= n, all in
+integers.  On top of them: irreducible character values via the
+Murnaghan-Nakayama border-strip rule, representation dimensions from
+the hook-length formula, and the generating polynomial for hook-shape
+characters.
 
 Both character routes work on bitmask beta-sets (first-column hook
 lengths) on an abacus, where a border strip of length r is a bead moving
@@ -46,22 +47,25 @@ def _rising_columns(n: int) -> list:
     return columns
 
 
-def _content_sums(n: int, terms) -> list:
-    """Sum over (shape, weight) of weight * prod_cells (z + content), at z = 0..n.
+def _content_sums(n: int, terms, top: int) -> list:
+    """Sum over (shape, weight) of weight * prod_cells (z + content), at z = 0..top.
 
-    Row i of a shape has contents -i..lam_i-1-i, so it contributes the
-    rising factorial (z-i)^(lam_i).  Below the last row longer than 1 the
-    rows have length 1 and continue its contents down the first column,
-    so those rows together contribute one rising factorial from z-l+1:
-    a hook costs one factor.  The product vanishes for z < l (the first
-    column's contents reach 1-l), so only z = l..n are evaluated, where
-    every argument z-i is at least 1.
+    The shapes partition n, and top <= n.  Row i of a shape has contents
+    -i..lam_i-1-i, so it contributes the rising factorial (z-i)^(lam_i).
+    Below the last row longer than 1 the rows have length 1 and continue
+    its contents down the first column, so those rows together contribute
+    one rising factorial from z-l+1: a hook costs one factor.  The product
+    vanishes for 0 <= z < l (the first column's contents reach 1-l), so
+    only z = l..top are evaluated, where every argument z-i is at least 1,
+    and a shape with more than top rows is skipped.
     """
     rising = _rising_columns(n)
-    sums = [0] * (n + 1)
+    sums = [0] * (top + 1)
     for shape, weight in terms:
         length = len(shape)
-        stop = n - length + 2
+        if length > top:
+            continue
+        stop = top - length + 2
         last = max(length - shape.count(1) - 1, 0)
         values = rising[sum(shape[last:])][1:stop]
         for i in range(last):

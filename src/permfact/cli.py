@@ -4,9 +4,10 @@ Subcommands: xi (tuple counts by class), mu (one-face counts), maps
 (one-face map table by genus), db (build / query the count database),
 verify (run a named cross-check suite).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.  Counts are
-printed as exact decimal integers.  Tables honor --format
-(table | tsv | jsonl) and are byte-deterministic.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 out of
+memory (a query past what the process can hold).  Counts are printed as
+exact decimal integers.  Tables honor --format (table | tsv | jsonl) and
+are byte-deterministic.
 """
 
 import argparse
@@ -128,7 +129,7 @@ def _cmd_db(args, out) -> int:
         raise UsageError(f"cannot read database {args.db}: {exc}") from None
     try:
         value = db.lookup(gamma.n, args.m, gamma)
-    except (dimred.DatabaseRangeError, ValueError) as exc:
+    except dimred.DatabaseRangeError as exc:
         raise UsageError(str(exc)) from None
     out.write(f"{value}\n")
     return 0
@@ -247,6 +248,9 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         sys.stderr.write(f"internal consistency error: {exc}\n")
         return 1
+    except MemoryError:
+        sys.stderr.write(f"error: out of memory in {args.command}\n")
+        return 3
 
 
 if __name__ == "__main__":

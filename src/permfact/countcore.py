@@ -5,13 +5,15 @@ product has a given number of cycles (xi), and factorizations of a fixed
 full cycle into a class member times a permutation with m cycles (mu,
 which is the one-face bipartite map count).  xi is computed in integers
 from whole character columns and the content products evaluated at
-z = 0..n, whose forward differences give the shape sum in falling
-factorials; mu's edge-choice coefficients are such coefficients
-already.  One finish, _finish_row, turns either into the row m = 1..n by
-the signed Stirling numbers of the first kind, scaled by n! so that it
-stays in integers.  Each is cached as one row m = 1..n per class tuple
-(xi) or class (mu); every value in a row that parity does not force to 0
-is divided exactly once, and asserted integral and nonnegative there.
+z = 0..ceil(n/2); the conjugation symmetry of the shape sum gives its
+values at the negative nodes, and the forward differences of all of
+them give the shape sum in falling factorials.  mu's edge-choice
+coefficients are such coefficients already.  One finish, _finish_row,
+turns either into the row m = 1..n by the signed Stirling numbers of the
+first kind, scaled by n! so that it stays in integers.  Each is cached
+as one row m = 1..n per class tuple (xi) or class (mu); every value in a
+row that parity does not force to 0 is divided exactly once, and
+asserted integral and nonnegative there.
 mu's edge-choice polynomials are kept in _edge_polys, keyed by the
 class's parts >= 2 (its core), at most _EDGE_POLY_BOUND = 1024 of them:
 a class multiplies only the factors past the longest stored prefix of
@@ -24,7 +26,7 @@ the tests.
 
 from functools import lru_cache
 from math import comb, perm
-from operator import sub
+from operator import add, sub
 
 from .exactnum import _exact_quotient, _stirling1_table, factorial
 from .exactnum import ConsistencyError  # noqa: F401 (re-exported)
@@ -71,8 +73,13 @@ def xi(classes, m: int) -> int:
     sum_m xi(C, m) z^m = prod|C_i| / (n!)^t times the sum over shapes lam
     of prod_i chi_lam(C_i) * dim(lam) * H_lam^(t-1) * prod_cells (z + content),
     with H_lam the hook-length product.  The characters come from whole
-    class columns (charkit._char_column).  The shape sum is evaluated at
-    z = 0..n, one rising factorial per row; its forward differences at 0
+    class columns (charkit._char_column).  The shape sum P is evaluated at
+    z = 0..ceil(n/2), one rising factorial per row, on the shapes with at
+    most ceil(n/2) rows (the others vanish there).  Conjugating a shape
+    negates its contents, keeps dim and H and multiplies each character by
+    its class's sign, so P(-z) = +-P(z), with the sign of the class product
+    times (-1)^n.  That gives the values at -ceil(n/2)..-1, and these
+    n + 1 or more points fix P.  Its forward differences at 0
     are its coefficients in the falling factorials z(z-1)...(z-k+1)/k!,
     which the signed Stirling numbers turn into powers of z, all in
     integers.  One pass gives the whole row m = 1..n, in which the m that
@@ -92,6 +99,7 @@ def _xi_cached(parts_tuple: tuple) -> tuple:
     classes = [Partition._from_sorted(p) for p in parts_tuple]
     n = classes[0].n
     t = len(classes)
+    half = (n + 1) // 2
     if (n,) in parts_tuple:
         others = list(parts_tuple)
         others.remove((n,))
@@ -102,8 +110,13 @@ def _xi_cached(parts_tuple: tuple) -> tuple:
         }
     else:
         first, *rest = sorted((_char_column(p) for p in parts_tuple), key=len)
+        # A shape's empty rows are the lowest bits of its mask, so it has at
+        # most half rows exactly when its n - half lowest bits are all set.
+        low = (1 << (n - half)) - 1
         chis = {}
         for mask, chi in first.items():
+            if mask & low != low:
+                continue
             chi *= _character_product(col.get(mask, 0) for col in rest)
             if chi:
                 chis[_bead_parts(mask, n)] = chi
@@ -119,21 +132,29 @@ def _xi_cached(parts_tuple: tuple) -> tuple:
             elif t > 2:
                 chi *= _hook_product(shape) ** (t - 2)
             terms.append((shape, chi))
-    # The forward differences D_k at 0 of the values at z = 0..n make the
-    # shape sum sum_k D_k z(z-1)...(z-k+1)/k!; D_0, the value at 0, is 0.
-    values = _content_sums(n, terms)
-    differences = []
-    for _ in range(n):
-        values = list(map(sub, values[1:], values))
-        differences.append(values[0])
-    sizes = 1
-    for c in classes:
-        sizes *= class_size(c)
     # The product of the classes has sign (-1)^(sum of n - parts), and a
     # permutation with m cycles has sign (-1)^(n - m).
     parity = sum(n - len(p) for p in parts_tuple) + n
+    # The shape sum has P(-z) = (-1)^parity P(z) (see xi), so its values at
+    # z = 0..half give those at -half..-1.  The forward differences at
+    # -half, moved half steps by D^k P(z+1) = D^k P(z) + D^(k+1) P(z), are
+    # the D_k at 0 with P = sum_k D_k z(z-1)...(z-k+1)/k!; D_0 = P(0) = 0.
+    values = _content_sums(n, terms, half)
+    mirrored = values[:0:-1]
+    if parity % 2:
+        mirrored = [-v for v in mirrored]
+    values = mirrored + values
+    column = [values[0]]
+    for _ in range(2 * half):
+        values = list(map(sub, values[1:], values))
+        column.append(values[0])
+    for _ in range(half):
+        column = list(map(add, column, column[1:] + [0]))
+    sizes = 1
+    for c in classes:
+        sizes *= class_size(c)
     return _finish_row(
-        differences, n, parity, sizes, denominator, "xi({}, {})", parts_tuple
+        column[1 : n + 1], n, parity, sizes, denominator, "xi({}, {})", parts_tuple
     )
 
 

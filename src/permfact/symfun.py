@@ -106,7 +106,7 @@ def _content_products(n: int, shapes) -> list:
     Divided by n! = dim * H this is the hook-content product over the
     dimension, the weight of s_lam(x) s_lam(y) in the shape expansions.
     """
-    return [_content_sums(n, [(lam.parts, 1)]) for lam in shapes]
+    return [_content_sums(n, [(lam.parts, 1)], n) for lam in shapes]
 
 
 def _diagonal(weights) -> list:

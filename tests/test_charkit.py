@@ -27,7 +27,7 @@ def test_diagram_cells():
         n = len(contents)
         if n:
             expected = [prod(z + c for c in contents) for z in range(n + 1)]
-            assert _content_sums(n, [(parts, 1)]) == expected, parts
+            assert _content_sums(n, [(parts, 1)], n) == expected, parts
         assert _hook_product(parts) == prod(hooks)
 
 
@@ -116,7 +116,7 @@ def test_content_sums_match_content_polynomials():
             )
             for z in range(n + 1)
         ]
-        assert _content_sums(n, terms) == expected
+        assert _content_sums(n, terms, n) == expected
 
 
 def test_column_orthogonality():

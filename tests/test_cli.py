@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -203,6 +204,24 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
     done = run_module("verify", "--suite", "all")
     assert done.returncode == 0
     assert hashlib.sha256(done.stdout).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_out_of_memory_is_one_stderr_line_and_exit_code_3():
+    # 56 one-cycles make the column walk hold every shape of each k <= 56,
+    # far past 150 MB.  The limit applies to the child process alone.
+    limit = 150 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "permfact", "xi",
+         "--class", "1^56", "--class", "2^28", "--m", "28"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        preexec_fn=cap_address_space, timeout=300,
+    )
+    assert (done.returncode, done.stdout) == (3, b"")
+    assert done.stderr == b"error: out of memory in xi\n"
 
 
 def test_db_lookup_beyond_range(capsys, tmp_path):

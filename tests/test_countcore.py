@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 from math import comb, prod
 
 import pytest
@@ -238,6 +238,84 @@ def test_xi_rows_past_the_references_are_pinned():
     assert digest.hexdigest() == (
         "0138f3c359f3e034e6b3980b96fb37e814ea6aecc30012d6b2c575af6c02e135"
     )
+
+
+def test_xi_row_of_a_seeded_pair_at_n_40_is_pinned():
+    # The first seeded pair of n = 40, where the half-node mirror does most
+    # of its work; the digest was computed when xi evaluated every node.
+    rng = random.Random(1)
+    classes = (_seeded_class(40, rng), _seeded_class(40, rng))
+    digest = hashlib.sha256(repr(xi_row(classes)).encode()).hexdigest()
+    assert digest == "19fdbdb877392261c4e3998ef0cbac3102fd7f9a164fc330e8a8d6694fa80785"
+
+
+def test_xi_evaluates_content_sums_only_at_the_half_nodes(monkeypatch):
+    calls = []
+    content_sums = countcore._content_sums
+
+    def spy(n, terms, top):
+        calls.append((n, top, max(len(shape) for shape, _ in terms)))
+        return content_sums(n, terms, top)
+
+    monkeypatch.setattr(countcore, "_content_sums", spy)
+    cases = [
+        ((5, 3, 1), (2, 2, 2, 1, 1, 1)),
+        ((4, 4, 2, 2), (3, 3, 2, 2, 1, 1), (2, 2, 2, 2, 2, 2)),
+        ((1,) * 11,),
+        ((3, 3, 1, 1, 1),),
+    ]
+    for parts_tuple in cases:
+        countcore._xi_cached.__wrapped__(parts_tuple)
+    for n in (12, 13):
+        countcore._xi_cached.__wrapped__(((n,), (2,) * (n // 2) + (1,) * (n % 2)))
+    assert len(calls) == 6
+    for k, (n, top, rows) in enumerate(calls):
+        assert top == (n + 1) // 2
+        if k < 4:  # the column path keeps only shapes with at most top rows
+            assert rows <= top
+
+
+def xi_row_from_all_nodes(classes):
+    """xi row from the content sums at every node z = 0..n, characters
+    from character(): the route without the conjugation mirror."""
+    n = classes[0].n
+    t = len(classes)
+    terms = []
+    for lam in all_partitions(n):
+        chi = prod(character(lam, c) for c in classes)
+        if chi:
+            dim = dimension(lam)
+            weight = dim if t == 1 else (factorial(n) // dim) ** (t - 2)
+            terms.append((lam.parts, chi * weight))
+    values = countcore._content_sums(n, terms, n)
+    differences = []
+    for _ in range(n):
+        values = [b - a for a, b in zip(values, values[1:])]
+        differences.append(values[0])
+    return list(
+        countcore._finish_row(
+            differences,
+            n,
+            sum(n - c.length for c in classes) + n,
+            prod(class_size(c) for c in classes),
+            factorial(n) ** max(t, 2),
+            "xi({}, {})",
+            classes,
+        )
+    )
+
+
+def test_xi_matches_the_rows_from_all_nodes():
+    # Single classes, every unordered pair (those with a full cycle take
+    # the hook path) up to n = 9 and every unordered triple up to n = 6.
+    for n in range(1, 10):
+        shapes = all_partitions(n)
+        cases = [(c,) for c in shapes]
+        cases += combinations_with_replacement(shapes, 2)
+        if n <= 6:
+            cases += combinations_with_replacement(shapes, 3)
+        for classes in cases:
+            assert xi_row(classes) == xi_row_from_all_nodes(classes), classes
 
 
 @settings(deadline=None, max_examples=25)
