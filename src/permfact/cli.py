@@ -11,7 +11,6 @@ are byte-deterministic.
 """
 
 import argparse
-import json
 import sys
 
 from .partition import Partition, PartitionParseError, parse_partition
@@ -32,6 +31,8 @@ def _positive_int(text: str) -> int:
 
 def _emit_table(rows: list, columns: list, fmt: str, out) -> None:
     if fmt == "jsonl":
+        import json  # only this format needs it; keep it off every command's start
+
         for row in rows:
             out.write(json.dumps(dict(zip(columns, row))) + "\n")
         return

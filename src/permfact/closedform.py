@@ -10,7 +10,6 @@ dependence of weighted counts on the parts.  Every formula but
 one_face_map_count sums in integers, ending in one checked division.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import (
@@ -24,16 +23,16 @@ from .exactnum import (
 )
 from .partition import Partition, all_partitions, aut_lambda, class_size
 from .countcore import mu
-from .report import CheckReport
+from .report import CheckReport, _Frozen
 
 
-@dataclass(frozen=True)
-class HZTableRow:
+class HZTableRow(_Frozen):
     """One-face map count for a fixed edge number and genus."""
 
-    n_edges: int
-    genus: int
-    count: int
+    __slots__ = ("n_edges", "genus", "count")
+
+    def __init__(self, n_edges: int, genus: int, count: int) -> None:
+        self._set_fields(n_edges, genus, count)
 
 
 def mu_genus_zero(gamma: Partition) -> int:

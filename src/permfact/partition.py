@@ -91,7 +91,9 @@ def parse_partition(text: str) -> Partition:
     """Parse partition text: comma-separated parts, with b^e exponent tokens.
 
     "3,1,1", "1^2,3" and "2^3" are all valid; "()" is the empty
-    partition.  Token order is irrelevant; the result is canonical.
+    partition.  Token order is irrelevant; the result is canonical.  The
+    base and the exponent are ASCII decimal digits, with no sign or
+    underscore; whitespace around them is ignored.
     """
     stripped = text.strip()
     if stripped == "()":
@@ -100,11 +102,12 @@ def parse_partition(text: str) -> Partition:
     for token in stripped.split(","):
         tok = token.strip()
         base_text, sep, exp_text = tok.partition("^")
-        try:
-            base = int(base_text)
-            exponent = int(exp_text) if sep else 1
-        except ValueError:
-            raise PartitionParseError(f"malformed partition token {tok!r}") from None
+        numbers = (base_text, exp_text) if sep else (base_text,)
+        # int() alone would also take "+3", "1_0" and non-ASCII digits.
+        if not all(t.strip().isascii() and t.strip().isdigit() for t in numbers):
+            raise PartitionParseError(f"malformed partition token {tok!r}")
+        base = int(base_text)
+        exponent = int(exp_text) if sep else 1
         if base <= 0:
             raise PartitionParseError(f"nonpositive part in token {tok!r}")
         if exponent <= 0:

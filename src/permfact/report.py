@@ -1,15 +1,61 @@
-"""Small result types for identity-verification runs."""
+"""Small result types for identity-verification runs.
 
-from dataclasses import dataclass, field
+They are plain classes with ``__slots__`` rather than dataclasses, because
+importing ``dataclasses`` loads ``inspect``, ``ast`` and ``dis`` into every
+command.  ``_Fields`` gives what the decorator gave: a field-wise repr, and
+equality only between instances of the same class.
+"""
 
 
-@dataclass(frozen=True)
-class CaseResult:
+class _Fields:
+    """Repr, equality and pickling over the fields named by ``__slots__``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class _Frozen(_Fields):
+    """Fields that are set once in ``__init__``; hashable by their values."""
+
+    __slots__ = ()
+
+    def _set_fields(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
+class CaseResult(_Frozen):
     """Outcome of one verified case."""
 
-    label: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("label", "ok", "detail")
+
+    def __init__(self, label: str, ok: bool, detail: str = "") -> None:
+        self._set_fields(label, ok, detail)
 
     def line(self) -> str:
         text = f"{'PASS' if self.ok else 'FAIL'} {self.label}"
@@ -18,12 +64,14 @@ class CaseResult:
         return text
 
 
-@dataclass
-class CheckReport:
+class CheckReport(_Fields):
     """A named batch of case results."""
 
-    name: str
-    cases: list = field(default_factory=list)
+    __slots__ = ("name", "cases")
+
+    def __init__(self, name: str, cases: list | None = None) -> None:
+        self.name = name
+        self.cases = [] if cases is None else cases
 
     def add(self, label: str, ok: bool, detail: str = "") -> None:
         self.cases.append(CaseResult(label, bool(ok), detail))

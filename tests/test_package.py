@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -126,3 +128,21 @@ def test_character_shares_no_code_with_the_columns():
             todo.append(name)
     assert {"_remove_strips", "_bead_parts", "_hook_product"} <= reached
     assert reached.isdisjoint({"_add_strips", "_char_column", "_identity_column"})
+
+
+def test_cli_import_loads_no_dataclasses_or_json():
+    # Every command pays for what `import permfact.cli` loads.  The modules
+    # perfbench's tracer and counters read must still be loaded.  -S keeps
+    # site-packages hooks out of the set.
+    script = (
+        "import sys; before = set(sys.modules); import permfact, permfact.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True, timeout=60,
+    )
+    added = set(done.stdout.split())
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "json"})
+    assert {f"permfact.{name}" for name in (
+        "dimred", "oracle", "verify", "symfun", "closedform")} <= added

@@ -57,7 +57,9 @@ def test_parse_partition(text, parts):
     assert parse_partition(text).parts == parts
 
 
-@pytest.mark.parametrize("text", ["", "a", "1,,2", "0", "3^0", "-1", "2^-1", "1^x"])
+@pytest.mark.parametrize(
+    "text", ["", "a", "1,,2", "0", "3^0", "-1", "2^-1", "1^x", "1_0", "+3", "\u0663"]
+)
 def test_parse_errors_name_the_token(text):
     with pytest.raises(PartitionParseError):
         parse_partition(text)
