@@ -16,8 +16,11 @@ signed values loses one strip per class part r >= 2, largest first, and
 once only 1-cycles remain each shape counts its dimension.  Only the
 finished value is kept, one entry per distinct query.
 _char_column(mu) adds strips to every shape at once, moving beads up,
-giving a class's whole column; countcore reads xi from columns, and
-tests check them against character(), which shares no code with them.
+giving a class's whole column; tests check the columns against
+character(), which shares no code with them.  _shape_characters
+multiplies the columns of a class tuple (hook columns when one class is
+the full cycle) and hands countcore shapes as parts, so the masks never
+leave this module.
 """
 
 from functools import lru_cache
@@ -153,12 +156,13 @@ def _bead_parts(mask: int, beads: int) -> tuple:
     """The shape whose beta-set on an abacus of the given beads is mask."""
     parts = []
     index = beads
-    for position in range(mask.bit_length() - 1, -1, -1):
-        if mask >> position & 1:
-            index -= 1
-            if position == index:
-                break  # this bead and every one below it mark empty rows
-            parts.append(position - index)
+    while mask:
+        position = mask.bit_length() - 1  # the highest bead left
+        index -= 1
+        if position == index:
+            break  # this bead and every one below it mark empty rows
+        parts.append(position - index)
+        mask ^= 1 << position
     return tuple(parts)
 
 
@@ -228,20 +232,16 @@ def _char_column(class_parts: tuple) -> dict:
     return column
 
 
-@lru_cache(maxsize=None)
-def _hook_poly(alpha_parts: tuple) -> tuple:
+def _hook_poly(alpha_parts: tuple) -> list:
     n = sum(alpha_parts)
     # Numerator: product over parts i of (1 - (-y)^i), as int coefficients.
     num = [1]
     for i in alpha_parts:
-        factor = [0] * (i + 1)
-        factor[0] = 1
-        factor[i] = 1 if i % 2 == 1 else -1
-        prod = [0] * (len(num) + i)
+        sign = 1 if i % 2 == 1 else -1
+        prod = num + [0] * i
         for a, ca in enumerate(num):
             if ca:
-                prod[a] += ca
-                prod[a + i] += ca * factor[i]
+                prod[a + i] += ca * sign
         num = prod
     # Exact synthetic division by (1 + y).
     quot = [0] * n
@@ -251,7 +251,7 @@ def _hook_poly(alpha_parts: tuple) -> tuple:
         carry = quot[j]
     if num[n] != carry:
         raise ArithmeticError("hook character polynomial division not exact")
-    return tuple(quot)
+    return quot
 
 
 def hook_character_poly(alpha: Partition) -> list[int]:
@@ -264,4 +264,43 @@ def hook_character_poly(alpha: Partition) -> list[int]:
     """
     if alpha.n < 1:
         raise ValueError("hook_character_poly requires a nonempty partition")
-    return list(_hook_poly(alpha.parts))
+    return _hook_poly(alpha.parts)
+
+
+def _hook_column(class_parts: tuple) -> dict:
+    """The nonzero hook entries of a class's column, keyed as in _char_column.
+
+    On n beads the hook (n-j, 1^j) is bit 2n-1-j plus the low n bits but
+    bit n-j-1; its value is entry j of _hook_poly.
+    """
+    n = sum(class_parts)
+    low = (1 << n) - 1
+    return {
+        1 << 2 * n - 1 - j | low ^ 1 << n - j - 1: chi
+        for j, chi in enumerate(_hook_poly(class_parts))
+        if chi
+    }
+
+
+def _shape_characters(parts_tuple: tuple, top: int) -> dict:
+    """Nonzero products of the classes' characters by shape parts, on the
+    shapes with at most top rows: from _hook_column when some class is the
+    full cycle (only hooks survive), else from _char_column, multiplied
+    over the shortest column's masks.
+    """
+    n = sum(parts_tuple[0])
+    source = _hook_column if (n,) in parts_tuple else _char_column
+    first, *rest = sorted(map(source, parts_tuple), key=len)
+    # A shape's empty rows are the lowest bits of its mask, so it has at
+    # most top rows exactly when its n - top lowest bits are all set.
+    low = (1 << n - top) - 1
+    chis = {}
+    for mask, chi in first.items():
+        if mask & low == low:
+            for column in rest:
+                chi *= column.get(mask, 0)
+                if not chi:
+                    break
+            else:
+                chis[_bead_parts(mask, n)] = chi
+    return chis

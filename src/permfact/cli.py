@@ -13,7 +13,7 @@ are byte-deterministic.
 import argparse
 import sys
 
-from .partition import Partition, PartitionParseError, parse_partition
+from .partition import Partition, PartitionParseError, _decimal, parse_partition
 from .countcore import ConsistencyError, mu, xi
 from . import closedform, dimred, verify
 
@@ -22,8 +22,15 @@ class UsageError(Exception):
     """Bad arguments or argument combinations: maps to exit code 2."""
 
 
+def _int(text: str) -> int:
+    try:
+        return _decimal(text, signed=True)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
     return value
@@ -174,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="conjugacy class as a partition, e.g. 2,1 or 1^2,3 (repeatable)",
     )
     group = p_xi.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m", type=int, help="cycle count of the product")
+    group.add_argument("--m", type=_int, help="cycle count of the product")
     group.add_argument(
         "--all-m", action="store_true", help="one row per m with a nonzero count"
     )
@@ -187,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_mu.add_argument("--gamma", required=True, metavar="PARTITION",
                       help="cycle type of the class factor")
     group = p_mu.add_mutually_exclusive_group(required=True)
-    group.add_argument("--m", type=int, help="cycle count of the cofactor")
-    group.add_argument("--genus", type=int, help="surface genus instead of m")
+    group.add_argument("--m", type=_int, help="cycle count of the cofactor")
+    group.add_argument("--genus", type=_int, help="surface genus instead of m")
     group.add_argument(
         "--all", action="store_true", help="one row per m with a nonzero count"
     )
@@ -199,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one-face map counts by genus",
     )
     p_maps.add_argument("--edges", type=_positive_int, required=True)
-    p_maps.add_argument("--genus", type=int, help="a single genus instead of all")
+    p_maps.add_argument("--genus", type=_int, help="a single genus instead of all")
 
     p_db = sub.add_parser("db", help="count database operations")
     db_sub = p_db.add_subparsers(dest="db_command", required=True)
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lookup = db_sub.add_parser("lookup", help="read one count from a database file")
     p_lookup.add_argument("--db", required=True, help="database file path")
     p_lookup.add_argument("--gamma", required=True, metavar="PARTITION")
-    p_lookup.add_argument("--m", type=int, required=True)
+    p_lookup.add_argument("--m", type=_int, required=True)
 
     p_verify = sub.add_parser("verify", help="run a named cross-check suite")
     p_verify.add_argument(

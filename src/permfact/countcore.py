@@ -31,14 +31,7 @@ from operator import add, sub
 from .exactnum import _exact_quotient, _stirling1_table, factorial
 from .exactnum import ConsistencyError  # noqa: F401 (re-exported)
 from .partition import Partition, class_size
-from .charkit import (
-    _bead_parts,
-    _char_column,
-    _content_sums,
-    _hook_poly,
-    _hook_product,
-    dimension,
-)
+from .charkit import _content_sums, _hook_product, _shape_characters, dimension
 
 
 def _check_classes(classes) -> tuple:
@@ -56,24 +49,14 @@ def _check_classes(classes) -> tuple:
     return classes
 
 
-def _character_product(values) -> int:
-    """Product of character values, stopping at the first zero."""
-    prod = 1
-    for chi in values:
-        if chi == 0:
-            return 0
-        prod *= chi
-    return prod
-
-
 def xi(classes, m: int) -> int:
     """Number of tuples (s_1..s_t), s_i in class C_i, whose product has m cycles.
 
     Read off the generating function (Stanley, EC2 7.21; Jackson 1988)
     sum_m xi(C, m) z^m = prod|C_i| / (n!)^t times the sum over shapes lam
     of prod_i chi_lam(C_i) * dim(lam) * H_lam^(t-1) * prod_cells (z + content),
-    with H_lam the hook-length product.  The characters come from whole
-    class columns (charkit._char_column).  The shape sum P is evaluated at
+    with H_lam the hook-length product.  The character products come from
+    charkit._shape_characters.  The shape sum P is evaluated at
     z = 0..ceil(n/2), one rising factorial per row, on the shapes with at
     most ceil(n/2) rows (the others vanish there).  Conjugating a shape
     negates its contents, keeps dim and H and multiplies each character by
@@ -83,9 +66,7 @@ def xi(classes, m: int) -> int:
     are its coefficients in the falling factorials z(z-1)...(z-k+1)/k!,
     which the signed Stirling numbers turn into powers of z, all in
     integers.  One pass gives the whole row m = 1..n, in which the m that
-    parity rules out are 0.  When some class is the full cycles only the
-    hook shapes survive, and their characters come from the hook-character
-    polynomials.
+    parity rules out are 0.
     """
     classes = _check_classes(classes)
     n = classes[0].n
@@ -100,38 +81,17 @@ def _xi_cached(parts_tuple: tuple) -> tuple:
     n = classes[0].n
     t = len(classes)
     half = (n + 1) // 2
-    if (n,) in parts_tuple:
-        others = list(parts_tuple)
-        others.remove((n,))
-        hooks = [_hook_poly(p) for p in others]
-        chis = {
-            (n - j,) + (1,) * j: (-1) ** j * _character_product(h[j] for h in hooks)
-            for j in range(n)
-        }
-    else:
-        first, *rest = sorted((_char_column(p) for p in parts_tuple), key=len)
-        # A shape's empty rows are the lowest bits of its mask, so it has at
-        # most half rows exactly when its n - half lowest bits are all set.
-        low = (1 << (n - half)) - 1
-        chis = {}
-        for mask, chi in first.items():
-            if mask & low != low:
-                continue
-            chi *= _character_product(col.get(mask, 0) for col in rest)
-            if chi:
-                chis[_bead_parts(mask, n)] = chi
     # dim * H^(t-1) = n! * H^(t-2): for t >= 2 the n! joins the denominator,
     # and pairs need no hook products at all.  The finish carries one more
     # factor n!.
     denominator = factorial(n) ** max(t, 2)
     terms = []
-    for shape, chi in chis.items():
-        if chi:
-            if t == 1:
-                chi *= dimension(Partition._from_sorted(shape))
-            elif t > 2:
-                chi *= _hook_product(shape) ** (t - 2)
-            terms.append((shape, chi))
+    for shape, chi in _shape_characters(parts_tuple, half).items():
+        if t == 1:
+            chi *= dimension(Partition._from_sorted(shape))
+        elif t > 2:
+            chi *= _hook_product(shape) ** (t - 2)
+        terms.append((shape, chi))
     # The product of the classes has sign (-1)^(sum of n - parts), and a
     # permutation with m cycles has sign (-1)^(n - m).
     parity = sum(n - len(p) for p in parts_tuple) + n

@@ -40,6 +40,7 @@ from operator import lshift, mul
 
 from .exactnum import _stirling2_table, factorial
 from .partition import Partition, all_partitions, class_size, parse_partition, remove_part
+from .partition import _decimal
 from .countcore import _mu_cached
 from .closedform import zagier_stanley
 
@@ -185,7 +186,9 @@ def load_database(path) -> Database:
     number of parts equal to 1.  The classes of n <= n_max are walked
     only after the whole body has been read.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    # A byte outside ASCII becomes a lone surrogate, which no number or
+    # partition accepts, so the error names its line.
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
         header = fh.readline().rstrip("\n")
         n_text = header[len(DB_HEADER_PREFIX):]
         # n_max as save writes it: a positive decimal with no sign, space,
@@ -210,11 +213,11 @@ def load_database(path) -> Database:
                 raise ValueError(f"line {lineno}: expected 4 tab-separated fields")
             n_text, m_text, gamma_text, value_text = fields
             try:
-                n, m = int(n_text), int(m_text)
+                n, m = _decimal(n_text), _decimal(m_text)
                 if gamma_text != text:
                     new_parts = parse_partition(gamma_text).parts
                     text, new_key = gamma_text, _save_order(new_parts)
-                value = int(value_text)
+                value = _decimal(value_text)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             same_class = new_parts == parts

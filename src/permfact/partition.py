@@ -87,6 +87,17 @@ class Partition:
         return ",".join(str(p) for p in self._parts)
 
 
+def _decimal(text: str, signed: bool = False) -> int:
+    """int(text) for ASCII decimal digits only, after one leading '-' if signed.
+
+    int() alone would also take "+3", "1_0", " 3" and other digit sets.
+    """
+    digits = text[1:] if signed and text[:1] == "-" else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid literal for a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_partition(text: str) -> Partition:
     """Parse partition text: comma-separated parts, with b^e exponent tokens.
 
@@ -102,12 +113,11 @@ def parse_partition(text: str) -> Partition:
     for token in stripped.split(","):
         tok = token.strip()
         base_text, sep, exp_text = tok.partition("^")
-        numbers = (base_text, exp_text) if sep else (base_text,)
-        # int() alone would also take "+3", "1_0" and non-ASCII digits.
-        if not all(t.strip().isascii() and t.strip().isdigit() for t in numbers):
-            raise PartitionParseError(f"malformed partition token {tok!r}")
-        base = int(base_text)
-        exponent = int(exp_text) if sep else 1
+        try:
+            base = _decimal(base_text.strip())
+            exponent = _decimal(exp_text.strip()) if sep else 1
+        except ValueError:
+            raise PartitionParseError(f"malformed partition token {tok!r}") from None
         if base <= 0:
             raise PartitionParseError(f"nonpositive part in token {tok!r}")
         if exponent <= 0:

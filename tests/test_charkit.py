@@ -7,6 +7,8 @@ from permfact.charkit import (
     _bead_parts,
     _char_column,
     _content_sums,
+    _hook_column,
+    _shape_characters,
     _hook_product,
     character,
     dimension,
@@ -104,6 +106,36 @@ def test_char_column_matches_character():
         assert 0 not in column.values()
         for lam in all_partitions(cls.n):
             assert column.get(lam.parts, 0) == character(lam, cls), (lam, cls)
+
+
+def test_hook_column_is_the_hook_part_of_the_column():
+    for n in range(1, 15):
+        # On n beads the hook (n-j, 1^j) is bit 2n-1-j and the low n bits
+        # but bit n-j-1.
+        hooks = {(1 << 2 * n - 1 - j) | ((1 << n) - 1) ^ (1 << n - j - 1) for j in range(n)}
+        assert {_bead_parts(mask, n) for mask in hooks} == {
+            (n - j,) + (1,) * j for j in range(n)
+        }
+        for cls in all_partitions(n):
+            column = _char_column(cls.parts)
+            expected = {mask: v for mask, v in column.items() if mask in hooks}
+            assert _hook_column(cls.parts) == expected, cls
+
+
+def test_shape_characters_are_the_products_of_characters():
+    # Pairs and triples, with and without a full cycle, at every row cap.
+    for n in range(1, 8):
+        shapes = all_partitions(n)
+        for k, cls in enumerate(shapes):
+            for classes in [(cls,), (cls, shapes[-1 - k]), (shapes[0], cls, cls)]:
+                parts_tuple = tuple(c.parts for c in classes)
+                for top in range(1, n + 1):
+                    expected = {}
+                    for lam in shapes:
+                        chi = prod(character(lam, c) for c in classes)
+                        if chi and lam.length <= top:
+                            expected[lam.parts] = chi
+                    assert _shape_characters(parts_tuple, top) == expected, (classes, top)
 
 
 def test_content_sums_match_content_polynomials():

@@ -85,6 +85,36 @@ def test_mu_bad_partition(capsys):
     assert code == 2 and "token" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maps", "--edges", "1_0", "--genus", "+1"],
+        ["maps", "--edges", "10", "--genus", "+1"],
+        ["xi", "--class", "3", "--class", "3", "--m", "\u0662"],
+        ["mu", "--gamma", "2,1", "--m", " 2"],
+        ["maps", "--edges", "\uff13"],
+        ["verify", "--suite", "hz", "--n-max", "+3"],
+        ["db", "lookup", "--db", "missing.tsv", "--gamma", "2", "--m", "1_0"],
+    ],
+    ids=["underscore-edges", "plus-genus", "arabic-indic-m", "space-m",
+         "fullwidth-edges", "plus-n-max", "underscore-lookup-m"],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    # int() would read each of these as a number and answer the query.
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "expected an integer, got " in err
+
+
+def test_negative_integer_options_keep_their_meaning(capsys):
+    code, out, _ = run(capsys, "mu", "--gamma", "2,1", "--m", "-1")
+    assert (code, out) == (0, "0\n")
+    code, out, err = run(capsys, "mu", "--gamma", "2,1", "--genus", "-1")
+    assert (code, out, err) == (2, "", "error: --genus must be nonnegative\n")
+    code, _, err = run(capsys, "maps", "--edges", "-3")
+    assert code == 2 and "expected a positive integer, got -3" in err
+
+
 def test_maps_table(capsys):
     code, out, _ = run(capsys, "maps", "--edges", "3", "--format", "tsv")
     assert code == 0

@@ -227,6 +227,37 @@ def test_malformed_record_rejected(tmp_path, body, reason):
         load_database(path)
 
 
+@pytest.mark.parametrize("field", [0, 1, 3], ids=["n", "m", "value"])
+@pytest.mark.parametrize(
+    "respell",
+    [" {}".format, "{} ".format, "+{}".format, "0_{}".format,
+     lambda d: chr(0x660 + int(d))],
+    ids=["space", "trailing-space", "plus", "underscore", "arabic-indic"],
+)
+def test_record_numbers_take_ascii_digits_only(tmp_path, field, respell):
+    # The record "2\t2\t2\t1" (class 2 at m = 2) of an n <= 4 file, with
+    # one number spelled in a way int() would still read as the same number.
+    path = tmp_path / "db.tsv"
+    build_database(4).save(path)
+    lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+    assert lines[2] == "2\t2\t2\t1\n"
+    fields = ["2", "2", "2", "1"]
+    fields[field] = respell(fields[field])
+    lines[2] = "\t".join(fields) + "\n"
+    path.write_text("".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError, match="^line 3: invalid literal for a decimal integer"):
+        load_database(path)
+
+
+def test_header_takes_ascii_digits_only(tmp_path):
+    path = tmp_path / "db.tsv"
+    build_database(3).save(path)
+    body = path.read_text(encoding="ascii").split("\n", 1)[1]
+    path.write_text("#permfact-db v1 n_max=\u0663\n" + body, encoding="utf-8")
+    with pytest.raises(ValueError, match="^bad database header: "):
+        load_database(path)
+
+
 @pytest.fixture(scope="module")
 def n16_lines(tmp_path_factory):
     path = tmp_path_factory.mktemp("db") / "n16.tsv"

@@ -127,7 +127,30 @@ def test_character_shares_no_code_with_the_columns():
             reached.add(name)
             todo.append(name)
     assert {"_remove_strips", "_bead_parts", "_hook_product"} <= reached
-    assert reached.isdisjoint({"_add_strips", "_char_column", "_identity_column"})
+    assert reached.isdisjoint({
+        "_add_strips", "_char_column", "_identity_column", "_hook_column",
+        "_shape_characters",
+    })
+
+
+def test_countcore_reads_characters_through_one_charkit_call():
+    # The beta-set masks stay inside charkit: countcore takes its character
+    # products from _shape_characters, has no branch of its own for the
+    # full cycle and does no bit arithmetic.
+    tree = dict(_module_trees())["countcore"]
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "charkit"
+        for alias in node.names
+    }
+    assert imported == {"_content_sums", "_hook_product", "_shape_characters", "dimension"}
+    bit_ops = (ast.BitAnd, ast.BitOr, ast.BitXor, ast.LShift, ast.RShift, ast.Invert)
+    assert not [node for node in ast.walk(tree) if isinstance(node, bit_ops)]
+    assert not [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Compare) and isinstance(node.left, ast.Tuple)
+    ]
 
 
 def test_cli_import_loads_no_dataclasses_or_json():

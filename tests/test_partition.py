@@ -65,6 +65,17 @@ def test_parse_errors_name_the_token(text):
         parse_partition(text)
 
 
+def test_decimal_takes_ascii_digits_and_an_optional_minus():
+    assert partition._decimal("042") == 42
+    assert partition._decimal("-7", signed=True) == -7
+    for text in ["-7", "+7", " 7", "7 ", "1_0", "\u0663", "\uff17", "", "-"]:
+        with pytest.raises(ValueError, match="invalid literal"):
+            partition._decimal(text)
+    for text in ["+7", "--7", "- 7", "-1_0", "-\u0663", "-"]:
+        with pytest.raises(ValueError, match="invalid literal"):
+            partition._decimal(text, signed=True)
+
+
 @given(part_lists)
 def test_parse_format_round_trip(parts):
     p = Partition(parts)
