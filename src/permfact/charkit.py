@@ -19,8 +19,9 @@ _char_column(mu) adds strips to every shape at once, moving beads up,
 giving a class's whole column; tests check the columns against
 character(), which shares no code with them.  _shape_characters
 multiplies the columns of a class tuple (hook columns when one class is
-the full cycle) and hands countcore shapes as parts, so the masks never
-leave this module.
+the full cycle) and streams countcore the shapes as parts, one at a
+time, so the masks never leave this module and the only per-shape state
+is the cached columns.
 """
 
 from functools import lru_cache
@@ -170,8 +171,8 @@ def _add_strips(column: dict, r: int) -> dict:
     """Multiply a column of bitmask beta-sets by p_r: every border strip of r boxes.
 
     Each bead moves up r places to a free slot, with sign (-1)^(beads
-    jumped); shapes whose values cancel are dropped.  The abacus must hold
-    enough beads for the new rows.
+    jumped); shapes whose values cancel are deleted in place, so no copy is
+    made.  The abacus must hold enough beads for the new rows.
     """
     grown: dict = {}
     for mask, value in column.items():
@@ -184,7 +185,9 @@ def _add_strips(column: dict, r: int) -> dict:
                 grown[moved] = grown.get(moved, 0) - value
             else:
                 grown[moved] = grown.get(moved, 0) + value
-    return {mask: value for mask, value in grown.items() if value}
+    for mask in [mask for mask, value in grown.items() if not value]:
+        del grown[mask]
+    return grown
 
 
 # Level k is the column of the identity class 1^k (each shape of k valued
@@ -282,11 +285,11 @@ def _hook_column(class_parts: tuple) -> dict:
     }
 
 
-def _shape_characters(parts_tuple: tuple, top: int) -> dict:
-    """Nonzero products of the classes' characters by shape parts, on the
-    shapes with at most top rows: from _hook_column when some class is the
-    full cycle (only hooks survive), else from _char_column, multiplied
-    over the shortest column's masks.
+def _shape_characters(parts_tuple: tuple, top: int):
+    """Stream (shape parts, nonzero product of the classes' characters) over
+    the shapes with at most top rows: from _hook_column when some class is
+    the full cycle (only hooks survive), else from _char_column, multiplied
+    over the shortest column's masks, one shape at a time.
     """
     n = sum(parts_tuple[0])
     source = _hook_column if (n,) in parts_tuple else _char_column
@@ -294,7 +297,6 @@ def _shape_characters(parts_tuple: tuple, top: int) -> dict:
     # A shape's empty rows are the lowest bits of its mask, so it has at
     # most top rows exactly when its n - top lowest bits are all set.
     low = (1 << n - top) - 1
-    chis = {}
     for mask, chi in first.items():
         if mask & low == low:
             for column in rest:
@@ -302,5 +304,4 @@ def _shape_characters(parts_tuple: tuple, top: int) -> dict:
                 if not chi:
                     break
             else:
-                chis[_bead_parts(mask, n)] = chi
-    return chis
+                yield _bead_parts(mask, n), chi

@@ -126,7 +126,10 @@ def _cmd_db(args, out) -> int:
         except dimred.DatabaseBuildError as exc:
             sys.stderr.write(f"validation failure: {exc}\n")
             return 1
-        written = db.save(args.out)
+        try:
+            written = db.save(args.out)
+        except OSError as exc:
+            raise UsageError(f"cannot write database {args.out}: {exc}") from None
         out.write(f"built {written} records, n_max={db.n_max}, out={args.out}\n")
         return 0
     # lookup
@@ -243,6 +246,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # Counts print as exact decimals however long; Python caps int -> str at
+    # 4300 digits by default (3.10.7 on; the earlier 3.10 releases lack it).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -5,7 +5,8 @@ product has a given number of cycles (xi), and factorizations of a fixed
 full cycle into a class member times a permutation with m cycles (mu,
 which is the one-face bipartite map count).  xi is computed in integers
 from whole character columns and the content products evaluated at
-z = 0..ceil(n/2); the conjugation symmetry of the shape sum gives its
+z = 0..ceil(n/2), the shapes streamed from the columns into those sums
+and none kept; the conjugation symmetry of the shape sum gives its
 values at the negative nodes, and the forward differences of all of
 them give the shape sum in falling factorials.  mu's edge-choice
 coefficients are such coefficients already.  One finish, _finish_row,
@@ -55,18 +56,18 @@ def xi(classes, m: int) -> int:
     Read off the generating function (Stanley, EC2 7.21; Jackson 1988)
     sum_m xi(C, m) z^m = prod|C_i| / (n!)^t times the sum over shapes lam
     of prod_i chi_lam(C_i) * dim(lam) * H_lam^(t-1) * prod_cells (z + content),
-    with H_lam the hook-length product.  The character products come from
-    charkit._shape_characters.  The shape sum P is evaluated at
-    z = 0..ceil(n/2), one rising factorial per row, on the shapes with at
-    most ceil(n/2) rows (the others vanish there).  Conjugating a shape
-    negates its contents, keeps dim and H and multiplies each character by
-    its class's sign, so P(-z) = +-P(z), with the sign of the class product
-    times (-1)^n.  That gives the values at -ceil(n/2)..-1, and these
-    n + 1 or more points fix P.  Its forward differences at 0
-    are its coefficients in the falling factorials z(z-1)...(z-k+1)/k!,
-    which the signed Stirling numbers turn into powers of z, all in
-    integers.  One pass gives the whole row m = 1..n, in which the m that
-    parity rules out are 0.
+    with H_lam the hook-length product.  The character products stream
+    from charkit._shape_characters, one shape at a time, into the shape
+    sum P, evaluated at z = 0..ceil(n/2), one rising factorial per row, on
+    the shapes with at most ceil(n/2) rows (the others vanish there).
+    Conjugating a shape negates its contents, keeps dim and H and
+    multiplies each character by its class's sign, so P(-z) = +-P(z),
+    with the sign of the class product times (-1)^n.  That gives the
+    values at -ceil(n/2)..-1, and these n + 1 or more points fix P.  Its
+    forward differences at 0 are its coefficients in the falling factorials
+    z(z-1)...(z-k+1)/k!, which the signed Stirling numbers turn into
+    powers of z, all in integers.  One pass gives the whole row m = 1..n,
+    in which the m that parity rules out are 0.
     """
     classes = _check_classes(classes)
     n = classes[0].n
@@ -85,13 +86,11 @@ def _xi_cached(parts_tuple: tuple) -> tuple:
     # and pairs need no hook products at all.  The finish carries one more
     # factor n!.
     denominator = factorial(n) ** max(t, 2)
-    terms = []
-    for shape, chi in _shape_characters(parts_tuple, half).items():
-        if t == 1:
-            chi *= dimension(Partition._from_sorted(shape))
-        elif t > 2:
-            chi *= _hook_product(shape) ** (t - 2)
-        terms.append((shape, chi))
+    terms = _shape_characters(parts_tuple, half)
+    if t == 1:
+        terms = ((s, chi * dimension(Partition._from_sorted(s))) for s, chi in terms)
+    elif t > 2:
+        terms = ((s, chi * _hook_product(s) ** (t - 2)) for s, chi in terms)
     # The product of the classes has sign (-1)^(sum of n - parts), and a
     # permutation with m cycles has sign (-1)^(n - m).
     parity = sum(n - len(p) for p in parts_tuple) + n

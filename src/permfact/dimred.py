@@ -174,17 +174,18 @@ class Database:
 def load_database(path) -> Database:
     """Read a database file written by Database.save into rows.
 
-    Every record must lie in the range the header claims, hold a positive
-    count, and follow the previous record in save order; a duplicate or
-    out-of-order key is rejected rather than silently overriding.  Each
-    member of a class gamma has exactly one cofactor, so the counts of
-    every class with n <= n_max must sum to its class size; a missing or
-    altered record fails that check.  Evaluating the generating function
-    sum_m mu(gamma, m) x^m at x = 2 gives a second check that also catches
-    two counts of one class exchanged between values of m:
-    sum_m 2^m mu(gamma, m) = class_size(gamma) (n + 2 - m_1), with m_1 the
-    number of parts equal to 1.  The classes of n <= n_max are walked
-    only after the whole body has been read.
+    Every record must spell its class as save does (the parts, largest
+    first, joined by commas), lie in the range the header claims, hold a
+    positive count, and follow the previous record in save order; a
+    duplicate or out-of-order key is rejected rather than silently
+    overriding.  Each member of a class gamma has exactly one cofactor, so
+    the counts of every class with n <= n_max must sum to its class size;
+    a missing or altered record fails that check.  Evaluating the
+    generating function sum_m mu(gamma, m) x^m at x = 2 gives a second
+    check that also catches two counts of one class exchanged between
+    values of m: sum_m 2^m mu(gamma, m) = class_size(gamma) (n + 2 - m_1),
+    with m_1 the number of parts equal to 1.  The classes of n <= n_max
+    are walked only after the whole body has been read.
     """
     # A byte outside ASCII becomes a lone surrogate, which no number or
     # partition accepts, so the error names its line.
@@ -216,6 +217,11 @@ def load_database(path) -> Database:
                 n, m = _decimal(n_text), _decimal(m_text)
                 if gamma_text != text:
                     new_parts = parse_partition(gamma_text).parts
+                    saved = ",".join(map(str, new_parts))
+                    if gamma_text != saved:
+                        raise ValueError(
+                            f"class {gamma_text!r} must be written {saved!r}"
+                        )
                     text, new_key = gamma_text, _save_order(new_parts)
                 value = _decimal(value_text)
             except ValueError as exc:

@@ -135,7 +135,7 @@ def test_shape_characters_are_the_products_of_characters():
                         chi = prod(character(lam, c) for c in classes)
                         if chi and lam.length <= top:
                             expected[lam.parts] = chi
-                    assert _shape_characters(parts_tuple, top) == expected, (classes, top)
+                    assert dict(_shape_characters(parts_tuple, top)) == expected, (classes, top)
 
 
 def test_content_sums_match_content_polynomials():

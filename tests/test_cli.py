@@ -121,6 +121,19 @@ def test_maps_table(capsys):
     assert out.splitlines() == ["edges\tgenus\tcount", "3\t0\t5", "3\t1\t10"]
 
 
+def test_maps_prints_counts_past_the_int_to_str_digit_limit():
+    # Python refuses int -> str past 4300 digits by default; at 1500 edges
+    # the largest count is longer than that.
+    done = subprocess.run(
+        [sys.executable, "-m", "permfact", "maps", "--edges", "1500", "--format", "tsv"],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=300,
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    counts = [line.split(b"\t")[2] for line in done.stdout.splitlines()[1:]]
+    assert len(counts) == 751 and all(count.isdigit() for count in counts)
+    assert max(map(len, counts)) > 4300
+
+
 def test_maps_single_genus(capsys):
     code, out, _ = run(capsys, "maps", "--edges", "2", "--genus", "1")
     assert code == 0 and out == "1\n"
@@ -249,6 +262,17 @@ def test_out_of_memory_is_one_stderr_line_and_exit_code_3():
     )
     assert (done.returncode, done.stdout) == (3, b"")
     assert done.stderr == b"error: out of memory in xi\n"
+
+
+@pytest.mark.parametrize(
+    "where", ["missing/db.tsv", "."], ids=["no-directory", "a-directory"]
+)
+def test_db_build_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, where):
+    path = tmp_path / where
+    code, out, err = run(capsys, "db", "build", "--n-max", "3", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write database {path}: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_db_lookup_beyond_range(capsys, tmp_path):

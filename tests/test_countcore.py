@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, prod
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permfact.charkit import character, dimension
-from permfact import countcore
+from permfact import charkit, countcore
 from permfact.countcore import _edge_choice_poly, _mu_cached, genus_of, mu, xi
 from permfact.exactnum import binomial, factorial, stirling_first_unsigned
 from permfact.oracle import brute_mu, brute_xi
@@ -273,6 +274,30 @@ def test_xi_evaluates_content_sums_only_at_the_half_nodes(monkeypatch):
         assert top == (n + 1) // 2
         if k < 4:  # the column path keeps only shapes with at most top rows
             assert rows <= top
+
+
+def test_xi_keeps_no_shapes_beside_the_columns(monkeypatch):
+    # The character products are streamed from the columns into the content
+    # sums, so the row costs little memory beyond the columns themselves: a
+    # dict or list of the surviving shapes would take more than half of it.
+    rng = random.Random(1)
+    parts_tuple = tuple(_seeded_class(36, rng).parts for _ in range(2))
+    for parts in parts_tuple:
+        charkit._identity_column(parts.count(1))  # shared levels, not columns
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        columns = {p: charkit._char_column.__wrapped__(p) for p in parts_tuple}
+        base = tracemalloc.get_traced_memory()[0]
+        monkeypatch.setattr(charkit, "_char_column", columns.__getitem__)
+        tracemalloc.reset_peak()
+        row = countcore._xi_cached.__wrapped__(parts_tuple)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Every pair of class members has a product with some number of cycles.
+    assert sum(row) == prod(class_size(Partition(p)) for p in parts_tuple)
+    assert peak - base < 0.25 * (base - start), (peak - base, base - start)
 
 
 def xi_row_from_all_nodes(classes):

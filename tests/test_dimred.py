@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 from itertools import product
@@ -246,6 +247,29 @@ def test_record_numbers_take_ascii_digits_only(tmp_path, field, respell):
     lines[2] = "\t".join(fields) + "\n"
     path.write_text("".join(lines), encoding="utf-8")
     with pytest.raises(ValueError, match="^line 3: invalid literal for a decimal integer"):
+        load_database(path)
+
+
+@pytest.mark.parametrize(
+    "saved,respelled",
+    [("2,1", "1,2"), ("2,1", " 2 , 1"), ("1,1,1", "1^3")],
+    ids=["ascending", "spaces", "exponent"],
+)
+def test_class_takes_the_saved_spelling_only(tmp_path, saved, respelled):
+    # parse_partition reads each respelling as the same class, but save
+    # writes one text per class; here every record of the class is respelled.
+    path = tmp_path / "db.tsv"
+    build_database(4).save(path)
+    lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+    first = None
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split("\t")
+        if len(fields) == 4 and fields[2] == saved:
+            fields[2] = respelled
+            lines[lineno - 1] = "\t".join(fields)
+            first = first or lineno
+    path.write_text("".join(lines), encoding="ascii")
+    with pytest.raises(ValueError, match=f"^line {first}: class '{re.escape(respelled)}'"):
         load_database(path)
 
 
