@@ -41,7 +41,6 @@ from .charkit import (
 from .countcore import ConsistencyError, genus_of, mu, xi
 from .closedform import (
     HZTableRow,
-    hz_series_check,
     hz_table,
     jackson_by_length,
     mu_genus_zero,
@@ -50,10 +49,8 @@ from .closedform import (
     mu_t_p,
     mu_two_parts,
     one_face_map_count,
-    polynomiality_check,
     zagier_stanley,
 )
-from .symfun import verify_m1_identities, verify_schur_identity
 from .oracle import brute_mu, brute_xi
 from .dimred import (
     Database,
@@ -113,3 +110,28 @@ __all__ = [
     "CheckReport",
     "__version__",
 ]
+
+# Names whose module only the checks need: it is imported on first use
+# (PEP 562), so that no command pays for it at start.
+_CHECK_EXPORTS = {
+    "hz_series_check": "verify",
+    "polynomiality_check": "verify",
+    "verify_m1_identities": "symfun",
+    "verify_schur_identity": "symfun",
+}
+
+
+def __getattr__(name):
+    module = _CHECK_EXPORTS.get(name, name)
+    if module not in _CHECK_EXPORTS.values():
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = import_module(f"{__name__}.{module}")
+    if name != module:
+        value = globals()[name] = getattr(value, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_CHECK_EXPORTS, *_CHECK_EXPORTS.values()})

@@ -4,16 +4,15 @@ Each formula here is an independent route to values that the general
 engine (countcore.mu) also computes, so every function doubles as a
 cross-check.  Covered: the genus-zero quotient, the Zagier-Stanley
 two-full-cycles formula, near-hook and two/three-part class types, the
-one-face map numbers by genus with their generating-function identities,
-power-block classes, the by-part-count aggregation, and the polynomial
-dependence of weighted counts on the parts.  Every formula but
-one_face_map_count sums in integers, ending in one checked division.
+one-face map numbers by genus with their Harer-Zagier table, power-block
+classes and the by-part-count aggregation.  The checks that compare
+these routes (the generating-function identities of the map numbers and
+the polynomial dependence of weighted counts on the parts) live in
+verify.  Every formula but one_face_map_count sums in integers, ending
+in one checked division.
 """
 
-from fractions import Fraction
-
 from .exactnum import (
-    _echelon,
     _exact_quotient,
     binomial,
     double_factorial_odd,
@@ -21,9 +20,8 @@ from .exactnum import (
     stirling_first_signed,
     stirling_first_unsigned,
 )
-from .partition import Partition, all_partitions, aut_lambda, class_size
-from .countcore import mu
-from .report import CheckReport, _Frozen
+from .partition import Partition, class_size
+from .report import _Frozen
 
 
 class HZTableRow(_Frozen):
@@ -144,6 +142,9 @@ def one_face_map_count(n_edges: int, g: int) -> int:
         raise ValueError("one_face_map_count requires n_edges >= 0")
     if g < 0 or 2 * g > n_edges:
         raise ValueError(f"genus {g} not realizable with {n_edges} edges")
+    # Only this sum is rational; keep fractions off every command's start.
+    from fractions import Fraction
+
     n = n_edges
     m = n + 1 - 2 * g
     total = Fraction(0)
@@ -245,143 +246,3 @@ def hz_table(n_edges: int) -> list[HZTableRow]:
             new.append(_exact_quotient(total, n + 1, "hz_table at ({}, {})", n, g))
         older, row = row, new
     return [HZTableRow(n_edges, g, count) for g, count in enumerate(row)]
-
-
-def _series_ratio_power(x: int, limit: int) -> list[int]:
-    """Coefficients of ((1+y)/(1-y))^x up to y^limit, for integer x >= 0."""
-    plus = [binomial(x, j) for j in range(limit + 1)]
-    minus = [binomial(x + j - 1, j) for j in range(limit + 1)]
-    out = [0] * (limit + 1)
-    for a, ca in enumerate(plus):
-        if ca == 0:
-            continue
-        for b in range(limit + 1 - a):
-            out[a + b] += ca * minus[b]
-    return out
-
-
-def hz_series_check(n_max: int) -> CheckReport:
-    """Verify both one-face-map generating-function identities up to n_max.
-
-    Identity 1 (per edge number n): sum_g count(n,g) x^(n+1-2g) equals
-    (2n-1)!! sum_i C(x,i) C(n,i-1) 2^(i-1); compared coefficient by
-    coefficient in x, so a failure names (n, g).  Identity 2: the
-    bivariate series 1 + 2 sum_{n,g} count(n,g)/(2n-1)!! x^(n+1-2g)
-    y^(n+1) equals ((1+y)/(1-y))^x up to y^(n_max+1); the y-coefficients
-    are polynomials in x of degree <= n_max+1, so they are compared
-    exactly via evaluation at the integer points x = 0..n_max+2.  Both
-    identities are compared in integers after clearing denominators.
-    The counts come from hz_table, and each per-n case also compares
-    every table row with one_face_map_count.
-    """
-    if n_max < 0:
-        raise ValueError("hz_series_check requires n_max >= 0")
-    report = CheckReport("hz")
-    xs = range(n_max + 3)
-    counts = {n: hz_table(n) for n in range(n_max + 1)}
-
-    for n in range(1, n_max + 1):
-        detail = ""
-        # Both sides times (n+1)!, so that each C(x,i)/i! term is an integer.
-        scale = factorial(n + 1)
-        odd = double_factorial_odd(n)
-        lhs_coeffs = {n + 1 - 2 * row.genus: row.count * scale for row in counts[n]}
-        for m in range(n + 2):
-            # Coefficient of x^m on the right: expand C(x,i) over x-powers.
-            rhs = odd * sum(
-                binomial(n, i - 1)
-                * 2 ** (i - 1)
-                * stirling_first_signed(i, m)
-                * (scale // factorial(i))
-                for i in range(1, n + 2)
-            )
-            if lhs_coeffs.get(m, 0) != rhs:
-                detail = f"coefficient at n={n}, g={(n + 1 - m) // 2}"
-                break
-        else:
-            for row in counts[n]:
-                if row.count != one_face_map_count(n, row.genus):
-                    detail = f"table row at n={n}, g={row.genus} vs explicit sum"
-                    break
-        report.add(f"single-variable identity n={n}", not detail, detail)
-
-    limit = n_max + 1
-    # The y^(n+1) coefficients times (2n-1)!!, so that the left side is an integer.
-    odds = [1] + [double_factorial_odd(n) for n in range(n_max + 1)]
-    for x in xs:
-        series = _series_ratio_power(x, limit)
-        lhs = [1] + [
-            sum(2 * row.count * x ** (n + 1 - 2 * row.genus) for row in counts[n])
-            for n in range(n_max + 1)
-        ]
-        for deg in range(limit + 1):
-            rhs = series[deg] * odds[deg]
-            if lhs[deg] != rhs:
-                report.add(
-                    f"bivariate identity n={deg - 1}",
-                    False,
-                    f"x={x}, y^{deg}: {lhs[deg]} != {rhs} (both times (2n-1)!!)",
-                )
-                return report
-    report.add(f"bivariate identity n<={n_max} at {len(list(xs))} x-points", True)
-    return report
-
-
-def _power_sum_value(exponents: tuple, point: tuple) -> int:
-    value = 1
-    for e in exponents:
-        value *= sum(x ** e for x in point)
-    return value
-
-
-def _solvable(matrix: list[list[int]], rhs: list[int]) -> bool:
-    """Whether A c = v admits a solution (rank(A) == rank([A|v])).
-
-    [A|v] is eliminated over A's columns; the rows past A's rank are then
-    zero in A, so the system is consistent iff they are zero in v too.
-    """
-    rows = [row + [val] for row, val in zip(matrix, rhs)]
-    rank, _ = _echelon(rows, len(matrix[0]) if matrix else 0)
-    return not any(row[-1] for row in rows[rank:])
-
-
-def polynomiality_check(n: int, d: int, g: int) -> CheckReport:
-    """Check that weighted counts are a symmetric polynomial in the parts.
-
-    For m = 1 - 2g + n - d, gathers aut(gamma)/n! * mu(gamma, m) over all
-    gamma of n with d parts and tests whether these values extend to a
-    symmetric polynomial of total degree <= 2g in the parts (fit in the
-    power-sum product basis, exact rank test).  For g = 0 additionally
-    requires the constant value 1/(n+1-d)!.  The values are scaled by n!
-    (so they are the integers aut(gamma) * mu(gamma, m)), which changes
-    neither test.
-    """
-    if not 1 <= d <= n or g < 0:
-        raise ValueError("polynomiality_check requires 1 <= d <= n and g >= 0")
-    m = 1 - 2 * g + n - d
-    if m < 1:
-        raise ValueError(f"no valid cycle number for (n={n}, d={d}, g={g})")
-    report = CheckReport("polynomiality")
-    points = [lam for lam in all_partitions(n) if lam.length == d]
-    values = [aut_lambda(lam) * mu(lam, m) for lam in points]
-    label = f"(n={n}, d={d}, g={g})"
-
-    if g == 0:
-        expected = factorial(n) // factorial(n + 1 - d)
-        bad = [
-            f"{lam}: {val}/{n}!" for lam, val in zip(points, values) if val != expected
-        ]
-        report.add(
-            f"constant 1/{n + 1 - d}! at {label}",
-            not bad,
-            "; ".join(bad[:3]),
-        )
-        return report
-
-    basis: list[tuple] = []
-    for weight in range(2 * g + 1):
-        basis.extend(lam.parts for lam in all_partitions(weight))
-    matrix = [[_power_sum_value(b, lam.parts) for b in basis] for lam in points]
-    ok = _solvable(matrix, values)
-    report.add(f"degree<={2 * g} symmetric fit at {label}", ok)
-    return report

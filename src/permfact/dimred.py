@@ -171,13 +171,23 @@ class Database:
         return written
 
 
+def _saved_decimal(text: str) -> int:
+    """A record's number as save writes it: ASCII digits, no leading zero."""
+    if len(text) > 1 and text[0] == "0":
+        raise ValueError(
+            f"invalid literal for a decimal integer: {text!r} has a leading zero"
+        )
+    return _decimal(text)
+
+
 def load_database(path) -> Database:
     """Read a database file written by Database.save into rows.
 
-    Every record must spell its class as save does (the parts, largest
-    first, joined by commas), lie in the range the header claims, hold a
-    positive count, and follow the previous record in save order; a
-    duplicate or out-of-order key is rejected rather than silently
+    Every line is a record, and every record must spell its numbers and
+    its class as save does (ASCII digits with no leading zero; the parts,
+    largest first, joined by commas), lie in the range the header claims,
+    hold a positive count, and follow the previous record in save order;
+    a duplicate or out-of-order key is rejected rather than silently
     overriding.  Each member of a class gamma has exactly one cofactor, so
     the counts of every class with n <= n_max must sum to its class size;
     a missing or altered record fails that check.  Evaluating the
@@ -206,15 +216,12 @@ def load_database(path) -> Database:
         text = parts = key = row = None
         prev_m = 0
         for lineno, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
+            fields = line.rstrip("\n").split("\t")
             if len(fields) != 4:
                 raise ValueError(f"line {lineno}: expected 4 tab-separated fields")
             n_text, m_text, gamma_text, value_text = fields
             try:
-                n, m = _decimal(n_text), _decimal(m_text)
+                n, m = _saved_decimal(n_text), _saved_decimal(m_text)
                 if gamma_text != text:
                     new_parts = parse_partition(gamma_text).parts
                     saved = ",".join(map(str, new_parts))
@@ -223,7 +230,7 @@ def load_database(path) -> Database:
                             f"class {gamma_text!r} must be written {saved!r}"
                         )
                     text, new_key = gamma_text, _save_order(new_parts)
-                value = _decimal(value_text)
+                value = _saved_decimal(value_text)
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
             same_class = new_parts == parts

@@ -27,7 +27,6 @@ from random import Random
 from .exactnum import ConsistencyError, _echelon, factorial
 from .partition import all_partitions
 from .charkit import _content_sums
-from .closedform import _power_sum_value
 from .countcore import xi
 from .report import CheckReport
 
@@ -44,6 +43,13 @@ def _grid(n: int) -> list:
     rng = Random(n)
     span = range(-2 * n, 2 * n + 1)
     return [tuple(rng.sample(span, n)) for _ in all_partitions(n)]
+
+
+def _power_sum_value(exponents: tuple, point: tuple) -> int:
+    value = 1
+    for e in exponents:
+        value *= sum(x ** e for x in point)
+    return value
 
 
 def _power_sum_values(shapes, points) -> list:

@@ -3,13 +3,23 @@
 Each suite cross-checks one family of results, usually formula versus
 brute force or two independent formulas against each other, and returns
 a CheckReport with one case per unit of work.  Suite sizes are capped by
-the brute-force guards where applicable.
+the brute-force guards where applicable.  The checks that only a suite
+runs live here too: the one-face map generating-function identities
+(hz_series_check) and the polynomiality of weighted counts
+(polynomiality_check).  The CLI imports this module only for its verify
+command.
 """
 
 from itertools import product
 
-from .exactnum import binomial, factorial
-from .partition import Partition, all_partitions, remove_part
+from .exactnum import (
+    _echelon,
+    binomial,
+    double_factorial_odd,
+    factorial,
+    stirling_first_signed,
+)
+from .partition import Partition, all_partitions, aut_lambda, remove_part
 from .countcore import _mu_cached, mu, xi
 from . import closedform, dimred, oracle, symfun
 from .report import CheckReport
@@ -155,10 +165,90 @@ def suite_jackson(n_max: int) -> CheckReport:
     return report
 
 
+def _series_ratio_power(x: int, limit: int) -> list[int]:
+    """Coefficients of ((1+y)/(1-y))^x up to y^limit, for integer x >= 0."""
+    plus = [binomial(x, j) for j in range(limit + 1)]
+    minus = [binomial(x + j - 1, j) for j in range(limit + 1)]
+    out = [0] * (limit + 1)
+    for a, ca in enumerate(plus):
+        if ca == 0:
+            continue
+        for b in range(limit + 1 - a):
+            out[a + b] += ca * minus[b]
+    return out
+
+
+def hz_series_check(n_max: int) -> CheckReport:
+    """Verify both one-face-map generating-function identities up to n_max.
+
+    Identity 1 (per edge number n): sum_g count(n,g) x^(n+1-2g) equals
+    (2n-1)!! sum_i C(x,i) C(n,i-1) 2^(i-1); compared coefficient by
+    coefficient in x, so a failure names (n, g).  Identity 2: the
+    bivariate series 1 + 2 sum_{n,g} count(n,g)/(2n-1)!! x^(n+1-2g)
+    y^(n+1) equals ((1+y)/(1-y))^x up to y^(n_max+1); the y-coefficients
+    are polynomials in x of degree <= n_max+1, so they are compared
+    exactly via evaluation at the integer points x = 0..n_max+2.  Both
+    identities are compared in integers after clearing denominators.
+    The counts come from hz_table, and each per-n case also compares
+    every table row with one_face_map_count.
+    """
+    if n_max < 0:
+        raise ValueError("hz_series_check requires n_max >= 0")
+    report = CheckReport("hz")
+    xs = range(n_max + 3)
+    counts = {n: closedform.hz_table(n) for n in range(n_max + 1)}
+
+    for n in range(1, n_max + 1):
+        detail = ""
+        # Both sides times (n+1)!, so that each C(x,i)/i! term is an integer.
+        scale = factorial(n + 1)
+        odd = double_factorial_odd(n)
+        lhs_coeffs = {n + 1 - 2 * row.genus: row.count * scale for row in counts[n]}
+        for m in range(n + 2):
+            # Coefficient of x^m on the right: expand C(x,i) over x-powers.
+            rhs = odd * sum(
+                binomial(n, i - 1)
+                * 2 ** (i - 1)
+                * stirling_first_signed(i, m)
+                * (scale // factorial(i))
+                for i in range(1, n + 2)
+            )
+            if lhs_coeffs.get(m, 0) != rhs:
+                detail = f"coefficient at n={n}, g={(n + 1 - m) // 2}"
+                break
+        else:
+            for row in counts[n]:
+                if row.count != closedform.one_face_map_count(n, row.genus):
+                    detail = f"table row at n={n}, g={row.genus} vs explicit sum"
+                    break
+        report.add(f"single-variable identity n={n}", not detail, detail)
+
+    limit = n_max + 1
+    # The y^(n+1) coefficients times (2n-1)!!, so that the left side is an integer.
+    odds = [1] + [double_factorial_odd(n) for n in range(n_max + 1)]
+    for x in xs:
+        series = _series_ratio_power(x, limit)
+        lhs = [1] + [
+            sum(2 * row.count * x ** (n + 1 - 2 * row.genus) for row in counts[n])
+            for n in range(n_max + 1)
+        ]
+        for deg in range(limit + 1):
+            rhs = series[deg] * odds[deg]
+            if lhs[deg] != rhs:
+                report.add(
+                    f"bivariate identity n={deg - 1}",
+                    False,
+                    f"x={x}, y^{deg}: {lhs[deg]} != {rhs} (both times (2n-1)!!)",
+                )
+                return report
+    report.add(f"bivariate identity n<={n_max} at {len(list(xs))} x-points", True)
+    return report
+
+
 def suite_hz(n_max: int) -> CheckReport:
     """One-face map counts: generating identities, pairing classes, Catalan."""
     report = CheckReport("hz")
-    report.extend(closedform.hz_series_check(n_max))
+    report.extend(hz_series_check(n_max))
     for n in range(1, min(n_max, 5) + 1):
         gamma = Partition([2] * n)
         bad = []
@@ -203,6 +293,59 @@ def suite_dimred(n_max: int) -> CheckReport:
     return report
 
 
+def _solvable(matrix: list[list[int]], rhs: list[int]) -> bool:
+    """Whether A c = v admits a solution (rank(A) == rank([A|v])).
+
+    [A|v] is eliminated over A's columns; the rows past A's rank are then
+    zero in A, so the system is consistent iff they are zero in v too.
+    """
+    rows = [row + [val] for row, val in zip(matrix, rhs)]
+    rank, _ = _echelon(rows, len(matrix[0]) if matrix else 0)
+    return not any(row[-1] for row in rows[rank:])
+
+
+def polynomiality_check(n: int, d: int, g: int) -> CheckReport:
+    """Check that weighted counts are a symmetric polynomial in the parts.
+
+    For m = 1 - 2g + n - d, gathers aut(gamma)/n! * mu(gamma, m) over all
+    gamma of n with d parts and tests whether these values extend to a
+    symmetric polynomial of total degree <= 2g in the parts (fit in the
+    power-sum product basis, exact rank test).  For g = 0 additionally
+    requires the constant value 1/(n+1-d)!.  The values are scaled by n!
+    (so they are the integers aut(gamma) * mu(gamma, m)), which changes
+    neither test.
+    """
+    if not 1 <= d <= n or g < 0:
+        raise ValueError("polynomiality_check requires 1 <= d <= n and g >= 0")
+    m = 1 - 2 * g + n - d
+    if m < 1:
+        raise ValueError(f"no valid cycle number for (n={n}, d={d}, g={g})")
+    report = CheckReport("polynomiality")
+    points = [lam for lam in all_partitions(n) if lam.length == d]
+    values = [aut_lambda(lam) * mu(lam, m) for lam in points]
+    label = f"(n={n}, d={d}, g={g})"
+
+    if g == 0:
+        expected = factorial(n) // factorial(n + 1 - d)
+        bad = [
+            f"{lam}: {val}/{n}!" for lam, val in zip(points, values) if val != expected
+        ]
+        report.add(
+            f"constant 1/{n + 1 - d}! at {label}",
+            not bad,
+            "; ".join(bad[:3]),
+        )
+        return report
+
+    basis: list[tuple] = []
+    for weight in range(2 * g + 1):
+        basis.extend(lam.parts for lam in all_partitions(weight))
+    matrix = [[symfun._power_sum_value(b, lam.parts) for b in basis] for lam in points]
+    ok = _solvable(matrix, values)
+    report.add(f"degree<={2 * g} symmetric fit at {label}", ok)
+    return report
+
+
 def suite_polynomiality(n_max: int) -> CheckReport:
     """Weighted counts as bounded-degree symmetric polynomials of the parts."""
     report = CheckReport("polynomiality")
@@ -213,7 +356,7 @@ def suite_polynomiality(n_max: int) -> CheckReport:
             for g in range(0, 3):
                 if 1 - 2 * g + n - d < 1:
                     continue
-                report.extend(closedform.polynomiality_check(n, d, g))
+                report.extend(polynomiality_check(n, d, g))
     return report
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from permfact import cli, verify
 from permfact.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -230,7 +231,10 @@ def test_verify_all_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_ALL_SHA256
 
 
-def test_python_dash_m_runs_the_cli_from_a_checkout():
+def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):
+    # Each command runs in a fresh interpreter, so a module that a handler
+    # imports on its own (verify, fractions, json) is really loaded there;
+    # the in-process tests above import every module first.
     env = dict(os.environ, PYTHONPATH=str(SRC))
 
     def run_module(*argv):
@@ -239,8 +243,30 @@ def test_python_dash_m_runs_the_cli_from_a_checkout():
             capture_output=True, env=env, timeout=120,
         )
 
-    done = run_module("mu", "--gamma", "2,1", "--m", "2")
-    assert (done.returncode, done.stdout) == (0, b"3\n")
+    db = str(tmp_path / "db.tsv")
+    hz = "".join(
+        [f"PASS single-variable identity n={n}\n" for n in range(1, 9)]
+        + ["PASS bivariate identity n<=8 at 11 x-points\n"]
+        + [f"PASS map counts vs pairing class n={n}\n" for n in range(1, 6)]
+        + ["PASS genus-0 column is Catalan n<=8\n", "hz: 15/15 checks passed\n"]
+    )
+    for argv, stdout in [
+        (["mu", "--gamma", "2,1", "--m", "2"], "3\n"),
+        (["xi", "--class", "2^5", "--class", "3,1^7", "--all-m"],
+         "m      xi\n3  151200\n5   75600\n"),
+        (["mu", "--gamma", "4,2,1", "--all"], "m   mu\n1  168\n3  420\n5   42\n"),
+        (["maps", "--edges", "6"], "edges  genus  count\n    6      0    132\n"
+         "    6      1   2310\n    6      2   6468\n    6      3   1485\n"),
+        (["maps", "--edges", "10", "--genus", "1"], "1385670\n"),
+        (["db", "build", "--n-max", "6", "--out", db],
+         f"built 52 records, n_max=6, out={db}\n"),
+        (["db", "lookup", "--db", db, "--gamma", "2,2", "--m", "1"], "1\n"),
+        (["verify", "--suite", "hz"], hz),
+        (["mu", "--gamma", "3,2,1", "--all", "--format", "jsonl"],
+         '{"m": 2, "mu": 90}\n{"m": 4, "mu": 30}\n'),
+    ]:
+        done = run_module(*argv)
+        assert (done.returncode, done.stdout, done.stderr) == (0, stdout.encode(), b""), argv
     done = run_module("verify", "--suite", "all")
     assert done.returncode == 0
     assert hashlib.sha256(done.stdout).hexdigest() == VERIFY_ALL_SHA256
@@ -314,6 +340,53 @@ def test_verify_oracle_checks_triples_up_to_the_brute_force_limit(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--n-max", "6")
     assert code == 0
     assert "PASS triples n=6" in out.splitlines()
+
+
+VERIFY_USAGE = """\
+usage: permfact verify [-h] --suite
+                       {oracle,closedform,schur,m1,jackson,hz,dimred,polynomiality,all}
+                       [--n-max N_MAX]
+"""
+
+
+def test_help_and_suite_error_texts_are_pinned(capsys, monkeypatch):
+    # The --suite choices are listed without loading verify; these are the
+    # texts argparse printed when they were read from verify.SUITES.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(capsys, "--help") == (0, """\
+usage: permfact [-h] {xi,mu,maps,db,verify} ...
+
+Exact counts of permutation factorizations by conjugacy class, and of one-face
+(bipartite) maps by genus.
+
+positional arguments:
+  {xi,mu,maps,db,verify}
+    xi                  count tuples from prescribed classes whose product has
+                        m cycles
+    mu                  count factorizations of a fixed full cycle (one-face
+                        bipartite maps)
+    maps                one-face map counts by genus
+    db                  count database operations
+    verify              run a named cross-check suite
+
+options:
+  -h, --help            show this help message and exit
+""", "")
+    assert run(capsys, "verify", "--help") == (0, VERIFY_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --suite {oracle,closedform,schur,m1,jackson,hz,dimred,polynomiality,all}
+  --n-max N_MAX         size cap (per-suite default if omitted)
+""", "")
+    assert run(capsys, "verify", "--suite", "bogus") == (2, "", VERIFY_USAGE + (
+        "permfact verify: error: argument --suite: invalid choice: 'bogus' (choose "
+        "from 'oracle', 'closedform', 'schur', 'm1', 'jackson', 'hz', 'dimred', "
+        "'polynomiality', 'all')\n"
+    ))
+
+
+def test_verify_suite_choices_are_the_suites():
+    assert list(cli.VERIFY_SUITES) == [*verify.SUITES, "all"]
 
 
 def test_verify_unknown_suite(capsys):

@@ -3,8 +3,6 @@ import pytest
 from permfact import closedform
 from permfact.closedform import (
     HZTableRow,
-    _solvable,
-    hz_series_check,
     hz_table,
     jackson_by_length,
     mu_genus_zero,
@@ -13,9 +11,9 @@ from permfact.closedform import (
     mu_t_p,
     mu_two_parts,
     one_face_map_count,
-    polynomiality_check,
     zagier_stanley,
 )
+from permfact.verify import _solvable, hz_series_check, polynomiality_check
 from permfact.countcore import ConsistencyError, mu
 from permfact.exactnum import _exact_quotient, binomial, stirling_first_unsigned
 from permfact.partition import Partition, all_partitions

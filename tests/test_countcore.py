@@ -255,6 +255,7 @@ def test_xi_evaluates_content_sums_only_at_the_half_nodes(monkeypatch):
     content_sums = countcore._content_sums
 
     def spy(n, terms, top):
+        terms = list(terms)  # a stream is read once; the sums need it too
         calls.append((n, top, max(len(shape) for shape, _ in terms)))
         return content_sums(n, terms, top)
 
@@ -265,10 +266,11 @@ def test_xi_evaluates_content_sums_only_at_the_half_nodes(monkeypatch):
         ((1,) * 11,),
         ((3, 3, 1, 1, 1),),
     ]
+    cases += [((n,), (2,) * (n // 2) + (1,) * (n % 2)) for n in (12, 13)]
     for parts_tuple in cases:
-        countcore._xi_cached.__wrapped__(parts_tuple)
-    for n in (12, 13):
-        countcore._xi_cached.__wrapped__(((n,), (2,) * (n // 2) + (1,) * (n % 2)))
+        row = countcore._xi_cached.__wrapped__(parts_tuple)
+        # Every tuple of class members has a product with some cycle count.
+        assert sum(row) == prod(class_size(Partition(p)) for p in parts_tuple)
     assert len(calls) == 6
     for k, (n, top, rows) in enumerate(calls):
         assert top == (n + 1) // 2

@@ -217,8 +217,10 @@ def test_non_canonical_header_rejected(tmp_path, n_text):
         ("3\t1\t3\t0\n", "positive"),
         ("3\t1\t2,1\t5\n3\t1\t2,1\t5\n", "precedes"),
         ("3\t3\t2,1\t1\n3\t1\t3\t1\n", "precedes"),
+        ("3\t1\t3\t2\n\n", "expected 4 tab-separated fields"),
     ],
-    ids=["syntax", "gamma-size", "m-range", "n-range", "value", "duplicate", "order"],
+    ids=["syntax", "gamma-size", "m-range", "n-range", "value", "duplicate", "order",
+         "blank-line"],
 )
 def test_malformed_record_rejected(tmp_path, body, reason):
     path = tmp_path / "bad.tsv"
@@ -232,8 +234,8 @@ def test_malformed_record_rejected(tmp_path, body, reason):
 @pytest.mark.parametrize(
     "respell",
     [" {}".format, "{} ".format, "+{}".format, "0_{}".format,
-     lambda d: chr(0x660 + int(d))],
-    ids=["space", "trailing-space", "plus", "underscore", "arabic-indic"],
+     lambda d: chr(0x660 + int(d)), "0{}".format],
+    ids=["space", "trailing-space", "plus", "underscore", "arabic-indic", "leading-zero"],
 )
 def test_record_numbers_take_ascii_digits_only(tmp_path, field, respell):
     # The record "2\t2\t2\t1" (class 2 at m = 2) of an n <= 4 file, with

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import permfact
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -154,9 +156,11 @@ def test_countcore_reads_characters_through_one_charkit_call():
 
 
 def test_cli_import_loads_no_dataclasses_or_json():
-    # Every command pays for what `import permfact.cli` loads.  The modules
-    # perfbench's tracer and counters read must still be loaded.  -S keeps
-    # site-packages hooks out of the set.
+    # Every command pays for what `import permfact.cli` loads, so the checks
+    # (verify, symfun) and the rational sum's fractions and decimal wait for
+    # the code that runs them.  The modules perfbench's tracer and counters
+    # read by name must still be loaded, and closedform holds the map route.
+    # -S keeps site-packages hooks out of the set.
     script = (
         "import sys; before = set(sys.modules); import permfact, permfact.cli; "
         "print(' '.join(sorted(set(sys.modules) - before)))"
@@ -166,6 +170,29 @@ def test_cli_import_loads_no_dataclasses_or_json():
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True, timeout=60,
     )
     added = set(done.stdout.split())
-    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "json"})
-    assert {f"permfact.{name}" for name in (
-        "dimred", "oracle", "verify", "symfun", "closedform")} <= added
+    assert added.isdisjoint({
+        "dataclasses", "inspect", "ast", "dis", "tokenize", "json",
+        "permfact.verify", "permfact.symfun", "fractions", "decimal",
+    })
+    assert {f"permfact.{name}" for name in ("dimred", "oracle", "closedform")} <= added
+
+
+def test_check_exports_load_their_module_on_first_use():
+    # The four check exports and the two check modules are listed by dir()
+    # before they are loaded, and load on first access.
+    script = (
+        "import permfact; names = dir(permfact); "
+        "print(sorted(set(permfact.__all__) - set(names)), len(names) - len(set(names))); "
+        "from permfact import hz_series_check, verify_schur_identity; "
+        "print(hz_series_check.__module__, verify_schur_identity.__module__); "
+        "names = dir(permfact); print(len(names) - len(set(names)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True, timeout=60,
+    )
+    assert done.stdout == "[] 0\npermfact.verify permfact.symfun\n0\n"
+    assert permfact.verify.hz_series_check is permfact.hz_series_check
+    assert permfact.symfun.verify_m1_identities is permfact.verify_m1_identities
+    with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
+        permfact.bogus

@@ -7,13 +7,13 @@ import pytest
 
 from permfact import symfun
 from permfact.charkit import character, dimension
-from permfact.closedform import _power_sum_value
 from permfact.countcore import ConsistencyError
 from permfact.partition import Partition, all_partitions, z_lambda
 from permfact.symfun import (
     _det,
     _grid,
     _monomial_value,
+    _power_sum_value,
     _schur_value,
     verify_m1_identities,
     verify_schur_identity,
