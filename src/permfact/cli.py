@@ -12,6 +12,7 @@ are byte-deterministic.
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .partition import Partition, PartitionParseError, _decimal, parse_partition
 from .countcore import ConsistencyError, mu, xi
@@ -163,7 +164,13 @@ def _cmd_verify(args, out) -> int:
     return 0 if report.ok else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of `main`, built on the first call and shared after it.
+
+    A process that runs many commands through `main` builds it once.
+    Every caller gets the same object, so none may change it.
+    """
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument(
         "--format",

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import os
 import resource
@@ -231,45 +232,107 @@ def test_verify_all_stdout_is_pinned(capsys):
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_ALL_SHA256
 
 
+HZ_STDOUT = "".join(
+    [f"PASS single-variable identity n={n}\n" for n in range(1, 9)]
+    + ["PASS bivariate identity n<=8 at 11 x-points\n"]
+    + [f"PASS map counts vs pairing class n={n}\n" for n in range(1, 6)]
+    + ["PASS genus-0 column is Catalan n<=8\n", "hz: 15/15 checks passed\n"]
+)
+
+# (argv, exit code, stdout, stderr), run in this order with COLUMNS=80 from a
+# scratch working directory, where `db build` writes db.tsv for `db lookup`.
+CLI_TABLE = [
+    (["mu", "--gamma", "2,1", "--m", "2"], 0, "3\n", ""),
+    (["xi", "--class", "2^5", "--class", "3,1^7", "--all-m"], 0,
+     "m      xi\n3  151200\n5   75600\n", ""),
+    (["xi", "--class", "2,2,1", "--class", "3,1,1", "--class", "5", "--m", "3"], 0,
+     "4200\n", ""),
+    (["xi", "--class", "3", "--class", "2,1,1", "--all-m"], 2,
+     "", "error: all --class partitions must have the same size\n"),
+    (["mu", "--gamma", "4,2,1", "--all"], 0, "m   mu\n1  168\n3  420\n5   42\n", ""),
+    (["maps", "--edges", "6"], 0, "edges  genus  count\n    6      0    132\n"
+     "    6      1   2310\n    6      2   6468\n    6      3   1485\n", ""),
+    (["maps", "--edges", "10", "--genus", "1"], 0, "1385670\n", ""),
+    (["maps", "--edges", "0"], 2, "",
+     "usage: permfact maps [-h] [--format {table,tsv,jsonl}] --edges EDGES\n"
+     "                     [--genus GENUS]\n"
+     "permfact maps: error: argument --edges: expected a positive integer, got 0\n"),
+    (["db", "build", "--n-max", "6", "--out", "db.tsv"], 0,
+     "built 52 records, n_max=6, out=db.tsv\n", ""),
+    (["db", "lookup", "--db", "db.tsv", "--gamma", "2,2", "--m", "1"], 0, "1\n", ""),
+    (["verify", "--suite", "hz"], 0, HZ_STDOUT, ""),
+    (["mu", "--gamma", "3,2,1", "--all", "--format", "jsonl"], 0,
+     '{"m": 2, "mu": 90}\n{"m": 4, "mu": 30}\n', ""),
+    (["--help"], 0, """\
+usage: permfact [-h] {xi,mu,maps,db,verify} ...
+
+Exact counts of permutation factorizations by conjugacy class, and of one-face
+(bipartite) maps by genus.
+
+positional arguments:
+  {xi,mu,maps,db,verify}
+    xi                  count tuples from prescribed classes whose product has
+                        m cycles
+    mu                  count factorizations of a fixed full cycle (one-face
+                        bipartite maps)
+    maps                one-face map counts by genus
+    db                  count database operations
+    verify              run a named cross-check suite
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+]
+
+
 def test_python_dash_m_runs_the_cli_from_a_checkout(tmp_path):
     # Each command runs in a fresh interpreter, so a module that a handler
     # imports on its own (verify, fractions, json) is really loaded there;
     # the in-process tests above import every module first.
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env = dict(os.environ, PYTHONPATH=str(SRC), COLUMNS="80")
 
     def run_module(*argv):
         return subprocess.run(
             [sys.executable, "-m", "permfact", *argv],
-            capture_output=True, env=env, timeout=120,
+            capture_output=True, env=env, cwd=tmp_path, timeout=120,
         )
 
-    db = str(tmp_path / "db.tsv")
-    hz = "".join(
-        [f"PASS single-variable identity n={n}\n" for n in range(1, 9)]
-        + ["PASS bivariate identity n<=8 at 11 x-points\n"]
-        + [f"PASS map counts vs pairing class n={n}\n" for n in range(1, 6)]
-        + ["PASS genus-0 column is Catalan n<=8\n", "hz: 15/15 checks passed\n"]
-    )
-    for argv, stdout in [
-        (["mu", "--gamma", "2,1", "--m", "2"], "3\n"),
-        (["xi", "--class", "2^5", "--class", "3,1^7", "--all-m"],
-         "m      xi\n3  151200\n5   75600\n"),
-        (["mu", "--gamma", "4,2,1", "--all"], "m   mu\n1  168\n3  420\n5   42\n"),
-        (["maps", "--edges", "6"], "edges  genus  count\n    6      0    132\n"
-         "    6      1   2310\n    6      2   6468\n    6      3   1485\n"),
-        (["maps", "--edges", "10", "--genus", "1"], "1385670\n"),
-        (["db", "build", "--n-max", "6", "--out", db],
-         f"built 52 records, n_max=6, out={db}\n"),
-        (["db", "lookup", "--db", db, "--gamma", "2,2", "--m", "1"], "1\n"),
-        (["verify", "--suite", "hz"], hz),
-        (["mu", "--gamma", "3,2,1", "--all", "--format", "jsonl"],
-         '{"m": 2, "mu": 90}\n{"m": 4, "mu": 30}\n'),
-    ]:
+    for argv, code, stdout, stderr in CLI_TABLE:
         done = run_module(*argv)
-        assert (done.returncode, done.stdout, done.stderr) == (0, stdout.encode(), b""), argv
+        assert (done.returncode, done.stdout, done.stderr) == (
+            code, stdout.encode(), stderr.encode()
+        ), argv
     done = run_module("verify", "--suite", "all")
     assert done.returncode == 0
     assert hashlib.sha256(done.stdout).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_one_process_runs_the_table_twice(capsys, monkeypatch, tmp_path):
+    # main shares one parser across calls; no call may see another's options.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    for _ in range(2):
+        for argv, code, stdout, stderr in CLI_TABLE:
+            assert run(capsys, *argv) == (code, stdout, stderr), argv
+
+
+def test_later_commands_build_no_parser(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    run(capsys, "xi", "--class", "3", "--class", "3", "--m", "1")
+    built.clear()
+    assert run(capsys, "mu", "--gamma", "2,1", "--m", "2") == (0, "3\n", "")
+    assert run(capsys, "maps", "--edges", "3", "--genus", "1") == (0, "10\n", "")
+    assert run(capsys, "verify", "--suite", "bogus")[0] == 2
+    assert built == []
+    argparse.ArgumentParser()  # the spy sees a parser being built
+    assert len(built) == 1
 
 
 def test_out_of_memory_is_one_stderr_line_and_exit_code_3():
