@@ -11,10 +11,11 @@ values at the negative nodes, and the forward differences of all of
 them give the shape sum in falling factorials.  mu's edge-choice
 coefficients are such coefficients already.  One finish, _finish_row,
 turns either into the row m = 1..n by the signed Stirling numbers of the
-first kind, scaled by n! so that it stays in integers.  Each is cached
-as one row m = 1..n per class tuple (xi) or class (mu); every value in a
-row that parity does not force to 0 is divided exactly once, and
-asserted integral and nonnegative there.
+first kind, scaled by n! so that it stays in integers, and divides each
+entry once by the classes' centralizer orders (times n! for xi of one
+class).  Each is cached as one row m = 1..n per class tuple (xi) or
+class (mu); every value in a row that parity does not force to 0 is
+divided exactly once, and asserted integral and nonnegative there.
 mu's edge-choice polynomials are kept in _edge_polys, keyed by the
 class's parts >= 2 (its core), at most _EDGE_POLY_BOUND = 1024 of them:
 a class multiplies only the factors past the longest stored prefix of
@@ -26,12 +27,12 @@ the tests.
 """
 
 from functools import lru_cache
-from math import comb, perm
-from operator import add, sub
+from math import comb, perm, prod
+from operator import add, mul, sub
 
-from .exactnum import _exact_quotient, _stirling1_table, factorial
+from .exactnum import _exact_quotient, _stirling1_columns, factorial
 from .exactnum import ConsistencyError  # noqa: F401 (re-exported)
-from .partition import Partition, class_size
+from .partition import Partition, _z
 from .charkit import _content_sums, _hook_product, _shape_characters, dimension
 
 
@@ -78,14 +79,16 @@ def xi(classes, m: int) -> int:
 
 @lru_cache(maxsize=None)
 def _xi_cached(parts_tuple: tuple) -> tuple:
-    classes = [Partition._from_sorted(p) for p in parts_tuple]
-    n = classes[0].n
-    t = len(classes)
+    n = sum(parts_tuple[0])
+    t = len(parts_tuple)
     half = (n + 1) // 2
-    # dim * H^(t-1) = n! * H^(t-2): for t >= 2 the n! joins the denominator,
-    # and pairs need no hook products at all.  The finish carries one more
-    # factor n!.
-    denominator = factorial(n) ** max(t, 2)
+    # dim * H^(t-1) = n! * H^(t-2): for t >= 2 the n! joins the (n!)^t of
+    # the generating function, and pairs need no hook products at all.  The
+    # finish carries one more factor n!.  Against prod |C_i| = prod n!/z_i
+    # that leaves the divisor prod z_i, times n! for one class.
+    divisor = prod(map(_z, parts_tuple))
+    if t == 1:
+        divisor *= factorial(n)
     terms = _shape_characters(parts_tuple, half)
     if t == 1:
         terms = ((s, chi * dimension(Partition._from_sorted(s))) for s, chi in terms)
@@ -109,24 +112,23 @@ def _xi_cached(parts_tuple: tuple) -> tuple:
         column.append(values[0])
     for _ in range(half):
         column = list(map(add, column, column[1:] + [0]))
-    sizes = 1
-    for c in classes:
-        sizes *= class_size(c)
-    return _finish_row(
-        column[1 : n + 1], n, parity, sizes, denominator, "xi({}, {})", parts_tuple
-    )
+    return _finish_row(column[1 : n + 1], n, parity, divisor, "xi({}, {})", parts_tuple)
 
 
-def _finish_row(
-    d: list, n: int, parity: int, size: int, denominator: int, what: str, where
-) -> tuple:
-    """Row m = 1..n of size * n! * [z^m] sum_k d_k z(z-1)...(z-k+1)/k!
-    divided by denominator, for d = [d_1, .., d_top] with top <= n.
+def _finish_row(d: list, n: int, parity: int, divisor: int, what: str, where) -> tuple:
+    """Row m = 1..n of n! * [z^m] sum_k d_k z(z-1)...(z-k+1)/k! divided by
+    divisor, for d = [d_1, .., d_top] with top <= n.
 
     The falling factorial z(z-1)...(z-k+1) has the signed Stirling numbers
     (-1)^(k-m) c(k, m) as coefficients, and n!/k! keeps each term an
-    integer.  An m whose parity differs from parity's is 0; every other
-    entry is one exact division, named by what formatted with where and m.
+    integer; entry m sums them down Stirling column m.  An m whose parity
+    differs from parity's is 0; every other entry is one exact division,
+    named by what formatted with where and m.  A count is the class sizes
+    over a denominator times that sum, and the caller passes the fraction
+    reduced by the class sizes, n!/|C| = z the centralizer order (z for
+    mu, prod z_i for xi): the quotient is the same number, and a remainder
+    or a negative quotient arises exactly where the unreduced division
+    would give one.
     """
     top = len(d)
     # Only m = parity mod 2 is computed, so (-1)^(k-m) = (-1)^(k-parity).
@@ -136,11 +138,11 @@ def _finish_row(
         term = d[k - 1] * falling
         scaled[k] = -term if (k - parity) % 2 else term
         falling *= k
-    stirling = _stirling1_table(top)
+    columns = _stirling1_columns(top)
     row = [0] * n
     for m in range(2 - parity % 2, top + 1, 2):
-        total = sum(stirling[k][m] * scaled[k] for k in range(m, top + 1))
-        row[m - 1] = _exact_quotient(size * total, denominator, what, where, m)
+        total = sum(map(mul, columns[m], scaled[m:]))
+        row[m - 1] = _exact_quotient(total, divisor, what, where, m)
     return tuple(row)
 
 
@@ -209,9 +211,9 @@ def _mu_cached(gamma_parts: tuple) -> tuple:
     # vanishes below the part count, so j stops at n + 1 - length, which
     # is also the parity: otherwise sgn(sigma) sgn(pi) is not the n-cycle's.
     d = _edge_choice_poly(gamma_parts)[: length - 1 : -1]
-    gamma = Partition._from_sorted(gamma_parts)
     return _finish_row(
-        d, n, n + 1 - length, class_size(gamma), factorial(n), "mu({}, {})", gamma
+        d, n, n + 1 - length, _z(gamma_parts), "mu({}, {})",
+        Partition._from_sorted(gamma_parts),
     )
 
 

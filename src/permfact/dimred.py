@@ -10,11 +10,15 @@ The sweep runs in integers: multiplied through by n!, the recursion
 relates plain counts through the integer kernel
 K(m, i, l) = sum_{j=1..i} C(i,j) (m+j-i)! S(l, m+j-i), with S the
 Stirling numbers of the second kind (l! times the kernel of the scaled
-recursion), and each count comes out of one exact division.  The kernel
-is cached as one row l = 1..length per (m, i, length), the length being
-n-i for the sum over the reduced class and n for the sum over the class
-itself, so both sums of the recursion are dot products of a kernel row
-with a row of counts.
+recursion), and each count comes out of one exact division.  The sum
+over the reduced class is a dot product of a kernel row with the
+reduced class's counts; the kernel is cached as one matrix per
+(i, length), length = n-i, holding the rows m = 0..n-1, so one class
+fetches it once.  The sum over the class itself has i = 1, where
+K(m, 1, l) = m! S(l, m): it is a dot product of the raw Stirling column
+m with the class's own counts, and times m! and the class's i mult it is
+a whole multiple of the division's divisor, so it is subtracted from the
+quotient instead (see _reduced_row).
 
 Only the genus-admissible support is solved.  By the Euler relation
 (countcore.genus_of) a count of gamma is nonzero only at
@@ -35,11 +39,12 @@ Database.save).
 """
 
 from functools import lru_cache
+from itertools import repeat
 from math import comb
-from operator import lshift, mul
+from operator import add, lshift, mul
 
-from .exactnum import _stirling2_table, factorial
-from .partition import Partition, all_partitions, class_size, parse_partition, remove_part
+from .exactnum import _stirling2_columns, factorial
+from .partition import Partition, all_partitions, class_size, parse_partition
 from .partition import _decimal
 from .countcore import _mu_cached
 from .closedform import zagier_stanley
@@ -57,21 +62,29 @@ class DatabaseRangeError(KeyError):
     __str__ = Exception.__str__  # KeyError's would quote the message
 
 
-@lru_cache(maxsize=None)
-def _kernel_row(m: int, i: int, length: int) -> tuple:
-    """(K(m, i, 1), ..., K(m, i, length)), K the kernel of the module docstring.
+# Each (i, length) belongs to the one n = i + length, and a build takes
+# its classes by n, so it never comes back to a matrix of a smaller n: the
+# bound holds every matrix of one n (at most n/2 of them) up to n = 128.
+@lru_cache(maxsize=64)
+def _kernel_rows(i: int, length: int) -> tuple:
+    """Rows m = 0..length+i-1 of (K(m, i, 1), ..., K(m, i, length)), K the
+    kernel of the module docstring.
 
     With k = m+j-i, K(m, i, l) = sum_k C(i, k-m+i) k! S(l, k) over
-    k = max(0, m+1-i)..m: a dot product of one coefficient list with
-    each Stirling row.
+    k = max(1, m+1-i)..m (S(l, 0) = 0 for l >= 1), so row m is the sum of
+    the Stirling columns k, scaled by those coefficients, each added from
+    l = k on (S(l, k) = 0 for l < k).
     """
-    low = max(0, m + 1 - i)
-    # k - m + i runs over max(1, i - m)..i, so math.comb needs no guard.
-    coeffs = [comb(i, k - m + i) * factorial(k) for k in range(low, m + 1)]
-    stirling = _stirling2_table(length)
-    return tuple(
-        sum(map(mul, coeffs, stirling[l][low:])) for l in range(1, length + 1)
-    )
+    columns = _stirling2_columns(length)
+    rows = []
+    for m in range(length + i):
+        row = [0] * length
+        # k - m + i stays within 1..i, so math.comb needs no guard.
+        for k in range(max(1, m + 1 - i), min(m, length) + 1):
+            coeff = comb(i, k - m + i) * factorial(k)
+            row[k - 1 :] = map(add, row[k - 1 :], map(mul, repeat(coeff), columns[k]))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
@@ -86,6 +99,14 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
     above top are the Euler relation's exact zeros (see the module
     docstring).  The reduced row must be 0 past its own top, top+1-i:
     a nonzero entry there raises DatabaseBuildError.
+
+    With K(m,1,l) = m! S(l,m) the same-class sum is m! T, T the sum of
+    S(l,m) mu(gamma, l), so the division is split: q, rest =
+    divmod(n!/(n-i)! smaller, m! i mult) and the count is q - T.  The
+    subtracted i mult m! T is a multiple of the divisor, so the whole
+    recursion value leaves the same rest and the quotient q - T; a rest
+    or a negative count raises DatabaseBuildError exactly where dividing
+    the whole value would, and the message gives that value.
     """
     n = gamma.n
     top = n + 1 - gamma.length
@@ -98,20 +119,22 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
     reduced_row = reduced_row[:reduced_top]
     weight = i * gamma.parts.count(i)
     falling = factorial(n) // factorial(n - i)
+    kernel = _kernel_rows(i, n - i)
+    stirling = _stirling2_columns(n)
     row = [0] * top
     for m in range(top, 0, -1):
-        smaller = sum(map(mul, _kernel_row(m, i, n - i), reduced_row))
-        # row[l-1] is still 0 for every l <= m, so the full dot product is
+        smaller = sum(map(mul, kernel[m], reduced_row))
+        # Column m starts at S(m, m), and row[m-1] is still 0, so this is
         # the sum over l > m.
-        same = sum(map(mul, _kernel_row(m, 1, n), row))
-        scaled = falling * smaller - weight * same
+        same = sum(map(mul, stirling[m], row[m - 1 :]))
         divisor = factorial(m) * weight
         # Not _exact_quotient: a build failure is a DatabaseBuildError,
         # which the CLI reports as a validation failure.
-        count, rest = divmod(scaled, divisor)
+        quotient, rest = divmod(falling * smaller, divisor)
+        count = quotient - same
         if rest or count < 0:
             raise DatabaseBuildError(
-                f"recursion gave {scaled}/{divisor} "
+                f"recursion gave {falling * smaller - divisor * same}/{divisor} "
                 f"at (n={n}, m={m}, gamma={gamma}, i={i})"
             )
         row[m - 1] = count
@@ -278,11 +301,11 @@ def build_database(n_max: int) -> Database:
     """Compute the row of counts of every class with n <= n_max by the reduction sweep.
 
     One-part classes come from the Zagier-Stanley formula; classes with
-    more parts from the integer recursion with the smallest part removed,
-    one row at a time (see _reduced_row).  Every row is compared as a
-    whole with the explicit formula's row before it is kept, so every
-    count is validated; a mismatch (reported at its largest m), or a
-    recursion quotient that is not a nonnegative integer, aborts the
+    more parts from the integer recursion with the smallest part, the
+    last, removed, one row at a time (see _reduced_row).  Every row is
+    compared as a whole with the explicit formula's row before it is kept,
+    so every count is validated; a mismatch (reported at its largest m),
+    or a recursion quotient that is not a nonnegative integer, aborts the
     build.
     """
     if n_max < 1:
@@ -293,8 +316,7 @@ def build_database(n_max: int) -> Database:
             if gamma.length == 1:
                 row = [zagier_stanley(n, m) for m in range(1, n + 1)]
             else:
-                i = gamma.parts[-1]
-                row = _reduced_row(gamma, i, rows[remove_part(gamma, i).parts])
+                row = _reduced_row(gamma, gamma.parts[-1], rows[gamma.parts[:-1]])
             expected = _mu_cached(gamma.parts)
             if tuple(row) != expected:
                 m = max(m for m in range(1, n + 1) if row[m - 1] != expected[m - 1])

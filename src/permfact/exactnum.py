@@ -1,10 +1,11 @@
 """Exact integer arithmetic: number families, checked division, elimination.
 
 The Stirling families are memoized in triangular tables grown on demand,
-since the counting formulas evaluate them repeatedly.  Out-of-range
-indices return 0 rather than raising, matching the usual convention for
-generalized binomial/Stirling coefficients.  Counts end in one division
-checked by _exact_quotient, and exact linear algebra runs on _echelon.
+each read by rows or by columns, since the counting formulas evaluate
+them repeatedly.  Out-of-range indices return 0 rather than raising,
+matching the usual convention for generalized binomial/Stirling
+coefficients.  Counts end in one division checked by _exact_quotient,
+and exact linear algebra runs on _echelon.
 """
 
 import math
@@ -92,16 +93,26 @@ def binomial(a: int, k: int) -> int:
 # Triangular memo tables; row n holds the coefficients for 0 <= k <= n.
 _STIRLING1_ROWS: list[list[int]] = [[1]]
 _STIRLING2_ROWS: list[list[int]] = [[1]]
+# Their column views, holding the same ints: column k holds T(k, k), T(k+1, k),
+# ..., down to the table's last row, so a sum over rows n >= k of T(n, k)
+# times a list indexed by n is one map over column k and that list from k on.
+_STIRLING1_COLS: list[list[int]] = [[1]]
+_STIRLING2_COLS: list[list[int]] = [[1]]
 
 
-def _grow_triangle(rows: list, n: int, weights) -> None:
-    """Grow a triangular table to hold rows 0..n: row m follows from row m-1 by
-    T(m,k) = T(m-1,k-1) + w_k T(m-1,k) for k = 1..m, weights(m) giving w_1..w_m.
+def _grow_triangle(rows: list, columns: list, n: int, weights) -> None:
+    """Grow a triangular table and its column view to hold rows 0..n: row m
+    follows from row m-1 by T(m,k) = T(m-1,k-1) + w_k T(m-1,k) for k = 1..m,
+    weights(m) giving w_1..w_m.
     """
     while len(rows) <= n:
         m = len(rows)
         prev = rows[-1]
-        rows.append([0, *map(add, prev, map(mul, weights(m), prev[1:] + [0]))])
+        row = [0, *map(add, prev, map(mul, weights(m), prev[1:] + [0]))]
+        rows.append(row)
+        for column, value in zip(columns, row):
+            column.append(value)
+        columns.append([row[m]])
 
 
 def _stirling1_table(n: int) -> list[list[int]]:
@@ -109,16 +120,28 @@ def _stirling1_table(n: int) -> list[list[int]]:
     so that a caller reading many rows pays for one call."""
     if len(_STIRLING1_ROWS) <= n:
         # c(m,k) = c(m-1,k-1) + (m-1) c(m-1,k)
-        _grow_triangle(_STIRLING1_ROWS, n, lambda m: repeat(m - 1))
+        _grow_triangle(_STIRLING1_ROWS, _STIRLING1_COLS, n, lambda m: repeat(m - 1))
     return _STIRLING1_ROWS
+
+
+def _stirling1_columns(n: int) -> list[list[int]]:
+    """_STIRLING1_COLS itself, the table grown to hold rows 0..n at least."""
+    _stirling1_table(n)
+    return _STIRLING1_COLS
 
 
 def _stirling2_table(n: int) -> list[list[int]]:
     """The table _STIRLING2_ROWS itself, grown to hold rows 0..n at least."""
     if len(_STIRLING2_ROWS) <= n:
         # S(m,k) = S(m-1,k-1) + k S(m-1,k)
-        _grow_triangle(_STIRLING2_ROWS, n, lambda m: range(1, m + 1))
+        _grow_triangle(_STIRLING2_ROWS, _STIRLING2_COLS, n, lambda m: range(1, m + 1))
     return _STIRLING2_ROWS
+
+
+def _stirling2_columns(n: int) -> list[list[int]]:
+    """_STIRLING2_COLS itself, the table grown to hold rows 0..n at least."""
+    _stirling2_table(n)
+    return _STIRLING2_COLS
 
 
 def stirling_first_unsigned(n: int, k: int) -> int:

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from permfact.charkit import character, dimension
 from permfact import charkit, countcore
 from permfact.countcore import _edge_choice_poly, _mu_cached, genus_of, mu, xi
-from permfact.exactnum import binomial, factorial, stirling_first_unsigned
+from permfact.exactnum import ConsistencyError, binomial, factorial, stirling_first_unsigned
 from permfact.oracle import brute_mu, brute_xi
 from permfact.partition import Partition, all_partitions, class_size
 
@@ -324,8 +324,7 @@ def xi_row_from_all_nodes(classes):
             differences,
             n,
             sum(n - c.length for c in classes) + n,
-            prod(class_size(c) for c in classes),
-            factorial(n) ** max(t, 2),
+            factorial(n) ** max(t, 2) // prod(class_size(c) for c in classes),
             "xi({}, {})",
             classes,
         )
@@ -354,6 +353,17 @@ def test_xi_pair_totals(data):
     g = data.draw(st.sampled_from(classes))
     total = sum(xi((a, g), m) for m in range(1, n + 1))
     assert total == class_size(a) * class_size(g)
+
+
+def test_finish_row_rejects_a_total_its_divisor_does_not_divide():
+    # mu's finish for the class 2,1, whose centralizer order is 2, with d_2
+    # raised by 1: the m = 2 entry is no longer a whole count.
+    gamma = Partition([2, 1])
+    d = _edge_choice_poly(gamma.parts)[:1:-1]
+    assert countcore._finish_row(d, 3, 2, 2, "mu({}, {})", gamma) == _mu_cached((2, 1))
+    d[1] += 1
+    with pytest.raises(ConsistencyError, match=r"^mu\(2,1, 2\) came out "):
+        countcore._finish_row(d, 3, 2, 2, "mu({}, {})", gamma)
 
 
 def test_mu_examples():

@@ -39,11 +39,13 @@ def test_scaled_kernel_is_integral():
 
 
 def test_kernel_row_matches_kernel():
-    for m, i, length in product(range(1, 13), repeat=3):
-        row = dimred._kernel_row(m, i, length)
-        assert len(row) == length, (m, i, length)
-        for l in range(1, length + 1):
-            assert row[l - 1] == _kernel(m, i, l), (m, i, length, l)
+    for i, length in product(range(1, 13), repeat=2):
+        rows = dimred._kernel_rows(i, length)
+        assert len(rows) == length + i, (i, length)
+        for m, row in enumerate(rows):
+            assert len(row) == length, (m, i, length)
+            for l in range(1, length + 1):
+                assert row[l - 1] == _kernel(m, i, l), (m, i, length, l)
 
 
 def test_build_database_smallest_cases():
@@ -101,6 +103,36 @@ def test_reduced_row_nonzero_past_its_top_is_rejected():
     reduced[2] = 1
     with pytest.raises(DatabaseBuildError, match=r"nonzero past its top m=2"):
         dimred._reduced_row(Partition([2, 1, 1]), 1, reduced)
+
+
+@pytest.mark.parametrize(
+    "parts,m,delta,message",
+    [
+        ((4, 2), 3, 1, "recursion gave 360/48 at (n=6, m=4, gamma=4,2, i=2)"),
+        ((2, 1), 1, -100, "recursion gave -300/1 at (n=3, m=1, gamma=2,1, i=1)"),
+    ],
+    ids=["non-integral", "negative"],
+)
+def test_reduced_row_rejects_a_recursion_value_that_is_no_count(parts, m, delta, message):
+    # The reduced row of parts minus its last part, with its m entry moved by
+    # delta: the recursion value at the named m is not a whole count (most
+    # +1 edits still divide exactly) or a negative one.
+    reduced = list(_mu_cached(parts[:-1]))
+    reduced[m - 1] += delta
+    with pytest.raises(DatabaseBuildError, match=f"^{re.escape(message)}$"):
+        dimred._reduced_row(Partition(parts), parts[-1], reduced)
+
+
+def test_build_fetches_one_kernel_matrix_per_class():
+    # One lookup per class with two or more parts, 1 578 of them up to
+    # n = 18, and one miss per (i, n) with i <= n/2, 81 of them: a build
+    # takes its classes by n, so the bounded cache never drops a matrix it
+    # needs again.
+    dimred._kernel_rows.cache_clear()
+    build_database(18)
+    info = dimred._kernel_rows.cache_info()
+    assert (info.hits + info.misses, info.misses) == (1578, 81)
+    assert info.maxsize is not None
 
 
 def test_lookup_range_errors():

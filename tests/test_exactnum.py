@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from permfact import exactnum
 from permfact.exactnum import (
     binomial,
     double_factorial_odd,
@@ -98,3 +99,20 @@ def test_negative_n_rejected():
         stirling_second(-3, 1)
     with pytest.raises(ValueError):
         double_factorial_odd(-1)
+
+
+@pytest.mark.parametrize("first", [10, 40], ids=["grown-10-then-40", "grown-to-40"])
+@pytest.mark.parametrize("kind", ["1", "2"], ids=["first-kind", "second-kind"])
+def test_stirling_columns_are_the_rows_entries(monkeypatch, kind, first):
+    # From fresh tables, grown by rows to `first`, then by columns to 40:
+    # column k holds the very ints of rows k..40 at place k.
+    monkeypatch.setattr(exactnum, f"_STIRLING{kind}_ROWS", [[1]])
+    monkeypatch.setattr(exactnum, f"_STIRLING{kind}_COLS", [[1]])
+    getattr(exactnum, f"_stirling{kind}_table")(first)
+    columns = getattr(exactnum, f"_stirling{kind}_columns")(40)
+    rows = getattr(exactnum, f"_STIRLING{kind}_ROWS")
+    assert len(rows) == len(columns) == 41
+    for k, column in enumerate(columns):
+        assert len(column) == 41 - k, k
+        for n, value in enumerate(column, start=k):
+            assert value is rows[n][k], (n, k)
