@@ -2,17 +2,17 @@
 
 The Stirling families are memoized in triangular tables grown on demand,
 each read by rows or by columns, since the counting formulas evaluate
-them repeatedly.  Out-of-range indices return 0 rather than raising,
-matching the usual convention for generalized binomial/Stirling
+them repeatedly.  Binomials and factorials come from math.comb and
+math.factorial, with no Python-level loop; binomial extends math.comb to
+a negative upper index.  Out-of-range indices return 0 rather than
+raising, matching the usual convention for generalized binomial/Stirling
 coefficients.  Counts end in one division checked by _exact_quotient,
 and exact linear algebra runs on _echelon.
 """
 
-import math
 from itertools import repeat
+from math import comb, factorial
 from operator import add, mul
-
-factorial = math.factorial
 
 
 class ConsistencyError(ArithmeticError):
@@ -75,19 +75,18 @@ def double_factorial_odd(n: int) -> int:
 
 
 def binomial(a: int, k: int) -> int:
-    """Binomial coefficient C(a, k) via the falling factorial.
+    """Binomial coefficient C(a, k) = a(a-1)...(a-k+1)/k!, from math.comb.
 
-    Defined for any integer a, including negative (C(-1, 2) = 1).
-    Returns 0 for k < 0 and for 0 <= a < k, the latter without running
-    the falling factorial (it would pass through the factor 0).
+    Defined for any integer a, including negative: for a < 0 the
+    reflection C(a, k) = (-1)^k C(k-a-1, k) (so C(-1, 2) = 1).  Returns 0
+    for k < 0 and for 0 <= a < k.
     """
-    if k < 0 or 0 <= a < k:
+    if k < 0:
         return 0
-    num = 1
-    for i in range(k):
-        num *= a - i
-    # a(a-1)...(a-k+1) is always divisible by k!
-    return num // factorial(k)
+    if a >= 0:
+        return comb(a, k)
+    c = comb(k - a - 1, k)
+    return -c if k & 1 else c
 
 
 # Triangular memo tables; row n holds the coefficients for 0 <= k <= n.

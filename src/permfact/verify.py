@@ -20,7 +20,7 @@ from .exactnum import (
     stirling_first_signed,
 )
 from .partition import Partition, all_partitions, aut_lambda, remove_part
-from .countcore import _mu_cached, mu, xi
+from .countcore import _mu_cached, _xi_cached, mu
 from . import closedform, dimred, oracle, symfun
 from .report import CheckReport
 
@@ -37,28 +37,39 @@ DEFAULT_N_MAX = {
 
 
 def suite_oracle(n_max: int) -> CheckReport:
-    """Counting engine versus exhaustive enumeration."""
+    """Counting engine versus exhaustive enumeration.
+
+    Each class tuple's whole row m = 1..n is fetched once from the engine's
+    cache and compared entry by entry with the oracle's table for n, read
+    once; a failing case is labelled by its classes and m, in that order.
+    """
     report = CheckReport("oracle")
     for n in range(1, min(n_max, oracle._T2_LIMIT) + 1):
         classes = all_partitions(n)
+        table = oracle._xi2_table(n)
         bad = []
-        for a, g, m in product(classes, classes, range(1, n + 1)):
-            if xi((a, g), m) != oracle.brute_xi((a, g), m):
-                bad.append(f"({a};{g};m={m})")
+        for a, g in product(classes, repeat=2):
+            row = _xi_cached((a.parts, g.parts))
+            for m, value in enumerate(row, start=1):
+                if value != table.get((a.parts, g.parts, m), 0):
+                    bad.append(f"({a};{g};m={m})")
         report.add(f"pairs n={n}", not bad, ", ".join(bad[:3]))
     for n in range(1, min(n_max, oracle._T3_LIMIT) + 1):
         classes = all_partitions(n)
+        table = oracle._xi3_table(n)
         bad = []
         for a, b, g in product(classes, repeat=3):
-            for m in range(1, n + 1):
-                if xi((a, b, g), m) != oracle.brute_xi((a, b, g), m):
+            row = _xi_cached((a.parts, b.parts, g.parts))
+            for m, value in enumerate(row, start=1):
+                if value != table.get((a.parts, b.parts, g.parts, m), 0):
                     bad.append(f"({a};{b};{g};m={m})")
         report.add(f"triples n={n}", not bad, ", ".join(bad[:3]))
     for n in range(1, min(n_max, oracle._MU_LIMIT) + 1):
+        table = oracle._mu_table(n)
         bad = []
         for g in all_partitions(n):
-            for m in range(1, n + 1):
-                if mu(g, m) != oracle.brute_mu(g, m):
+            for m, value in enumerate(_mu_cached(g.parts), start=1):
+                if value != table.get((g.parts, m), 0):
                     bad.append(f"({g};m={m})")
         report.add(f"one-face n={n}", not bad, ", ".join(bad[:3]))
     return report
@@ -66,42 +77,43 @@ def suite_oracle(n_max: int) -> CheckReport:
 
 def _closedform_cases(n: int):
     """(family, tag template, [(tag fields, closed form, mu value)]) for each
-    specialized formula at n; a tag is formatted only for a failing case."""
+    specialized formula at n; a tag is formatted only for a failing case.
+    The mu values are read from each class's cached row m = 1..n."""
     ms = range(1, n + 1)
-    cycle = Partition([n])
+    cycle = _mu_cached((n,))
     yield "zagier-stanley", "m={}", [
-        ((m,), closedform.zagier_stanley(n, m), mu(cycle, m)) for m in ms
+        ((m,), closedform.zagier_stanley(n, m), cycle[m - 1]) for m in ms
     ]
     yield "near-hook", "(p={},m={})", [
-        ((p, m), closedform.mu_one_p(n, p, m), mu(gamma, m))
+        ((p, m), closedform.mu_one_p(n, p, m), row[m - 1])
         for p in range(n)
-        for gamma in [Partition([1] * p + [n - p])]
+        for row in [_mu_cached(Partition([1] * p + [n - p]).parts)]
         for m in ms
     ]
     yield "three-block", "(t={},p={},m={})", [
-        ((t, p, m), closedform.mu_t_p(n, t, p, m), mu(gamma, m))
+        ((t, p, m), closedform.mu_t_p(n, t, p, m), row[m - 1])
         for t in range(n - 1)
         for p in range(1, n - t)
-        for gamma in [Partition([1] * t + [p, n - p - t])]
+        for row in [_mu_cached(Partition([1] * t + [p, n - p - t]).parts)]
         for m in ms
     ]
     two_part = []
     for p in range(1, n):
-        gamma = Partition([p, n - p])
+        row = _mu_cached(Partition([p, n - p]).parts)
         for m in ms:
             closed = closedform.mu_two_parts(n, p, m)
-            two_part.append(((p, m, ""), closed, mu(gamma, m)))
+            two_part.append(((p, m, ""), closed, row[m - 1]))
             two_part.append(((p, m, " vs three-block"), closed, closedform.mu_t_p(n, 0, p, m)))
     yield "two-part", "(p={},m={}){}", two_part
     yield "genus-zero", "{}", [
-        ((gamma,), closedform.mu_genus_zero(gamma), mu(gamma, n + 1 - gamma.length))
+        ((gamma,), closedform.mu_genus_zero(gamma), _mu_cached(gamma.parts)[n - gamma.length])
         for gamma in all_partitions(n)
     ]
     yield "equal-part", "(p={},m={})", [
-        ((p, m), closedform.mu_p_power(n // p, p, m), mu(gamma, m))
+        ((p, m), closedform.mu_p_power(n // p, p, m), row[m - 1])
         for p in range(1, n + 1)
         if n % p == 0
-        for gamma in [Partition([p] * (n // p))]
+        for row in [_mu_cached(Partition([p] * (n // p)).parts)]
         for m in ms
     ]
 

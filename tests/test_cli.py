@@ -253,6 +253,10 @@ CLI_TABLE = [
     (["maps", "--edges", "6"], 0, "edges  genus  count\n    6      0    132\n"
      "    6      1   2310\n    6      2   6468\n    6      3   1485\n", ""),
     (["maps", "--edges", "10", "--genus", "1"], 0, "1385670\n", ""),
+    # The largest edge count of perfbench's session workload.
+    (["maps", "--edges", "80", "--genus", "20"], 0,
+     "337608108171285393496376145414880150379140464317561782745523"
+     "21611436462875715731325644359444493277828295281919020\n", ""),
     (["maps", "--edges", "0"], 2, "",
      "usage: permfact maps [-h] [--format {table,tsv,jsonl}] --edges EDGES\n"
      "                     [--genus GENUS]\n"

@@ -146,7 +146,8 @@ def test_hz_table_rejects_negative_edges():
 
 
 def test_hz_table_recursion_matches_explicit_sum():
-    for n in [*range(61), 100, 150, 200]:
+    # Every edge count of perfbench's session workload (up to 80), and beyond.
+    for n in [*range(81), 100, 150, 200]:
         counts = [r.count for r in hz_table(n)]
         assert counts == [one_face_map_count(n, g) for g in range(n // 2 + 1)], n
 

@@ -41,6 +41,21 @@ def test_binomial_matches_factorials_in_classical_range():
             assert binomial(a, k) == factorial(a) // (factorial(k) * factorial(a - k))
 
 
+def test_binomial_matches_the_falling_factorial():
+    # The falling factorial a(a-1)...(a-k+1)/k!, independent of math.comb,
+    # on both signs of a and past k > a >= 0.
+    for a in range(-40, 121):
+        for k in range(-3, 131):
+            if k < 0 or 0 <= a < k:
+                expected = 0
+            else:
+                falling = 1
+                for i in range(k):
+                    falling *= a - i
+                expected = falling // factorial(k)
+            assert binomial(a, k) == expected, (a, k)
+
+
 @pytest.mark.parametrize("n,k,expected", [(4, 2, 11), (6, 6, 1), (6, 3, 225), (0, 0, 1)])
 def test_stirling_first_unsigned(n, k, expected):
     assert stirling_first_unsigned(n, k) == expected

@@ -3,8 +3,9 @@ from itertools import permutations, product
 
 import pytest
 
-from permfact.countcore import xi
+from permfact.countcore import mu, xi
 from permfact.oracle import (
+    _mu_table,
     _xi2_table,
     _xi3_table,
     brute_mu,
@@ -12,6 +13,7 @@ from permfact.oracle import (
     class_representative,
 )
 from permfact.partition import Partition, all_partitions, class_size
+from permfact.verify import suite_oracle
 
 
 def _cycle_type(images):
@@ -160,3 +162,44 @@ def test_xi_matches_brute_force_on_every_triple_at_n6():
     for triple in product(classes, repeat=3):
         for m in range(1, 7):
             assert xi(triple, m) == brute_xi(triple, m), (triple, m)
+
+
+def _per_m_failures(n):
+    """suite_oracle's failing cases at n, found by one public call per
+    (classes, m) on each side, in the suite's order."""
+    classes = all_partitions(n)
+    pairs = [
+        f"({a};{g};m={m})"
+        for a, g, m in product(classes, classes, range(1, n + 1))
+        if xi((a, g), m) != brute_xi((a, g), m)
+    ]
+    one_face = [
+        f"({g};m={m})"
+        for g, m in product(classes, range(1, n + 1))
+        if mu(g, m) != brute_mu(g, m)
+    ]
+    return pairs, one_face
+
+
+def test_suite_oracle_reports_a_wrong_pair_entry_by_its_classes_and_m(monkeypatch):
+    # The triple table is composed from the pair table: build it unpatched.
+    _xi3_table(4)
+    table = _xi2_table(4)
+    monkeypatch.setitem(table, ((2, 1, 1), (2, 2), 3), table[(2, 1, 1), (2, 2), 3] + 1)
+    monkeypatch.setitem(table, ((3, 1), (2, 1, 1), 2), 1)  # parity forces 0 here
+    pairs, one_face = _per_m_failures(4)
+    assert pairs == ["(3,1;2,1,1;m=2)", "(2,1,1;2,2;m=3)"] and one_face == []
+    report = suite_oracle(4)
+    assert [(c.label, c.detail) for c in report.failures] == [
+        ("pairs n=4", ", ".join(pairs))
+    ]
+    assert sum(c.ok for c in report.cases) == len(report.cases) - 1
+
+
+def test_suite_oracle_reports_a_wrong_one_face_entry(monkeypatch):
+    table = _mu_table(4)
+    monkeypatch.setitem(table, ((2, 2), 3), table[(2, 2), 3] - 1)
+    pairs, one_face = _per_m_failures(4)
+    assert pairs == [] and one_face == ["(2,2;m=3)"]
+    failures = [c.line() for c in suite_oracle(4).failures]
+    assert failures == ["FAIL one-face n=4: (2,2;m=3)"]
