@@ -82,11 +82,14 @@ def mu_t_p(n: int, t: int, p: int, m: int) -> int:
 
     Single sum over j of ((-1)^(n-j-t) - (-1)^(j-m)) / j! * C(p, n+1-j-t)
     * c(j, m), times the class size.  Every term cancels when n - m - t
-    is even, so the parity branch is automatic.  The sum runs in integers
-    scaled by (n-t)!, with one exact division at the end.
+    is even, since the two signs are then equal, so that parity returns 0
+    without summing.  The sum runs in integers scaled by (n-t)!, with one
+    exact division at the end.
     """
     if p < 1 or t < 0 or n - p - t < 1 or m < 1:
         raise ValueError("mu_t_p requires p >= 1, t >= 0, n-p-t >= 1, m >= 1")
+    if (n - m - t) % 2 == 0:
+        return 0
     gamma = Partition([1] * t + [p, n - p - t])
     scale = factorial(n - t)
     total = 0

@@ -13,9 +13,12 @@ coefficients are such coefficients already.  One finish, _finish_row,
 turns either into the row m = 1..n by the signed Stirling numbers of the
 first kind, scaled by n! so that it stays in integers, and divides each
 entry once by the classes' centralizer orders (times n! for xi of one
-class).  Each is cached as one row m = 1..n per class tuple (xi) or
-class (mu); every value in a row that parity does not force to 0 is
-divided exactly once, and asserted integral and nonnegative there.
+class).  Each is cached as one row m = 1..n per multiset of classes
+(xi) or class (mu); every value in a row that parity does not force to
+0 is divided exactly once, and asserted integral and nonnegative there.
+xi's generating function is a product over the classes' characters, so
+it does not depend on their order: _xi_row keys the cache by the
+classes' parts sorted, and every order of the same classes reads one row.
 mu's edge-choice polynomials are kept in _edge_polys, keyed by the
 class's parts >= 2 (its core), at most _EDGE_POLY_BOUND = 1024 of them:
 a class multiplies only the factors past the longest stored prefix of
@@ -68,13 +71,22 @@ def xi(classes, m: int) -> int:
     forward differences at 0 are its coefficients in the falling factorials
     z(z-1)...(z-k+1)/k!, which the signed Stirling numbers turn into
     powers of z, all in integers.  One pass gives the whole row m = 1..n,
-    in which the m that parity rules out are 0.
+    in which the m that parity rules out are 0.  The product over the
+    classes does not depend on their order, so the row is cached once per
+    multiset of classes, under their parts sorted (_xi_row).
     """
     classes = _check_classes(classes)
     n = classes[0].n
     if not 1 <= m <= n:
         raise ValueError(f"m = {m} out of range 1..{n}")
-    return _xi_cached(tuple(c.parts for c in classes))[m - 1]
+    return _xi_row(tuple(c.parts for c in classes))[m - 1]
+
+
+def _xi_row(parts_tuple: tuple) -> tuple:
+    """xi's cached row m = 1..n for the classes with these parts, in any
+    order: the row depends only on their multiset (see xi), so the cache
+    key is the parts sorted."""
+    return _xi_cached(tuple(sorted(parts_tuple)))
 
 
 @lru_cache(maxsize=None)

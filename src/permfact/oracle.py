@@ -10,11 +10,14 @@ for triples records its cycle type.  Nothing here uses characters.
 
 Triples are not enumerated: they are composed from the pair table by
 product type through the class of the first two factors' product (see
-_xi3_table), with every division checked to be exact.
+_xi3_table), with every division checked to be exact.  Each table is
+cached per n and handed out read-only, so no caller can change what a
+later one reads.
 """
 
 from functools import lru_cache
 from itertools import permutations as _all_images
+from types import MappingProxyType
 
 from .exactnum import _exact_quotient
 from .partition import Partition, class_size, all_partitions
@@ -89,23 +92,23 @@ def _pair_table(n: int, reduce) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _pair_type_table(n: int) -> dict:
+def _pair_type_table(n: int) -> MappingProxyType:
     """Pair counts keyed by (type1, type2, product type), for triples."""
-    return _pair_table(n, _cycle_type_raw)
+    return MappingProxyType(_pair_table(n, _cycle_type_raw))
 
 
 @lru_cache(maxsize=None)
-def _xi2_table(n: int) -> dict:
+def _xi2_table(n: int) -> MappingProxyType:
     """Counts keyed by (type1, type2, m) for pairs.
 
     Counted by cycle count directly, which needs no sort of the product's
     cycle lengths; only the triple table needs product types.
     """
-    return _pair_table(n, _cycle_count_raw)
+    return MappingProxyType(_pair_table(n, _cycle_count_raw))
 
 
 @lru_cache(maxsize=None)
-def _xi3_table(n: int) -> dict:
+def _xi3_table(n: int) -> MappingProxyType:
     """Counts keyed by (type1, type2, type3, m) for triples.
 
     For tau in class delta, P(c1, c2, delta) / |C_delta| pairs from c1, c2
@@ -124,11 +127,11 @@ def _xi3_table(n: int) -> dict:
         for t3, m, third in by_first[delta]:
             key = (t1, t2, t3, m)
             table[key] = table.get(key, 0) + per_tau * third
-    return table
+    return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None)
-def _mu_table(n: int) -> dict:
+def _mu_table(n: int) -> MappingProxyType:
     """Counts keyed by (gamma, m): factorizations of the fixed full cycle.
 
     omega = (0 1 ... n-1); for each sigma in S_n the cofactor is
@@ -146,7 +149,7 @@ def _mu_table(n: int) -> dict:
         m = _cycle_count_raw(pi)
         key = (gamma, m)
         table[key] = table.get(key, 0) + 1
-    return table
+    return MappingProxyType(table)
 
 
 def brute_xi(classes, m: int) -> int:

@@ -20,7 +20,7 @@ from .exactnum import (
     stirling_first_signed,
 )
 from .partition import Partition, all_partitions, aut_lambda, remove_part
-from .countcore import _mu_cached, _xi_cached, mu
+from .countcore import _mu_cached, _xi_row, mu
 from . import closedform, dimred, oracle, symfun
 from .report import CheckReport
 
@@ -39,9 +39,10 @@ DEFAULT_N_MAX = {
 def suite_oracle(n_max: int) -> CheckReport:
     """Counting engine versus exhaustive enumeration.
 
-    Each class tuple's whole row m = 1..n is fetched once from the engine's
-    cache and compared entry by entry with the oracle's table for n, read
-    once; a failing case is labelled by its classes and m, in that order.
+    Each class tuple's whole row m = 1..n is fetched from the engine's
+    cache, which computes it once per multiset of classes, and compared
+    entry by entry with the oracle's table for n, read once; a failing case
+    is labelled by its classes and m, in that order.
     """
     report = CheckReport("oracle")
     for n in range(1, min(n_max, oracle._T2_LIMIT) + 1):
@@ -49,7 +50,7 @@ def suite_oracle(n_max: int) -> CheckReport:
         table = oracle._xi2_table(n)
         bad = []
         for a, g in product(classes, repeat=2):
-            row = _xi_cached((a.parts, g.parts))
+            row = _xi_row((a.parts, g.parts))
             for m, value in enumerate(row, start=1):
                 if value != table.get((a.parts, g.parts, m), 0):
                     bad.append(f"({a};{g};m={m})")
@@ -59,7 +60,7 @@ def suite_oracle(n_max: int) -> CheckReport:
         table = oracle._xi3_table(n)
         bad = []
         for a, b, g in product(classes, repeat=3):
-            row = _xi_cached((a.parts, b.parts, g.parts))
+            row = _xi_row((a.parts, b.parts, g.parts))
             for m, value in enumerate(row, start=1):
                 if value != table.get((a.parts, b.parts, g.parts, m), 0):
                     bad.append(f"({a};{b};{g};m={m})")
@@ -78,7 +79,8 @@ def suite_oracle(n_max: int) -> CheckReport:
 def _closedform_cases(n: int):
     """(family, tag template, [(tag fields, closed form, mu value)]) for each
     specialized formula at n; a tag is formatted only for a failing case.
-    The mu values are read from each class's cached row m = 1..n."""
+    The mu values are read from each class's cached row m = 1..n, and each
+    closed form is computed once."""
     ms = range(1, n + 1)
     cycle = _mu_cached((n,))
     yield "zagier-stanley", "m={}", [
@@ -90,20 +92,23 @@ def _closedform_cases(n: int):
         for row in [_mu_cached(Partition([1] * p + [n - p]).parts)]
         for m in ms
     ]
-    yield "three-block", "(t={},p={},m={})", [
+    three_block = [
         ((t, p, m), closedform.mu_t_p(n, t, p, m), row[m - 1])
         for t in range(n - 1)
         for p in range(1, n - t)
         for row in [_mu_cached(Partition([1] * t + [p, n - p - t]).parts)]
         for m in ms
     ]
+    yield "three-block", "(t={},p={},m={})", three_block
+    # The two-part forms are also compared with the three-block ones at t = 0.
+    t_zero = {(p, m): closed for (t, p, m), closed, _ in three_block if t == 0}
     two_part = []
     for p in range(1, n):
         row = _mu_cached(Partition([p, n - p]).parts)
         for m in ms:
             closed = closedform.mu_two_parts(n, p, m)
             two_part.append(((p, m, ""), closed, row[m - 1]))
-            two_part.append(((p, m, " vs three-block"), closed, closedform.mu_t_p(n, 0, p, m)))
+            two_part.append(((p, m, " vs three-block"), closed, t_zero[p, m]))
     yield "two-part", "(p={},m={}){}", two_part
     yield "genus-zero", "{}", [
         ((gamma,), closedform.mu_genus_zero(gamma), _mu_cached(gamma.parts)[n - gamma.length])

@@ -13,7 +13,7 @@ from permfact.closedform import (
     one_face_map_count,
     zagier_stanley,
 )
-from permfact.verify import _solvable, hz_series_check, polynomiality_check
+from permfact.verify import _solvable, hz_series_check, polynomiality_check, suite_closedform
 from permfact.countcore import ConsistencyError, mu
 from permfact.exactnum import _exact_quotient, binomial, stirling_first_unsigned
 from permfact.partition import Partition, all_partitions
@@ -261,3 +261,17 @@ def test_polynomiality_check():
     assert polynomiality_check(10, 3, 2).ok
     with pytest.raises(ValueError):
         polynomiality_check(3, 2, 3)  # no valid cycle number
+
+
+def test_suite_closedform_computes_each_three_block_form_once(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return mu_t_p(*args)
+
+    monkeypatch.setattr(closedform, "mu_t_p", spy)
+    report = suite_closedform(10)
+    assert report.ok, [c.label for c in report.failures]
+    # The two-part family reads its t = 0 values from the three-block one.
+    assert len(calls) == len(set(calls)) == 1320

@@ -142,16 +142,24 @@ def test_xi_single_class():
 
 
 def test_xi_class_order_invariance():
+    # Every order is computed afresh: xi reads one cached row for all of them.
+    row = countcore._xi_cached.__wrapped__
     for n in range(2, 5):
-        classes = all_partitions(n)
-        for a in classes:
-            for b in classes:
-                for g in classes:
-                    base = [xi((a, b, g), m) for m in range(1, n + 1)]
-                    for order in permutations((a, b, g)):
-                        assert [
-                            xi(order, m) for m in range(1, n + 1)
-                        ] == base
+        for triple in combinations_with_replacement(all_partitions(n), 3):
+            orders = set(permutations(c.parts for c in triple))
+            base = row(orders.pop())
+            for order in orders:
+                assert row(order) == base, order
+
+
+def test_xi_reads_one_cached_row_for_every_order_of_the_classes():
+    classes = tuple(Partition(p) for p in ((3, 1, 1), (2, 2, 1), (4, 1)))
+    countcore._xi_cached.cache_clear()
+    xi(classes, 1)
+    before = countcore._xi_cached.cache_info()
+    assert [xi(order, 3) for order in permutations(classes)] == [xi(classes, 3)] * 6
+    after = countcore._xi_cached.cache_info()
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 def xi_row(classes):
@@ -189,7 +197,10 @@ def check_xi_identities(classes):
     for m, value in enumerate(row, start=1):
         if (sign + n - m) % 2:
             assert value == 0, (classes, m)
-    assert [xi(classes[::-1], m) for m in range(1, n + 1)] == row
+    # xi computed the row from the sorted parts; other orders are computed afresh.
+    parts = tuple(c.parts for c in classes)
+    for order in {parts, parts[::-1]} - {tuple(sorted(parts))}:
+        assert list(countcore._xi_cached.__wrapped__(order)) == row, order
 
 
 @settings(deadline=None, max_examples=20)

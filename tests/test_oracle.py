@@ -3,6 +3,7 @@ from itertools import permutations, product
 
 import pytest
 
+from permfact import countcore, oracle
 from permfact.countcore import mu, xi
 from permfact.oracle import (
     _mu_table,
@@ -181,12 +182,48 @@ def _per_m_failures(n):
     return pairs, one_face
 
 
+def test_suite_oracle_computes_one_engine_row_per_class_multiset():
+    countcore._xi_cached.cache_clear()
+    assert suite_oracle(5).ok
+    # 53 pairs and 134 triples of classes up to order at n <= 5, where
+    # the suite compares 88 ordered pairs and 504 ordered triples.
+    assert countcore._xi_cached.cache_info().misses == 187
+
+
+def _patched_at_4(table, entries):
+    """Stand-in for an oracle table function that returns a copy of the
+    n = 4 table with entries(copy) applied."""
+
+    def patched(n):
+        if n != 4:
+            return table(n)
+        copy = dict(table(n))
+        copy.update(entries(copy))
+        return copy
+
+    return patched
+
+
+def test_oracle_tables_are_read_only(monkeypatch):
+    tables = (oracle._pair_type_table, _xi2_table, _xi3_table, _mu_table)
+    for build in tables:
+        table = build(4)
+        with pytest.raises(TypeError):
+            table[next(iter(table))] += 1
+    cached = _xi3_table(4)
+    # A fresh build, from pair tables enumerated again.
+    for build in tables:
+        monkeypatch.setattr(oracle, build.__name__, build.__wrapped__)
+    assert cached == _xi3_table.__wrapped__(4)
+
+
 def test_suite_oracle_reports_a_wrong_pair_entry_by_its_classes_and_m(monkeypatch):
     # The triple table is composed from the pair table: build it unpatched.
     _xi3_table(4)
-    table = _xi2_table(4)
-    monkeypatch.setitem(table, ((2, 1, 1), (2, 2), 3), table[(2, 1, 1), (2, 2), 3] + 1)
-    monkeypatch.setitem(table, ((3, 1), (2, 1, 1), 2), 1)  # parity forces 0 here
+    monkeypatch.setattr(oracle, "_xi2_table", _patched_at_4(_xi2_table, lambda table: {
+        ((2, 1, 1), (2, 2), 3): table[(2, 1, 1), (2, 2), 3] + 1,
+        ((3, 1), (2, 1, 1), 2): 1,  # parity forces 0 here
+    }))
     pairs, one_face = _per_m_failures(4)
     assert pairs == ["(3,1;2,1,1;m=2)", "(2,1,1;2,2;m=3)"] and one_face == []
     report = suite_oracle(4)
@@ -197,8 +234,9 @@ def test_suite_oracle_reports_a_wrong_pair_entry_by_its_classes_and_m(monkeypatc
 
 
 def test_suite_oracle_reports_a_wrong_one_face_entry(monkeypatch):
-    table = _mu_table(4)
-    monkeypatch.setitem(table, ((2, 2), 3), table[(2, 2), 3] - 1)
+    monkeypatch.setattr(oracle, "_mu_table", _patched_at_4(_mu_table, lambda table: {
+        ((2, 2), 3): table[(2, 2), 3] - 1,
+    }))
     pairs, one_face = _per_m_failures(4)
     assert pairs == [] and one_face == ["(2,2;m=3)"]
     failures = [c.line() for c in suite_oracle(4).failures]
