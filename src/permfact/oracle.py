@@ -1,12 +1,12 @@
 """Brute-force ground truth on small symmetric groups.
 
 Exhaustive factorization counting on plain permutations: a permutation
-of {0, ..., n-1} is the tuple of its images, and a product is a tuple
-lookup.  Pairs are counted by enumeration: the first factor is fixed to
-a class representative and weighted by its class size (the counts are
-conjugation invariant), and every second factor is tried.  Pair counts
-by cycle count record each product's cycle count; the pair table used
-for triples records its cycle type.  Nothing here uses characters.
+of {0, ..., n-1} is the sequence of its images.  Pairs are counted by
+enumeration: the first factor is fixed to a class representative and
+weighted by its class size (the counts are conjugation invariant), and
+every second factor is tried.  One enumeration per n records each
+product's cycle type; pair counts by cycle count are read off that
+table.  Nothing here uses characters.
 
 Triples are not enumerated: they are composed from the pair table by
 product type through the class of the first two factors' product (see
@@ -15,8 +15,9 @@ cached per n and handed out read-only, so no caller can change what a
 later one reads.
 """
 
+from collections import Counter
 from functools import lru_cache
-from itertools import permutations as _all_images
+from itertools import permutations as _all_images, repeat
 from types import MappingProxyType
 
 from .exactnum import _exact_quotient
@@ -73,38 +74,41 @@ _T3_LIMIT = 6
 _MU_LIMIT = 9
 
 
-def _pair_table(n: int, reduce) -> dict:
-    """Pair counts keyed by (type1, type2, reduce(product images)).
-
-    The first factor is fixed to its class representative and weighted by
-    its class size; every second factor is tried.
-    """
-    table: dict = {}
-    perms = list(_all_images(range(n)))
-    types = [_cycle_type_raw(p) for p in perms]
-    for c1 in all_partitions(n):
-        rep = class_representative(n, c1)
-        size1 = class_size(c1)
-        for images, t2 in zip(perms, types):
-            key = (c1.parts, t2, reduce(tuple(rep[x] for x in images)))
-            table[key] = table.get(key, 0) + size1
-    return table
-
-
 @lru_cache(maxsize=None)
 def _pair_type_table(n: int) -> MappingProxyType:
-    """Pair counts keyed by (type1, type2, product type), for triples."""
-    return MappingProxyType(_pair_table(n, _cycle_type_raw))
+    """Pair counts keyed by (type1, type2, product type).
+
+    Each permutation is the bytes of its images, and its cycle type is
+    looked up in a dict over all of S_n, one interned tuple per type.  The
+    product with a first factor rep is one bytes.translate of the second
+    factor by rep padded to 256 bytes, so the whole loop over second
+    factors runs in C.
+    """
+    by_type: dict = {}
+    for images in _all_images(range(n)):
+        by_type.setdefault(_cycle_type_raw(images), []).append(bytes(images))
+    type_of = {images: t for t, seconds in by_type.items() for images in seconds}
+    pad = bytes(range(n, 256))
+    table: dict = {}
+    for c1 in all_partitions(n):
+        rep = bytes(class_representative(n, c1)) + pad
+        size1 = class_size(c1)
+        for t2, seconds in by_type.items():
+            products = map(bytes.translate, seconds, repeat(rep))
+            for t3, count in Counter(map(type_of.__getitem__, products)).items():
+                table[c1.parts, t2, t3] = count * size1
+    return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None)
 def _xi2_table(n: int) -> MappingProxyType:
-    """Counts keyed by (type1, type2, m) for pairs.
-
-    Counted by cycle count directly, which needs no sort of the product's
-    cycle lengths; only the triple table needs product types.
-    """
-    return MappingProxyType(_pair_table(n, _cycle_count_raw))
+    """Counts keyed by (type1, type2, m) for pairs: the pair table summed
+    over product types with m cycles."""
+    table: dict = {}
+    for (t1, t2, t3), count in _pair_type_table(n).items():
+        key = (t1, t2, len(t3))
+        table[key] = table.get(key, 0) + count
+    return MappingProxyType(table)
 
 
 @lru_cache(maxsize=None)

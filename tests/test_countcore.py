@@ -513,5 +513,6 @@ def test_genus_of():
     assert genus_of(4, 2, 1) == 1
     assert genus_of(3, 1, 2) is None
     assert genus_of(3, 3, 3) is None  # negative Euler defect
+    assert genus_of(1, 1, 1) == 0
     with pytest.raises(ValueError):
         genus_of(0, 1, 1)

@@ -140,6 +140,18 @@ def test_tables_are_pinned():
     assert _digest(triples) == (
         "44002267e7730666c7c9444956ddc108fc3c91f4e1eeb1c4bb3897a1dab556cd"
     )
+    by_product_type = oracle._pair_type_table(6)
+    assert len(by_product_type) == 447
+    assert _digest(by_product_type) == (
+        "c8aac44aa7b5866f435c2fe6a031225c3ed54679fab2117843a47c04fa38e18e"
+    )
+
+
+def test_brute_mu_builds_no_pair_table():
+    oracle._pair_type_table.cache_clear()
+    _mu_table.cache_clear()
+    assert brute_mu(Partition([3, 2, 1]), 2) == mu(Partition([3, 2, 1]), 2)
+    assert oracle._pair_type_table.cache_info().currsize == 0
 
 
 def test_composed_triples_match_enumeration():
