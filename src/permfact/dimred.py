@@ -158,9 +158,6 @@ class Database:
         self.n_max = n_max
         self.rows = rows
 
-    def _rows_in_save_order(self) -> list:
-        return sorted(self.rows.items(), key=lambda item: _save_order(item[0]))
-
     def lookup(self, n: int, m: int, gamma: Partition) -> int:
         """Stored count, 0 included, after checking the key is in range."""
         if gamma.n != n:
@@ -182,10 +179,11 @@ class Database:
         nonzero count, sorted by (n, part count, parts lexicographic, m);
         the encoding is ASCII, so rebuilds are byte-identical.
         """
+        rows = sorted(self.rows.items(), key=lambda item: _save_order(item[0]))
         written = 0
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(f"{DB_HEADER_PREFIX}{self.n_max}\n")
-            for parts, row in self._rows_in_save_order():
+            for parts, row in rows:
                 text = ",".join(map(str, parts))
                 for m, value in enumerate(row, start=1):
                     if value:

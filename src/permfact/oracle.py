@@ -8,11 +8,14 @@ every second factor is tried.  One enumeration per n records each
 product's cycle type; pair counts by cycle count are read off that
 table.  Nothing here uses characters.
 
-Triples are not enumerated: they are composed from the pair table by
-product type through the class of the first two factors' product (see
-_xi3_table), with every division checked to be exact.  Each table is
-cached per n and handed out read-only, so no caller can change what a
-later one reads.
+Nothing else is enumerated either.  Triples are composed from the pair
+table by product type through the class of the first two factors'
+product (see _xi3_table), and the factorizations of a fixed full cycle
+are the pair counts whose first class is (n), divided by its class size
+(n-1)! (see _mu_table); every division is checked to be exact.  So one
+enumeration of S_n per n serves every table.  Each table is cached per
+n and handed out read-only, so no caller can change what a later one
+reads.
 """
 
 from collections import Counter
@@ -42,21 +45,6 @@ def _cycle_type_raw(images: tuple) -> tuple:
     return tuple(lengths)
 
 
-def _cycle_count_raw(images: tuple) -> int:
-    n = len(images)
-    seen = [False] * n
-    count = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        count += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            x = images[x]
-    return count
-
-
 def class_representative(n: int, gamma: Partition) -> tuple:
     """Images of the canonical class member: consecutive cycles (0 1 ..)(..) etc."""
     images = list(range(n))
@@ -71,7 +59,6 @@ def class_representative(n: int, gamma: Partition) -> tuple:
 
 _T2_LIMIT = 9
 _T3_LIMIT = 6
-_MU_LIMIT = 9
 
 
 @lru_cache(maxsize=None)
@@ -138,28 +125,25 @@ def _xi3_table(n: int) -> MappingProxyType:
 def _mu_table(n: int) -> MappingProxyType:
     """Counts keyed by (gamma, m): factorizations of the fixed full cycle.
 
-    omega = (0 1 ... n-1); for each sigma in S_n the cofactor is
-    pi = sigma^-1 * omega, and the entry counts sigma of type gamma whose
-    cofactor has m cycles.
+    Every n-cycle factors as sigma*pi with sigma of type gamma and pi
+    with m cycles in equally many ways, so the count for the fixed cycle
+    omega is the pair count xi(((n), gamma), m) divided by |C_(n)|.
     """
-    table: dict = {}
-    omega = tuple(list(range(1, n)) + [0])
-    for images in _all_images(range(n)):
-        gamma = _cycle_type_raw(images)
-        inv = [0] * n
-        for i, img in enumerate(images):
-            inv[img] = i
-        pi = tuple(inv[x] for x in omega)
-        m = _cycle_count_raw(pi)
-        key = (gamma, m)
-        table[key] = table.get(key, 0) + 1
-    return MappingProxyType(table)
+    full = (n,)
+    size = class_size(Partition._from_sorted(full))
+    what = "factorizations of a full cycle with factor {} and m = {}"
+    return MappingProxyType({
+        (gamma, m): _exact_quotient(count, size, what, gamma, m)
+        for (first, gamma, m), count in _xi2_table(n).items()
+        if first == full
+    })
 
 
 def brute_xi(classes, m: int) -> int:
     """Exhaustive count of tuples from the given classes whose product has m cycles.
 
-    Guards: n <= 9 for pairs, n <= 6 for triples; larger inputs are refused.
+    Guards: n >= 1, and n <= 9 for pairs, n <= 6 for triples; other inputs
+    are refused.
     """
     classes = tuple(classes)
     if not classes:
@@ -167,6 +151,8 @@ def brute_xi(classes, m: int) -> int:
     n = classes[0].n
     if any(c.n != n for c in classes):
         raise ValueError("all classes must partition the same n")
+    if n < 1:
+        raise ValueError("brute_xi requires n >= 1")
     t = len(classes)
     if t == 1:
         return class_size(classes[0]) if classes[0].length == m else 0
@@ -187,11 +173,11 @@ def brute_mu(gamma: Partition, m: int) -> int:
     """Exhaustive count of factorizations sigma*pi of the fixed full cycle.
 
     sigma runs over the class of gamma, pi = sigma^-1 * omega must have
-    m cycles.  Guard: n <= 9.
+    m cycles.  Guard: n <= 9, the pair table's limit.
     """
     n = gamma.n
-    if n > _MU_LIMIT:
-        raise ValueError(f"brute_mu limited to n <= {_MU_LIMIT}")
+    if n > _T2_LIMIT:
+        raise ValueError(f"brute_mu limited to n <= {_T2_LIMIT}")
     if n < 1:
         raise ValueError("brute_mu requires n >= 1")
     return _mu_table(n).get((gamma.parts, m), 0)

@@ -39,40 +39,27 @@ DEFAULT_N_MAX = {
 def suite_oracle(n_max: int) -> CheckReport:
     """Counting engine versus exhaustive enumeration.
 
-    Each class tuple's whole row m = 1..n is fetched from the engine's
-    cache, which computes it once per multiset of classes, and compared
-    entry by entry with the oracle's table for n, read once; a failing case
-    is labelled by its classes and m, in that order.
+    For pairs, triples and one-face counts in turn, each class tuple's
+    whole row m = 1..n is fetched from the engine's cache, which computes
+    it once per multiset of classes, and compared entry by entry with the
+    oracle's table for n, read once; a failing case is labelled by its
+    classes and m, in that order.
     """
     report = CheckReport("oracle")
-    for n in range(1, min(n_max, oracle._T2_LIMIT) + 1):
-        classes = all_partitions(n)
-        table = oracle._xi2_table(n)
-        bad = []
-        for a, g in product(classes, repeat=2):
-            row = _xi_row((a.parts, g.parts))
-            for m, value in enumerate(row, start=1):
-                if value != table.get((a.parts, g.parts, m), 0):
-                    bad.append(f"({a};{g};m={m})")
-        report.add(f"pairs n={n}", not bad, ", ".join(bad[:3]))
-    for n in range(1, min(n_max, oracle._T3_LIMIT) + 1):
-        classes = all_partitions(n)
-        table = oracle._xi3_table(n)
-        bad = []
-        for a, b, g in product(classes, repeat=3):
-            row = _xi_row((a.parts, b.parts, g.parts))
-            for m, value in enumerate(row, start=1):
-                if value != table.get((a.parts, b.parts, g.parts, m), 0):
-                    bad.append(f"({a};{b};{g};m={m})")
-        report.add(f"triples n={n}", not bad, ", ".join(bad[:3]))
-    for n in range(1, min(n_max, oracle._MU_LIMIT) + 1):
-        table = oracle._mu_table(n)
-        bad = []
-        for g in all_partitions(n):
-            for m, value in enumerate(_mu_cached(g.parts), start=1):
-                if value != table.get((g.parts, m), 0):
-                    bad.append(f"({g};m={m})")
-        report.add(f"one-face n={n}", not bad, ", ".join(bad[:3]))
+    for label, limit, build, arity, engine_row in (
+        ("pairs", oracle._T2_LIMIT, oracle._xi2_table, 2, _xi_row),
+        ("triples", oracle._T3_LIMIT, oracle._xi3_table, 3, _xi_row),
+        ("one-face", oracle._T2_LIMIT, oracle._mu_table, 1, lambda key: _mu_cached(*key)),
+    ):
+        for n in range(1, min(n_max, limit) + 1):
+            table = build(n)
+            bad = []
+            for classes in product(all_partitions(n), repeat=arity):
+                key = tuple(c.parts for c in classes)
+                for m, value in enumerate(engine_row(key), start=1):
+                    if value != table.get((*key, m), 0):
+                        bad.append(f"({';'.join(map(str, classes))};m={m})")
+            report.add(f"{label} n={n}", not bad, ", ".join(bad[:3]))
     return report
 
 

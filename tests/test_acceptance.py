@@ -19,7 +19,7 @@ from permfact.closedform import (
 from permfact.countcore import _mu_cached, mu, xi
 from permfact.dimred import _reduced_row, build_database
 from permfact.exactnum import binomial
-from permfact.oracle import brute_mu, brute_xi, _cycle_count_raw
+from permfact.oracle import brute_mu, brute_xi, _cycle_type_raw
 from permfact.partition import Partition, all_partitions, class_size, remove_part
 from permfact.symfun import verify_m1_identities, verify_schur_identity
 from permfact.verify import hz_series_check, polynomiality_check
@@ -111,7 +111,7 @@ def _map_counts_by_genus(n: int) -> dict:
         for a, b in matching:
             sigma[a], sigma[b] = b, a
         pi = tuple(sigma[x] for x in omega)  # sigma^-1 = sigma
-        m = _cycle_count_raw(pi)
+        m = len(_cycle_type_raw(pi))
         genus = (n + 1 - m) // 2
         counts[genus] = counts.get(genus, 0) + 1
     return counts

@@ -69,6 +69,8 @@ def test_size_guards():
         brute_xi(tuple(Partition([2]) for _ in range(4)), 1)
     with pytest.raises(ValueError):
         brute_mu(Partition([10]), 1)
+    with pytest.raises(ValueError):
+        brute_xi((Partition([]), Partition([])), 0)
 
 
 def test_pair_totals():
@@ -129,7 +131,7 @@ def _digest(table):
 
 def test_tables_are_pinned():
     # Digests of the tables as direct enumeration of every pair and
-    # triple computed them.
+    # triple, and of every factorization of the full cycle, computed them.
     pairs = _xi2_table(7)
     assert len(pairs) == 559
     assert _digest(pairs) == (
@@ -145,13 +147,11 @@ def test_tables_are_pinned():
     assert _digest(by_product_type) == (
         "c8aac44aa7b5866f435c2fe6a031225c3ed54679fab2117843a47c04fa38e18e"
     )
-
-
-def test_brute_mu_builds_no_pair_table():
-    oracle._pair_type_table.cache_clear()
-    _mu_table.cache_clear()
-    assert brute_mu(Partition([3, 2, 1]), 2) == mu(Partition([3, 2, 1]), 2)
-    assert oracle._pair_type_table.cache_info().currsize == 0
+    one_face = _mu_table(7)
+    assert len(one_face) == 37
+    assert _digest(one_face) == (
+        "5fb4bb5fd7822b03fafe8fc5aefc0231fe5339115972cf72c3be0421fc01c773"
+    )
 
 
 def test_composed_triples_match_enumeration():
