@@ -20,6 +20,16 @@ m with the class's own counts, and times m! and the class's i mult it is
 a whole multiple of the division's divisor, so it is subtracted from the
 quotient instead (see _reduced_row).
 
+Removing a part 1 needs no solve.  With i = 1 both sums have the kernel
+m! S(l, m), so with m_1 the number of parts 1 the recursion reads
+m_1 sum_{l>=m} S(l,m) mu(gamma, l) = n sum_{l>=m} S(l,m) mu(gamma-1, l)
+for every m, and S(m, m) = 1 makes it unitriangular:
+m_1 mu(gamma, m) = n mu(gamma-1, m).  So the build scales the row of a
+class with a fixed point from the class with one fixed point fewer (see
+_fixed_point_row), and solves the recursion only for the classes
+without fixed points, all with i >= 2.  _reduced_row still takes i = 1,
+which verify's dimred suite checks.
+
 Only the genus-admissible support is solved.  By the Euler relation
 (countcore.genus_of) a count of gamma is nonzero only at
 m = n+1-l(gamma)-2g with g >= 0, so every entry above the genus-0 one,
@@ -138,6 +148,34 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
                 f"at (n={n}, m={m}, gamma={gamma}, i={i})"
             )
         row[m - 1] = count
+    return row + [0] * (n - top)
+
+
+def _fixed_point_row(gamma: Partition, reduced_row) -> list:
+    """[mu(gamma, 1), ..., mu(gamma, n)] for a class with a part 1.
+
+    reduced_row[l-1] must hold mu(gamma minus one part 1, l) for every l;
+    each count is n/m_1 times it, m_1 the number of parts 1 (see the
+    module docstring), in one exact division, and a rest raises
+    DatabaseBuildError.  As in _reduced_row, the reduced row must be 0
+    past top = n+1-l(gamma).
+    """
+    n = gamma.n
+    top = n + 1 - gamma.length
+    if any(reduced_row[top:]):
+        raise DatabaseBuildError(
+            f"reduced row of (n={n}, gamma={gamma}, i=1) is nonzero "
+            f"past its top m={top}"
+        )
+    fixed = gamma.parts.count(1)
+    row = []
+    for m, count in enumerate(reduced_row[:top], start=1):
+        quotient, rest = divmod(n * count, fixed)
+        if rest:
+            raise DatabaseBuildError(
+                f"recursion gave {n * count}/{fixed} at (n={n}, m={m}, gamma={gamma}, i=1)"
+            )
+        row.append(quotient)
     return row + [0] * (n - top)
 
 
@@ -298,24 +336,29 @@ def load_database(path) -> Database:
 def build_database(n_max: int) -> Database:
     """Compute the row of counts of every class with n <= n_max by the reduction sweep.
 
-    One-part classes come from the Zagier-Stanley formula; classes with
-    more parts from the integer recursion with the smallest part, the
-    last, removed, one row at a time (see _reduced_row).  Every row is
-    compared as a whole with the explicit formula's row before it is kept,
-    so every count is validated; a mismatch (reported at its largest m),
-    or a recursion quotient that is not a nonnegative integer, aborts the
-    build.
+    One-part classes come from the Zagier-Stanley formula.  A class with
+    more parts has its smallest part, the last, removed: if that part is
+    1, its row is n/m_1 times the reduced class's row (see
+    _fixed_point_row); otherwise, for a class without fixed points, the
+    integer recursion solves it one row at a time (see _reduced_row).
+    Every row is compared as a whole with the explicit formula's row
+    before it is kept, so every count is validated; a mismatch (reported
+    at its largest m), or a recursion value that is not a whole count,
+    aborts the build.
     """
     if n_max < 1:
         raise ValueError("build_database requires n_max >= 1")
     rows: dict = {}
     for n in range(1, n_max + 1):
         for gamma in all_partitions(n):
+            parts = gamma.parts
             if gamma.length == 1:
                 row = [zagier_stanley(n, m) for m in range(1, n + 1)]
+            elif parts[-1] == 1:
+                row = _fixed_point_row(gamma, rows[parts[:-1]])
             else:
-                row = _reduced_row(gamma, gamma.parts[-1], rows[gamma.parts[:-1]])
-            expected = _mu_cached(gamma.parts)
+                row = _reduced_row(gamma, parts[-1], rows[parts[:-1]])
+            expected = _mu_cached(parts)
             if tuple(row) != expected:
                 m = max(m for m in range(1, n + 1) if row[m - 1] != expected[m - 1])
                 raise DatabaseBuildError(
@@ -324,5 +367,5 @@ def build_database(n_max: int) -> Database:
                 )
             # Keep mu's cached tuple, which the validation filled, rather
             # than a second copy of an equal row.
-            rows[gamma.parts] = expected
+            rows[parts] = expected
     return Database(n_max, rows)

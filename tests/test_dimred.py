@@ -70,15 +70,19 @@ def test_database_values_match_general(n_max=7):
 
 
 def test_build_rejects_a_count_the_recursion_disagrees_with(monkeypatch):
-    def skewed_mu_row(parts):
-        row = _mu_cached(parts)
-        if parts == (2, 2):
-            row = row[:2] + (row[2] + 1,) + row[3:]
-        return row
+    # The core (2,2) is solved by the recursion, (2,1,1) scaled from (2,1):
+    # either row is compared with mu's.
+    for skewed, m in [((2, 2), 3), ((2, 1, 1), 2)]:
+        def skewed_mu_row(parts, skewed=skewed, m=m):
+            row = _mu_cached(parts)
+            if parts == skewed:
+                row = row[: m - 1] + (row[m - 1] + 1,) + row[m:]
+            return row
 
-    monkeypatch.setattr(dimred, "_mu_cached", skewed_mu_row)
-    with pytest.raises(DatabaseBuildError, match=r"n=4, m=3, gamma=2,2"):
-        build_database(5)
+        monkeypatch.setattr(dimred, "_mu_cached", skewed_mu_row)
+        gamma = ",".join(map(str, skewed))
+        with pytest.raises(DatabaseBuildError, match=rf"n=4, m={m}, gamma={gamma}\)"):
+            build_database(5)
 
 
 def test_reduced_rows_equal_the_explicit_rows(n_max=14):
@@ -98,11 +102,39 @@ def test_reduced_rows_equal_the_explicit_rows(n_max=14):
 
 
 def test_reduced_row_nonzero_past_its_top_is_rejected():
-    # (2,1) has top n+1-l = 2, so its m = 3 entry must be 0.
+    # (2,1) has top n+1-l = 2, so its m = 3 entry must be 0, for the
+    # recursion and for the scaling alike.
     reduced = list(_mu_cached((2, 1)))
     reduced[2] = 1
+    gamma = Partition([2, 1, 1])
     with pytest.raises(DatabaseBuildError, match=r"nonzero past its top m=2"):
-        dimred._reduced_row(Partition([2, 1, 1]), 1, reduced)
+        dimred._reduced_row(gamma, 1, reduced)
+    with pytest.raises(DatabaseBuildError, match=r"nonzero past its top m=2"):
+        dimred._fixed_point_row(gamma, reduced)
+
+
+def test_fixed_point_row_rejects_an_inexact_scaling():
+    # 3 mu((2,1,1,1), m) = 5 mu((2,1,1), m); mu((2,1,1), 2) = 6 moved to 7.
+    reduced = list(_mu_cached((2, 1, 1)))
+    assert reduced[1] == 6
+    reduced[1] = 7
+    message = "recursion gave 35/3 at (n=5, m=2, gamma=2,1,1,1, i=1)"
+    with pytest.raises(DatabaseBuildError, match=f"^{re.escape(message)}$"):
+        dimred._fixed_point_row(Partition([2, 1, 1, 1]), reduced)
+
+
+def test_build_solves_the_recursion_for_cores_only(monkeypatch):
+    # Classes with a part 1 are scaled, so no call removes a part 1.
+    removed = []
+    solve = dimred._reduced_row
+
+    def spy(gamma, i, reduced_row):
+        removed.append(i)
+        return solve(gamma, i, reduced_row)
+
+    monkeypatch.setattr(dimred, "_reduced_row", spy)
+    build_database(12)
+    assert removed and 1 not in removed
 
 
 @pytest.mark.parametrize(
@@ -124,14 +156,14 @@ def test_reduced_row_rejects_a_recursion_value_that_is_no_count(parts, m, delta,
 
 
 def test_build_fetches_one_kernel_matrix_per_class():
-    # One lookup per class with two or more parts, 1 578 of them up to
-    # n = 18, and one miss per (i, n) with i <= n/2, 81 of them: a build
-    # takes its classes by n, so the bounded cache never drops a matrix it
-    # needs again.
+    # One lookup per class with two or more parts and no part 1, 367 of
+    # them up to n = 18, and one miss per (i, n) with 2 <= i <= n/2, 64 of
+    # them: a build takes its classes by n, so the bounded cache never
+    # drops a matrix it needs again.
     dimred._kernel_rows.cache_clear()
     build_database(18)
     info = dimred._kernel_rows.cache_info()
-    assert (info.hits + info.misses, info.misses) == (1578, 81)
+    assert (info.hits + info.misses, info.misses) == (367, 64)
     assert info.maxsize is not None
 
 

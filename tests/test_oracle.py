@@ -104,6 +104,26 @@ def test_mu_is_xi_with_full_cycle_fixed():
                 assert lhs == brute_xi((full, gamma), m)
 
 
+def test_fixed_points_scale_the_enumerated_one_face_counts():
+    # m_1 mu(gamma, m) = n mu(gamma minus one part 1, m), m_1 the number of
+    # parts 1: the identity the database build scales rows by, here on the
+    # enumerated tables alone.  89 of the 284 cases are nonzero.
+    nonzero = 0
+    for n in range(2, 9):
+        table, smaller = _mu_table(n), _mu_table(n - 1)
+        for gamma in all_partitions(n):
+            parts = gamma.parts
+            if parts[-1] != 1:
+                continue
+            for m in range(1, n + 1):
+                count = table.get((parts, m), 0)
+                assert parts.count(1) * count == n * smaller.get((parts[:-1], m), 0), (
+                    parts, m,
+                )
+                nonzero += count != 0
+    assert nonzero == 89
+
+
 def _count_with_fixed_first(sigma1, c2, m):
     # The product sigma1 * sigma2 applies sigma2 first.
     n = len(sigma1)
