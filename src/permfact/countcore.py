@@ -16,6 +16,14 @@ entry once by the classes' centralizer orders (times n! for xi of one
 class).  Each is cached as one row m = 1..n per multiset of classes
 (xi) or class (mu); every value in a row that parity does not force to
 0 is divided exactly once, and asserted integral and nonnegative there.
+A class with fixed points is not finished: a part 1 only multiplies the
+edge-choice polynomial by y, so mu(gamma, m) = C(n, m_1) mu(core, m),
+m_1 the number of parts 1 (see mu), and its row is its core's cached
+row times that binomial, padded with m_1 zeros.  Only the cores and the
+identity classes 1^n run the finish; every entry of a scaled row is a
+checked core count times a positive integer.  The tests keep the
+per-class finish as the check of this scaling, and dimred's build
+compares it with the recursion's own scaling by n/m_1.
 xi's generating function is a product over the classes' characters, so
 it does not depend on their order: _xi_row keys the cache by the
 classes' parts sorted, and every order of the same classes reads one row.
@@ -30,6 +38,7 @@ the tests.
 """
 
 from functools import lru_cache
+from itertools import repeat
 from math import comb, perm, prod
 from operator import add, mul, sub
 
@@ -54,6 +63,12 @@ def _check_classes(classes) -> tuple:
     return classes
 
 
+def _check_m(m) -> None:
+    # bool is an int subclass, and a float compares like one.
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise TypeError(f"m must be an int, got {m!r}")
+
+
 def xi(classes, m: int) -> int:
     """Number of tuples (s_1..s_t), s_i in class C_i, whose product has m cycles.
 
@@ -73,8 +88,11 @@ def xi(classes, m: int) -> int:
     powers of z, all in integers.  One pass gives the whole row m = 1..n,
     in which the m that parity rules out are 0.  The product over the
     classes does not depend on their order, so the row is cached once per
-    multiset of classes, under their parts sorted (_xi_row).
+    multiset of classes, under their parts sorted (_xi_row).  An m
+    outside 1..n raises ValueError, and one that is a bool or not an int
+    raises TypeError.
     """
+    _check_m(m)
     classes = _check_classes(classes)
     n = classes[0].n
     if not 1 <= m <= n:
@@ -201,12 +219,23 @@ def mu(gamma: Partition, m: int) -> int:
 
     Counts pairs (sigma, pi) with sigma of cycle type gamma, pi having m
     cycles and sigma*pi equal to the fixed cycle (1 2 ... n).  Degenerate
-    inputs (m outside 1..n, or parity making the count vanish) return 0.
-    The first call for a class computes its whole row m = 1..n, which is
-    cached: with e the coefficients of prod over parts g of
-    ((1+y)^g - 1), mu(gamma, m) = |C_gamma| / n! times
+    inputs (m outside 1..n, or parity making the count vanish) return 0;
+    an m that is a bool or not an int raises TypeError.  The first call
+    for a class computes its whole row m = 1..n, which is cached: with e
+    the coefficients of prod over parts g of ((1+y)^g - 1),
+    mu(gamma, m) = |C_gamma| / n! times
     sum_{j=m..n} (-1)^(j-m) c(j, m) e_(n-j+1) n!/j!, all in integers.
+
+    A class with 1 <= m_1 < n parts 1 and core gamma_c, its parts >= 2,
+    n_c = n - m_1, has mu(gamma, m) = C(n, m_1) mu(gamma_c, m).  Proof:
+    each part 1 contributes the factor y, so e_(n-j+1)(gamma) =
+    e_(n_c-j+1)(gamma_c) for every j; and |C_gamma|/n! = 1/z_gamma with
+    z_gamma = z_core m_1!, while n!/j! = (n!/n_c!)(n_c!/j!), so the sum
+    above for gamma is n!/(n_c! m_1!) times the sum for gamma_c.  Its
+    row is therefore the core's cached row times C(n, m_1), 0 past
+    m = n_c; only cores and the identity classes 1^n are computed.
     """
+    _check_m(m)
     n = gamma.n
     if n < 1:
         raise ValueError("mu requires a partition of n >= 1")
@@ -219,6 +248,12 @@ def mu(gamma: Partition, m: int) -> int:
 def _mu_cached(gamma_parts: tuple) -> tuple:
     n = sum(gamma_parts)
     length = len(gamma_parts)
+    ones = gamma_parts.count(1)
+    if 0 < ones < length:
+        # mu(gamma, m) = C(n, m_1) mu(core, m), and the core's counts stop
+        # at m = n - m_1 (see mu).
+        core_row = _mu_cached(gamma_parts[: length - ones])
+        return tuple(map(mul, core_row, repeat(comb(n, ones)))) + (0,) * ones
     # The sum's falling-factorial coefficients are d_j = e_(n-j+1); e_k
     # vanishes below the part count, so j stops at n + 1 - length, which
     # is also the parity: otherwise sgn(sigma) sgn(pi) is not the n-cycle's.

@@ -30,6 +30,16 @@ _fixed_point_row), and solves the recursion only for the classes
 without fixed points, all with i >= 2.  _reduced_row still takes i = 1,
 which verify's dimred suite checks.
 
+The explicit formula scales such a class too (countcore.mu): its row is
+C(n, m_1) times its core's, the core being its parts >= 2.  So for a
+class with fixed points the build's validation compares two scalings of
+one core row that share no code and come from different derivations:
+n/m_1 from the recursion's unitriangular kernel, applied to the class
+with one fixed point fewer, against C(n, m_1) from the edge-choice
+polynomial's shift by y.  The core row itself is validated against a
+solve of the recursion, and the explicit formula's per-class finish for
+classes with fixed points is checked in the tests.
+
 Only the genus-admissible support is solved.  By the Euler relation
 (countcore.genus_of) a count of gamma is nonzero only at
 m = n+1-l(gamma)-2g with g >= 0, so every entry above the genus-0 one,
@@ -344,7 +354,11 @@ def build_database(n_max: int) -> Database:
     Every row is compared as a whole with the explicit formula's row
     before it is kept, so every count is validated; a mismatch (reported
     at its largest m), or a recursion value that is not a whole count,
-    aborts the build.
+    aborts the build.  For a class without fixed points, and for an
+    identity class 1^n, the explicit formula's row is the Stirling finish
+    of its edge-choice coefficients; for a class with 1 <= m_1 < n fixed
+    points it is C(n, m_1) times its core's row, so the comparison is
+    between two scalings (see the module docstring).
     """
     if n_max < 1:
         raise ValueError("build_database requires n_max >= 1")

@@ -13,7 +13,8 @@ from permfact import charkit, countcore
 from permfact.countcore import _edge_choice_poly, _mu_cached, genus_of, mu, xi
 from permfact.exactnum import ConsistencyError, binomial, factorial, stirling_first_unsigned
 from permfact.oracle import brute_mu, brute_xi
-from permfact.partition import Partition, all_partitions, class_size
+from permfact.dimred import build_database
+from permfact.partition import Partition, _z, all_partitions, class_size
 
 
 def w_numbers(classes):
@@ -435,6 +436,84 @@ def test_mu_rows_match_reference_rows_sampled():
             left -= parts[-1]
         gamma = Partition(parts)
         assert _mu_cached(gamma.parts) == mu_row_by_parts(gamma.parts), gamma
+
+
+def mu_row_by_finish(parts):
+    """mu row of the class with these parts by the per-class route: the
+    Stirling finish of its own edge-choice coefficients, divided by its
+    centralizer order, fixed points or not."""
+    n, length = sum(parts), len(parts)
+    d = _edge_choice_poly(parts)[: length - 1 : -1]
+    return countcore._finish_row(
+        d, n, n + 1 - length, _z(parts), "mu({}, {})", Partition(parts)
+    )
+
+
+def test_fixed_point_rows_match_the_per_class_finish():
+    # mu scales a class with fixed points from its core's row; the finish
+    # of the class's own coefficients is the route that scaling replaced.
+    checked = 0
+    for n in range(1, 27):
+        for gamma in all_partitions(n):
+            if gamma.parts[-1] == 1:
+                assert _mu_cached(gamma.parts) == mu_row_by_finish(gamma.parts), gamma
+                checked += 1
+    assert checked == 9296
+
+
+def test_fixed_point_rows_match_reference_rows_at_large_n():
+    rng = random.Random(41)
+    for _ in range(20):
+        n = rng.randint(41, 80)
+        fixed = rng.randint(5, n - 2)
+        left, parts = n - fixed, [1] * fixed
+        while left:
+            part = rng.randint(2, min(left, 9))
+            if left - part != 1:
+                parts.append(part)
+                left -= part
+        gamma = Partition(parts)
+        assert _mu_cached(gamma.parts) == mu_row_by_parts(gamma.parts), gamma
+
+
+def test_build_finishes_only_cores_and_identity_classes(monkeypatch):
+    calls = []
+    finish = countcore._finish_row
+
+    def counted(d, n, parity, divisor, what, where):
+        calls.append(where)
+        return finish(d, n, parity, divisor, what, where)
+
+    monkeypatch.setattr(countcore, "_finish_row", counted)
+    _mu_cached.cache_clear()
+    build_database(12)
+    # 76 classes of n <= 12 without a part 1 and 12 identity classes; the
+    # per-class route took all 271.
+    assert len(calls) == 88
+    assert all(
+        gamma.parts[-1] != 1 or gamma.length == gamma.n for gamma in calls
+    )
+
+
+def test_a_cold_mu_of_a_class_with_fixed_points_caches_its_core():
+    _mu_cached.cache_clear()
+    assert mu(Partition([3, 1, 1]), 1) == 10 * mu(Partition([3]), 1) == 10
+    info = _mu_cached.cache_info()
+    # (3, 1, 1) missed, its core (3,) missed and was cached, then hit.
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
+def test_mu_and_xi_reject_an_m_that_is_not_an_int():
+    with pytest.raises(TypeError, match=r"^m must be an int, got 5\.5$"):
+        mu(Partition([2, 1]), 5.5)
+    with pytest.raises(TypeError, match=r"^m must be an int, got True$"):
+        mu(Partition([3]), True)
+    with pytest.raises(TypeError, match=r"^m must be an int, got 2\.0$"):
+        mu(Partition([2, 1]), 2.0)
+    with pytest.raises(TypeError, match=r"^m must be an int, got 1\.5$"):
+        xi((Partition([2, 1]), Partition([3])), 1.5)
+    with pytest.raises(TypeError, match=r"^m must be an int, got False$"):
+        xi((Partition([2, 1]), Partition([3])), False)
 
 
 def test_edge_choice_poly_of_a_long_class(monkeypatch):
