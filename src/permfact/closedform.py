@@ -13,6 +13,7 @@ in one checked division.
 """
 
 from .exactnum import (
+    _check_m,
     _exact_quotient,
     binomial,
     double_factorial_odd,
@@ -50,8 +51,10 @@ def mu_genus_zero(gamma: Partition) -> int:
 def zagier_stanley(n: int, m: int) -> int:
     """Factorizations of a fixed n-cycle into an n-cycle and an m-cycle permutation.
 
-    c(n+1, m) / C(n+1, 2) when n - m is even, 0 otherwise.
+    c(n+1, m) / C(n+1, 2) when n - m is even, 0 otherwise.  An m that is
+    a bool or not an int raises TypeError.
     """
+    _check_m(m)
     if n < 1 or not 1 <= m <= n:
         raise ValueError("zagier_stanley requires 1 <= m <= n")
     if (n - m) % 2 != 0:

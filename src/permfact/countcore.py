@@ -27,14 +27,9 @@ compares it with the recursion's own scaling by n/m_1.
 xi's generating function is a product over the classes' characters, so
 it does not depend on their order: _xi_row keys the cache by the
 classes' parts sorted, and every order of the same classes reads one row.
-mu's edge-choice polynomials are kept in _edge_polys, keyed by the
-class's parts >= 2 (its core), at most _EDGE_POLY_BOUND = 1024 of them:
-a class multiplies only the factors past the longest stored prefix of
-its core, so a sweep over classes by n pays one multiplication per
-distinct core.  These are the only production routes to xi and mu; the
-independent routes that check them (the W-number transform of single
-characters, the brute-force oracle, the closed forms) live in verify and
-the tests.
+These are the only production routes to xi and mu; the independent
+routes that check them (the W-number transform of single characters,
+the brute-force oracle, the closed forms) live in verify and the tests.
 """
 
 from functools import lru_cache
@@ -42,7 +37,7 @@ from itertools import repeat
 from math import comb, perm, prod
 from operator import add, mul, sub
 
-from .exactnum import _exact_quotient, _stirling1_columns, factorial
+from .exactnum import _check_m, _exact_quotient, _stirling1_columns, factorial
 from .exactnum import ConsistencyError  # noqa: F401 (re-exported)
 from .partition import Partition, _z
 from .charkit import _content_sums, _hook_product, _shape_characters, dimension
@@ -61,12 +56,6 @@ def _check_classes(classes) -> tuple:
                 f"inconsistent class sizes: {classes[0]} and {c} partition different n"
             )
     return classes
-
-
-def _check_m(m) -> None:
-    # bool is an int subclass, and a float compares like one.
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise TypeError(f"m must be an int, got {m!r}")
 
 
 def xi(classes, m: int) -> int:
@@ -176,42 +165,21 @@ def _finish_row(d: list, n: int, parity: int, divisor: int, what: str, where) ->
     return tuple(row)
 
 
-_EDGE_POLY_BOUND = 1024  # every core of n <= 22 fits
-_edge_polys: dict = {(): [1]}
+def _edge_choice_poly(core: tuple) -> list:
+    """Coefficients of prod over the core's parts g of ((1+y)^g - 1),
+    highest degree first, for a core of parts >= 2 summing to n.
 
-
-def _edge_choice_poly(gamma_parts: tuple) -> list:
-    """Coefficients of prod over parts g of ((1+y)^g - 1), dense and exact.
-
-    Each part 1 contributes the factor y, a shift.  The product over the
-    other parts, the core, starts from the polynomial of the core's
-    longest prefix in _edge_polys (the core without its smallest parts),
-    found by a loop rather than recursion, and multiplies in only the
-    factors past it.  The store is keyed by core and prefix-closed: a core
-    enters only when the core without its last part is stored, so each
-    entry cost one multiplication and a one-off class leaves nothing
-    behind.  It takes no new entry once it holds _EDGE_POLY_BOUND.  In
-    the sweep over classes by n, the core without its last part belongs
-    to a class already visited, so while the store has room each distinct
-    core costs one multiplication and a class with 1-parts none.
+    The product is taken in integers at y = 256^width, one factor per
+    distinct part raised to its multiplicity, and each coefficient is read
+    off its own width bytes.  No slot carries into the next: the
+    coefficients are nonnegative and sum to prod (2^g - 1) < 2^n < 256^width.
     """
-    ones = gamma_parts.count(1)
-    core = gamma_parts[: len(gamma_parts) - ones]
-    stored = len(core)
-    while core[:stored] not in _edge_polys:
-        stored -= 1
-    poly = _edge_polys[core[:stored]]
-    for g in core[stored:]:
-        binomials = [comb(g, b) for b in range(1, g + 1)]
-        prod = [0] * (len(poly) + g)
-        for a, ca in enumerate(poly):
-            if ca:
-                for b, c in enumerate(binomials, start=a + 1):
-                    prod[b] += ca * c
-        poly = prod
-    if stored == len(core) - 1 and len(_edge_polys) < _EDGE_POLY_BOUND:
-        _edge_polys[core] = poly
-    return [0] * ones + poly
+    n = sum(core)
+    width = n // 8 + 1
+    base = 256**width
+    value = prod(((base + 1) ** g - 1) ** core.count(g) for g in set(core))
+    raw = value.to_bytes(width * (n + 1), "big")
+    return [int.from_bytes(raw[i : i + width], "big") for i in range(0, len(raw), width)]
 
 
 def mu(gamma: Partition, m: int) -> int:
@@ -254,10 +222,11 @@ def _mu_cached(gamma_parts: tuple) -> tuple:
         # at m = n - m_1 (see mu).
         core_row = _mu_cached(gamma_parts[: length - ones])
         return tuple(map(mul, core_row, repeat(comb(n, ones)))) + (0,) * ones
-    # The sum's falling-factorial coefficients are d_j = e_(n-j+1); e_k
+    # The sum's falling-factorial coefficients are d_j = e_(n-j+1), the
+    # core's coefficients highest first (a part 1 only shifts them); e_k
     # vanishes below the part count, so j stops at n + 1 - length, which
     # is also the parity: otherwise sgn(sigma) sgn(pi) is not the n-cycle's.
-    d = _edge_choice_poly(gamma_parts)[: length - 1 : -1]
+    d = _edge_choice_poly(gamma_parts[: length - ones])[: n + 1 - length]
     return _finish_row(
         d, n, n + 1 - length, _z(gamma_parts), "mu({}, {})",
         Partition._from_sorted(gamma_parts),

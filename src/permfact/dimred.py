@@ -63,7 +63,7 @@ from itertools import repeat
 from math import comb
 from operator import add, lshift, mul
 
-from .exactnum import _stirling2_columns, factorial
+from .exactnum import _check_m, _stirling2_columns, factorial
 from .partition import Partition, all_partitions, class_size, parse_partition
 from .partition import _decimal
 from .countcore import _mu_cached
@@ -207,7 +207,9 @@ class Database:
         self.rows = rows
 
     def lookup(self, n: int, m: int, gamma: Partition) -> int:
-        """Stored count, 0 included, after checking the key is in range."""
+        """Stored count, 0 included, after checking the key is in range.
+        An m that is a bool or not an int raises TypeError."""
+        _check_m(m)
         if gamma.n != n:
             raise ValueError(f"{gamma} is not a partition of {n}")
         if not 1 <= n <= self.n_max:

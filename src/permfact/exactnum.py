@@ -7,7 +7,8 @@ math.factorial, with no Python-level loop; binomial extends math.comb to
 a negative upper index.  Out-of-range indices return 0 rather than
 raising, matching the usual convention for generalized binomial/Stirling
 coefficients.  Counts end in one division checked by _exact_quotient,
-and exact linear algebra runs on _echelon.
+exact linear algebra runs on _echelon, and _check_m is the one type
+check of a cycle count m (mu, xi, zagier_stanley, Database.lookup).
 """
 
 from itertools import repeat
@@ -29,6 +30,13 @@ def _exact_quotient(num: int, den: int, what: str, *where) -> int:
     if r or q < 0:
         raise ConsistencyError(f"{what.format(*where)} came out {num}/{den}")
     return q
+
+
+def _check_m(m) -> None:
+    """Reject a cycle count m that is a bool or not an int with TypeError."""
+    # bool is an int subclass, and a float compares like one.
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise TypeError(f"m must be an int, got {m!r}")
 
 
 def _echelon(rows: list, ncols: int) -> tuple:

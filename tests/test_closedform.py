@@ -37,6 +37,13 @@ def test_zagier_stanley_examples():
     assert zagier_stanley(5, 3) == 15
 
 
+@pytest.mark.parametrize("m", [True, 2.0, 3.0])
+def test_zagier_stanley_rejects_an_m_that_is_not_an_int(m):
+    # True answered for m = 1, 2.0 returned 0 and 3.0 failed on a list index.
+    with pytest.raises(TypeError, match=rf"^m must be an int, got {m!r}$"):
+        zagier_stanley(5, m)
+
+
 def test_zagier_stanley_matches_general(n_max=10):
     for n in range(1, n_max + 1):
         for m in range(1, n + 1):

@@ -371,7 +371,7 @@ def test_finish_row_rejects_a_total_its_divisor_does_not_divide():
     # mu's finish for the class 2,1, whose centralizer order is 2, with d_2
     # raised by 1: the m = 2 entry is no longer a whole count.
     gamma = Partition([2, 1])
-    d = _edge_choice_poly(gamma.parts)[:1:-1]
+    d = edge_choice_by_parts(gamma.parts)[:1:-1]
     assert countcore._finish_row(d, 3, 2, 2, "mu({}, {})", gamma) == _mu_cached((2, 1))
     d[1] += 1
     with pytest.raises(ConsistencyError, match=r"^mu\(2,1, 2\) came out "):
@@ -443,7 +443,7 @@ def mu_row_by_finish(parts):
     Stirling finish of its own edge-choice coefficients, divided by its
     centralizer order, fixed points or not."""
     n, length = sum(parts), len(parts)
-    d = _edge_choice_poly(parts)[: length - 1 : -1]
+    d = edge_choice_by_parts(parts)[: length - 1 : -1]
     return countcore._finish_row(
         d, n, n + 1 - length, _z(parts), "mu({}, {})", Partition(parts)
     )
@@ -516,30 +516,37 @@ def test_mu_and_xi_reject_an_m_that_is_not_an_int():
         xi((Partition([2, 1]), Partition([3])), False)
 
 
-def test_edge_choice_poly_of_a_long_class(monkeypatch):
-    # (1+y)^2 - 1 = y (2 + y): deeper than the default recursion limit.
-    store = {(): [1]}
-    monkeypatch.setattr(countcore, "_edge_polys", store)
-    k, r = 1100, 3
-    poly = _edge_choice_poly((2,) * k + (1,) * r)
-    assert poly == [0] * (k + r) + [comb(k, i) * 2 ** (k - i) for i in range(k + 1)]
-    # No prefix of its core was stored, so the one-off class stores nothing.
-    assert store == {(): [1]}
+def test_edge_choice_poly_of_a_long_class():
+    # (1+y)^2 - 1 = y (2 + y), to the 1100th power, highest degree first.
+    k = 1100
+    poly = _edge_choice_poly((2,) * k)
+    assert poly == [comb(k, i) * 2 ** (k - i) for i in range(k, -1, -1)] + [0] * k
 
 
-def test_edge_choice_store_is_bounded(monkeypatch):
-    monkeypatch.setattr(countcore, "_EDGE_POLY_BOUND", 8)
-    classes = [gamma.parts for n in range(1, 13) for gamma in all_partitions(n)]
-    expected = {parts: mu_row_by_parts(parts) for parts in classes}
-    for order in (classes, classes[::-1]):
-        store = {(): [1]}
-        monkeypatch.setattr(countcore, "_edge_polys", store)
-        for parts in order:
-            assert _mu_cached.__wrapped__(parts) == expected[parts], parts
-            assert len(store) <= 8
-        assert len(store) == 8
-        # Prefix-closed: every stored core extends a stored one.
-        assert all(core[:-1] in store for core in store if core)
+def test_edge_choice_poly_matches_the_product_by_parts():
+    # Every core of n <= 30, and the one-part cores, whose coefficients sum
+    # to 2^n - 1 and so fill their byte slots the most.
+    cores = [
+        gamma.parts
+        for n in range(31)
+        for gamma in all_partitions(n)
+        if not gamma.parts or gamma.parts[-1] != 1
+    ]
+    cores += [(n,) for n in range(31, 201)]
+    for core in cores:
+        assert _edge_choice_poly(core) == edge_choice_by_parts(core)[::-1], core
+
+
+def test_countcore_keeps_no_module_level_store():
+    build_database(12)
+    mu(Partition([5, 3, 1, 1]), 2)
+    xi((Partition([4, 2]), Partition([3, 3])), 2)
+    stores = [
+        name
+        for name, value in vars(countcore).items()
+        if isinstance(value, (dict, list)) and not name.startswith("__")
+    ]
+    assert stores == []
 
 
 def mu_at_two_matches(gamma):

@@ -177,6 +177,14 @@ def test_lookup_range_errors():
         db.lookup(3, 1, Partition([2]))  # size mismatch
 
 
+@pytest.mark.parametrize("m", [True, 2.0])
+def test_lookup_rejects_an_m_that_is_not_an_int(m):
+    # True answered for m = 1, and 2.0 failed on a tuple index.
+    db = build_database(3)
+    with pytest.raises(TypeError, match=rf"^m must be an int, got {m!r}$"):
+        db.lookup(3, m, Partition([2, 1]))
+
+
 def test_save_load_round_trip(tmp_path):
     db = build_database(6)
     path = tmp_path / "counts.tsv"
