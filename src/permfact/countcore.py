@@ -10,12 +10,13 @@ and none kept; the conjugation symmetry of the shape sum gives its
 values at the negative nodes, and the forward differences of all of
 them give the shape sum in falling factorials.  mu's edge-choice
 coefficients are such coefficients already.  One finish, _finish_row,
-turns either into the row m = 1..n by the signed Stirling numbers of the
-first kind, scaled by n! so that it stays in integers, and divides each
-entry once by the classes' centralizer orders (times n! for xi of one
-class).  Each is cached as one row m = 1..n per multiset of classes
-(xi) or class (mu); every value in a row that parity does not force to
-0 is divided exactly once, and asserted integral and nonnegative there.
+turns either into the row m = 1..n, scaled by n! so that it stays in
+integers: it reads the coefficient of each z^m off one evaluation at
+256^w, and divides each entry once by the classes' centralizer orders
+(times n! for xi of one class).  Each is cached as one row m = 1..n per
+multiset of classes (xi) or class (mu); every value in a row that parity
+does not force to 0 is divided exactly once, and asserted integral and
+nonnegative there.
 A class with fixed points is not finished: a part 1 only multiplies the
 edge-choice polynomial by y, so mu(gamma, m) = C(n, m_1) mu(core, m),
 m_1 the number of parts 1 (see mu), and its row is its core's cached
@@ -34,11 +35,11 @@ the brute-force oracle, the closed forms) live in verify and the tests.
 
 from functools import lru_cache
 from itertools import repeat
-from math import comb, perm, prod
+from math import comb, prod
 from operator import add, mul, sub
 
-from .exactnum import _check_m, _exact_quotient, _stirling1_columns, factorial
-from .exactnum import ConsistencyError  # noqa: F401 (re-exported)
+from .exactnum import _byte_slots, _check_m, _exact_quotient, _falling_horner, factorial
+from .exactnum import ConsistencyError
 from .partition import Partition, _z
 from .charkit import _content_sums, _hook_product, _shape_characters, dimension
 
@@ -73,8 +74,8 @@ def xi(classes, m: int) -> int:
     with the sign of the class product times (-1)^n.  That gives the
     values at -ceil(n/2)..-1, and these n + 1 or more points fix P.  Its
     forward differences at 0 are its coefficients in the falling factorials
-    z(z-1)...(z-k+1)/k!, which the signed Stirling numbers turn into
-    powers of z, all in integers.  One pass gives the whole row m = 1..n,
+    z(z-1)...(z-k+1)/k!, which _finish_row turns into powers of z, all in
+    integers.  One pass gives the whole row m = 1..n,
     in which the m that parity rules out are 0.  The product over the
     classes does not depend on their order, so the row is cached once per
     multiset of classes, under their parts sorted (_xi_row).  An m
@@ -138,36 +139,37 @@ def _finish_row(d: list, n: int, parity: int, divisor: int, what: str, where) ->
     """Row m = 1..n of n! * [z^m] sum_k d_k z(z-1)...(z-k+1)/k! divided by
     divisor, for d = [d_1, .., d_top] with top <= n.
 
-    The falling factorial z(z-1)...(z-k+1) has the signed Stirling numbers
-    (-1)^(k-m) c(k, m) as coefficients, and n!/k! keeps each term an
-    integer; entry m sums them down Stirling column m.  An m whose parity
-    differs from parity's is 0; every other entry is one exact division,
-    named by what formatted with where and m.  A count is the class sizes
-    over a denominator times that sum, and the caller passes the fraction
+    Q(y) = sum_k d_k (n!/k!) y(y-1)...(y-k+1) has these scaled counts as
+    coefficients, each in 0..Q(1) = d_1 n!, so Q at 256^width, width bytes
+    holding Q(1), keeps each in its own slot.  An m whose parity differs
+    from parity's is 0; every other entry is one exact division, named by
+    what formatted with where and m.  A count is the class sizes over a
+    denominator times its coefficient, and the caller passes the fraction
     reduced by the class sizes, n!/|C| = z the centralizer order (z for
     mu, prod z_i for xi): the quotient is the same number, and a remainder
     or a negative quotient arises exactly where the unreduced division
-    would give one.
+    would give one.  A Q that overflows its slots, a slot past Q(1) or a
+    nonzero slot that parity rules out raises ConsistencyError.
     """
-    top = len(d)
-    # Only m = parity mod 2 is computed, so (-1)^(k-m) = (-1)^(k-parity).
-    scaled = [0] * (top + 1)  # scaled[k] = (-1)^(k-parity) d_k n!/k!
-    falling = perm(n, n - top)
-    for k in range(top, 0, -1):
-        term = d[k - 1] * falling
-        scaled[k] = -term if (k - parity) % 2 else term
-        falling *= k
-    columns = _stirling1_columns(top)
+    top, total = len(d), d[0] * factorial(n)
+    width = total.bit_length() // 8 + 1
+    value = _falling_horner(d, n, width)
+    if value < 0 or value.bit_length() > 8 * width * top:
+        raise ConsistencyError(f"{what.format(where, 'all m')} overflows its byte slots")
     row = [0] * n
-    for m in range(2 - parity % 2, top + 1, 2):
-        total = sum(map(mul, columns[m], scaled[m:]))
-        row[m - 1] = _exact_quotient(total, divisor, what, where, m)
+    for m, q in enumerate(reversed(_byte_slots(value, width, top, top)), 1):
+        bound = 0 if (m - parity) % 2 else total
+        if q > bound:
+            raise ConsistencyError(f"{what.format(where, m)} read {q}, past {bound}")
+        if bound:  # otherwise q is 0, as row[m - 1] already is
+            row[m - 1] = _exact_quotient(q, divisor, what, where, m)
     return tuple(row)
 
 
 def _edge_choice_poly(core: tuple) -> list:
-    """Coefficients of prod over the core's parts g of ((1+y)^g - 1),
-    highest degree first, for a core of parts >= 2 summing to n.
+    """Coefficients of prod over the core's parts g of ((1+y)^g - 1) from
+    degree n down to the part count, for a core of parts >= 2 summing to n;
+    those below vanish, since each factor is a multiple of y.
 
     The product is taken in integers at y = 256^width, one factor per
     distinct part raised to its multiplicity, and each coefficient is read
@@ -176,10 +178,8 @@ def _edge_choice_poly(core: tuple) -> list:
     """
     n = sum(core)
     width = n // 8 + 1
-    base = 256**width
-    value = prod(((base + 1) ** g - 1) ** core.count(g) for g in set(core))
-    raw = value.to_bytes(width * (n + 1), "big")
-    return [int.from_bytes(raw[i : i + width], "big") for i in range(0, len(raw), width)]
+    value = prod(((256**width + 1) ** g - 1) ** core.count(g) for g in set(core))
+    return _byte_slots(value, width, n + 1, n + 1 - len(core))
 
 
 def mu(gamma: Partition, m: int) -> int:
@@ -191,8 +191,8 @@ def mu(gamma: Partition, m: int) -> int:
     an m that is a bool or not an int raises TypeError.  The first call
     for a class computes its whole row m = 1..n, which is cached: with e
     the coefficients of prod over parts g of ((1+y)^g - 1),
-    mu(gamma, m) = |C_gamma| / n! times
-    sum_{j=m..n} (-1)^(j-m) c(j, m) e_(n-j+1) n!/j!, all in integers.
+    mu(gamma, m) = |C_gamma| / n! times sum_{j=m..n} (-1)^(j-m) c(j, m)
+    e_(n-j+1) n!/j!, which _finish_row reads off byte slots in integers.
 
     A class with 1 <= m_1 < n parts 1 and core gamma_c, its parts >= 2,
     n_c = n - m_1, has mu(gamma, m) = C(n, m_1) mu(gamma_c, m).  Proof:
@@ -226,7 +226,7 @@ def _mu_cached(gamma_parts: tuple) -> tuple:
     # core's coefficients highest first (a part 1 only shifts them); e_k
     # vanishes below the part count, so j stops at n + 1 - length, which
     # is also the parity: otherwise sgn(sigma) sgn(pi) is not the n-cycle's.
-    d = _edge_choice_poly(gamma_parts[: length - ones])[: n + 1 - length]
+    d = _edge_choice_poly(gamma_parts[: length - ones])
     return _finish_row(
         d, n, n + 1 - length, _z(gamma_parts), "mu({}, {})",
         Partition._from_sorted(gamma_parts),

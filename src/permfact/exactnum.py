@@ -1,18 +1,19 @@
 """Exact integer arithmetic: number families, checked division, elimination.
 
 The Stirling families are memoized in triangular tables grown on demand,
-each read by rows or by columns, since the counting formulas evaluate
-them repeatedly.  Binomials and factorials come from math.comb and
-math.factorial, with no Python-level loop; binomial extends math.comb to
-a negative upper index.  Out-of-range indices return 0 rather than
-raising, matching the usual convention for generalized binomial/Stirling
-coefficients.  Counts end in one division checked by _exact_quotient,
-exact linear algebra runs on _echelon, and _check_m is the one type
+read by rows, and the second kind also by columns (dimred's kernel).
+Binomials, factorials and double factorials come from math.comb,
+math.factorial and math.prod, with no Python-level loop; binomial extends
+math.comb to a negative upper index.  Out-of-range indices return 0
+rather than raising, as usual for generalized binomial/Stirling numbers.
+Counts end in one division checked by _exact_quotient, exact linear
+algebra runs on _echelon, _byte_slots reads back a polynomial evaluated
+at 256^width (a Kronecker substitution), and _check_m is the one type
 check of a cycle count m (mu, xi, zagier_stanley, Database.lookup).
 """
 
 from itertools import repeat
-from math import comb, factorial
+from math import comb, factorial, perm, prod
 from operator import add, mul
 
 
@@ -37,6 +38,24 @@ def _check_m(m) -> None:
     # bool is an int subclass, and a float compares like one.
     if not isinstance(m, int) or isinstance(m, bool):
         raise TypeError(f"m must be an int, got {m!r}")
+
+
+def _byte_slots(value: int, width: int, count: int, keep: int) -> list:
+    """The top keep of the count digits of value in base 256^width,
+    highest first, for 0 <= value < 256^(width * count)."""
+    raw = value.to_bytes(width * count, "big")
+    return [int.from_bytes(raw[i : i + width], "big") for i in range(0, width * keep, width)]
+
+
+def _falling_horner(d: list, n: int, width: int) -> int:
+    """Q(B) / B at B = 256^width for Q(y) = sum_k d_k (n!/k!) y(y-1)...(y-k+1),
+    d = [d_1, .., d_top], by Horner from k = top: acc (B - k) + d_k n!/k!."""
+    shift = 8 * width
+    acc, scale = 0, perm(n, n - len(d))
+    for k in range(len(d), 0, -1):
+        acc = (acc << shift) - k * acc + d[k - 1] * scale
+        scale *= k
+    return acc
 
 
 def _echelon(rows: list, ncols: int) -> tuple:
@@ -76,10 +95,7 @@ def double_factorial_odd(n: int) -> int:
     """
     if n < 0:
         raise ValueError("double_factorial_odd requires n >= 0")
-    result = 1
-    for i in range(1, 2 * n, 2):
-        result *= i
-    return result
+    return prod(range(1, 2 * n, 2))
 
 
 def binomial(a: int, k: int) -> int:
@@ -100,54 +116,33 @@ def binomial(a: int, k: int) -> int:
 # Triangular memo tables; row n holds the coefficients for 0 <= k <= n.
 _STIRLING1_ROWS: list[list[int]] = [[1]]
 _STIRLING2_ROWS: list[list[int]] = [[1]]
-# Their column views, holding the same ints: column k holds T(k, k), T(k+1, k),
-# ..., down to the table's last row, so a sum over rows n >= k of T(n, k)
-# times a list indexed by n is one map over column k and that list from k on.
-_STIRLING1_COLS: list[list[int]] = [[1]]
+# The second kind's column view, holding the same ints: column k holds S(k, k),
+# S(k+1, k), ..., down to the table's last row, so a sum over rows n >= k of
+# S(n, k) times a list indexed by n is one map over column k and that list.
 _STIRLING2_COLS: list[list[int]] = [[1]]
 
 
-def _grow_triangle(rows: list, columns: list, n: int, weights) -> None:
-    """Grow a triangular table and its column view to hold rows 0..n: row m
-    follows from row m-1 by T(m,k) = T(m-1,k-1) + w_k T(m-1,k) for k = 1..m,
-    weights(m) giving w_1..w_m.
+def _grow_triangle(rows: list, n: int, weights, columns=None) -> None:
+    """Grow a triangular table, and its column view if given, to hold rows
+    0..n: row m follows from row m-1 by T(m,k) = T(m-1,k-1) + w_k T(m-1,k)
+    for k = 1..m, weights(m) giving w_1..w_m.
     """
     while len(rows) <= n:
         m = len(rows)
         prev = rows[-1]
         row = [0, *map(add, prev, map(mul, weights(m), prev[1:] + [0]))]
         rows.append(row)
-        for column, value in zip(columns, row):
-            column.append(value)
-        columns.append([row[m]])
-
-
-def _stirling1_table(n: int) -> list[list[int]]:
-    """The table _STIRLING1_ROWS itself, grown to hold rows 0..n at least,
-    so that a caller reading many rows pays for one call."""
-    if len(_STIRLING1_ROWS) <= n:
-        # c(m,k) = c(m-1,k-1) + (m-1) c(m-1,k)
-        _grow_triangle(_STIRLING1_ROWS, _STIRLING1_COLS, n, lambda m: repeat(m - 1))
-    return _STIRLING1_ROWS
-
-
-def _stirling1_columns(n: int) -> list[list[int]]:
-    """_STIRLING1_COLS itself, the table grown to hold rows 0..n at least."""
-    _stirling1_table(n)
-    return _STIRLING1_COLS
-
-
-def _stirling2_table(n: int) -> list[list[int]]:
-    """The table _STIRLING2_ROWS itself, grown to hold rows 0..n at least."""
-    if len(_STIRLING2_ROWS) <= n:
-        # S(m,k) = S(m-1,k-1) + k S(m-1,k)
-        _grow_triangle(_STIRLING2_ROWS, _STIRLING2_COLS, n, lambda m: range(1, m + 1))
-    return _STIRLING2_ROWS
+        if columns is not None:
+            for column, value in zip(columns, row):
+                column.append(value)
+            columns.append([row[m]])
 
 
 def _stirling2_columns(n: int) -> list[list[int]]:
     """_STIRLING2_COLS itself, the table grown to hold rows 0..n at least."""
-    _stirling2_table(n)
+    if len(_STIRLING2_ROWS) <= n:
+        # S(m,k) = S(m-1,k-1) + k S(m-1,k)
+        _grow_triangle(_STIRLING2_ROWS, n, lambda m: range(1, m + 1), _STIRLING2_COLS)
     return _STIRLING2_COLS
 
 
@@ -161,7 +156,10 @@ def stirling_first_unsigned(n: int, k: int) -> int:
         raise ValueError("stirling_first_unsigned requires n >= 0")
     if k < 0 or k > n:
         return 0
-    return _stirling1_table(n)[n][k]
+    if len(_STIRLING1_ROWS) <= n:
+        # c(m,k) = c(m-1,k-1) + (m-1) c(m-1,k)
+        _grow_triangle(_STIRLING1_ROWS, n, lambda m: repeat(m - 1))
+    return _STIRLING1_ROWS[n][k]
 
 
 def stirling_first_signed(n: int, k: int) -> int:
@@ -180,4 +178,4 @@ def stirling_second(n: int, k: int) -> int:
         raise ValueError("stirling_second requires n >= 0")
     if k < 0 or k > n:
         return 0
-    return _stirling2_table(n)[n][k]
+    return _stirling2_columns(n)[k][n - k]

@@ -9,9 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from permfact.charkit import character, dimension
-from permfact import charkit, countcore
+from permfact import charkit, countcore, exactnum
 from permfact.countcore import _edge_choice_poly, _mu_cached, genus_of, mu, xi
-from permfact.exactnum import ConsistencyError, binomial, factorial, stirling_first_unsigned
+from permfact.exactnum import (
+    ConsistencyError, _exact_quotient, binomial, factorial, stirling_first_signed,
+    stirling_first_unsigned,
+)
 from permfact.oracle import brute_mu, brute_xi
 from permfact.dimred import build_database
 from permfact.partition import Partition, _z, all_partitions, class_size
@@ -367,15 +370,80 @@ def test_xi_pair_totals(data):
     assert total == class_size(a) * class_size(g)
 
 
+def stirling_finish(d, n, parity, divisor, what, where):
+    """Reference finish by the signed Stirling numbers of the first kind:
+    entry m sums s(k, m) d_k n!/k! over k = m..top and divides it exactly
+    by divisor; an m whose parity differs from parity's is 0."""
+    row = [0] * n
+    for m in range(2 - parity % 2, len(d) + 1, 2):
+        total = sum(
+            stirling_first_signed(k, m) * d[k - 1] * (factorial(n) // factorial(k))
+            for k in range(m, len(d) + 1)
+        )
+        row[m - 1] = _exact_quotient(total, divisor, what, where, m)
+    return tuple(row)
+
+
 def test_finish_row_rejects_a_total_its_divisor_does_not_divide():
-    # mu's finish for the class 2,1, whose centralizer order is 2, with d_2
-    # raised by 1: the m = 2 entry is no longer a whole count.
+    # mu's finish for the class 2,1, whose centralizer order is 2: divided
+    # by 4 instead, the m = 2 entry is no longer a whole count.
     gamma = Partition([2, 1])
     d = edge_choice_by_parts(gamma.parts)[:1:-1]
     assert countcore._finish_row(d, 3, 2, 2, "mu({}, {})", gamma) == _mu_cached((2, 1))
+    with pytest.raises(ConsistencyError, match=r"^mu\(2,1, 2\) came out 6/4$"):
+        countcore._finish_row(d, 3, 2, 4, "mu({}, {})", gamma)
+    # With d_2 raised by 1, Q(y) = 9y^2 - 3y: at y = 256 the -3 borrows
+    # from slot 2, whose 8 the divisor divides, and leaves 253 in slot 1,
+    # which parity rules out.
     d[1] += 1
-    with pytest.raises(ConsistencyError, match=r"^mu\(2,1, 2\) came out "):
+    with pytest.raises(ConsistencyError, match=r"^mu\(2,1, 1\) read 253, past 0$"):
         countcore._finish_row(d, 3, 2, 2, "mu({}, {})", gamma)
+    # d = [1, -1] gives Q(y) = 6y - 3y(y-1) = -3y^2 + 9y, negative at 256.
+    with pytest.raises(ConsistencyError, match=r"^mu\(2,1, all m\) overflows its byte slots$"):
+        countcore._finish_row([1, -1], 3, 2, 2, "mu({}, {})", gamma)
+    # d = [1, 1] gives Q(y) = 3y^2 + 3y, whose y^1 parity rules out.
+    with pytest.raises(ConsistencyError, match=r"^mu\(2,1, 1\) read 3, past 0$"):
+        countcore._finish_row([1, 1], 3, 2, 2, "mu({}, {})", gamma)
+    # d = [1, 92, 6] gives Q(y) = 6y^3 + 258y^2 - 258y, summing to Q(1) = 6:
+    # at y = 256 it is 7 * 256^3 + 254 * 256, with slots (7, 0, 254) that
+    # pass both checks above but not the total.
+    with pytest.raises(ConsistencyError, match=r"^mu\(3, 1\) read 254, past 6$"):
+        countcore._finish_row([1, 92, 6], 3, 3, 3, "mu({}, {})", Partition([3]))
+
+
+def test_finish_row_matches_the_stirling_finish(monkeypatch):
+    # Every finish of a core or identity class to n = 22, and of a single
+    # class or pair of classes to n = 9, against the reference.
+    finish = countcore._finish_row
+    calls = []
+
+    def compared(d, n, parity, divisor, what, where):
+        calls.append(where)
+        row = finish(d, n, parity, divisor, what, where)
+        assert row == stirling_finish(d, n, parity, divisor, what, where), where
+        return row
+
+    monkeypatch.setattr(countcore, "_finish_row", compared)
+    for n in range(1, 23):
+        shapes = all_partitions(n)
+        for gamma in shapes:
+            if gamma.parts[-1] != 1 or gamma.length == n:
+                _mu_cached.__wrapped__(gamma.parts)
+        if n <= 9:
+            cases = [(c,) for c in shapes] + list(combinations_with_replacement(shapes, 2))
+            for classes in cases:
+                countcore._xi_cached.__wrapped__(tuple(sorted(c.parts for c in classes)))
+    # 1 023 cores and identity classes, 1 053 single classes and pairs.
+    assert len(calls) == 2076
+
+
+def test_mu_and_xi_leave_the_stirling_table_as_they_found_it(monkeypatch):
+    # The finish reads no Stirling numbers, so neither a cold mu row at
+    # n = 60 nor a cold xi row at n = 30 grows the table.
+    monkeypatch.setattr(exactnum, "_STIRLING1_ROWS", [[1]])
+    _mu_cached.__wrapped__((12, 10, 9, 8, 7, 5, 4, 3, 2))
+    countcore._xi_cached.__wrapped__(((8, 7, 5, 4, 3, 2, 1), (10, 6, 4, 4, 3, 3)))
+    assert len(exactnum._STIRLING1_ROWS) == 1
 
 
 def test_mu_examples():
@@ -517,10 +585,10 @@ def test_mu_and_xi_reject_an_m_that_is_not_an_int():
 
 
 def test_edge_choice_poly_of_a_long_class():
-    # (1+y)^2 - 1 = y (2 + y), to the 1100th power, highest degree first.
+    # (1+y)^2 - 1 = y (2 + y), to the 1100th power, from y^2200 down to y^1100.
     k = 1100
     poly = _edge_choice_poly((2,) * k)
-    assert poly == [comb(k, i) * 2 ** (k - i) for i in range(k, -1, -1)] + [0] * k
+    assert poly == [comb(k, i) * 2 ** (k - i) for i in range(k, -1, -1)]
 
 
 def test_edge_choice_poly_matches_the_product_by_parts():
@@ -534,7 +602,8 @@ def test_edge_choice_poly_matches_the_product_by_parts():
     ]
     cores += [(n,) for n in range(31, 201)]
     for core in cores:
-        assert _edge_choice_poly(core) == edge_choice_by_parts(core)[::-1], core
+        nonzero = edge_choice_by_parts(core)[: len(core) - 1 : -1] if core else [1]
+        assert _edge_choice_poly(core) == nonzero, core
 
 
 def test_countcore_keeps_no_module_level_store():

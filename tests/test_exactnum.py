@@ -116,16 +116,18 @@ def test_negative_n_rejected():
         double_factorial_odd(-1)
 
 
-@pytest.mark.parametrize("first", [10, 40], ids=["grown-10-then-40", "grown-to-40"])
-@pytest.mark.parametrize("kind", ["1", "2"], ids=["first-kind", "second-kind"])
-def test_stirling_columns_are_the_rows_entries(monkeypatch, kind, first):
-    # From fresh tables, grown by rows to `first`, then by columns to 40:
-    # column k holds the very ints of rows k..40 at place k.
-    monkeypatch.setattr(exactnum, f"_STIRLING{kind}_ROWS", [[1]])
-    monkeypatch.setattr(exactnum, f"_STIRLING{kind}_COLS", [[1]])
-    getattr(exactnum, f"_stirling{kind}_table")(first)
-    columns = getattr(exactnum, f"_stirling{kind}_columns")(40)
-    rows = getattr(exactnum, f"_STIRLING{kind}_ROWS")
+@pytest.mark.parametrize(
+    "first", [10, 40], ids=["second-kind-grown-10-then-40", "second-kind-grown-to-40"]
+)
+def test_stirling_columns_are_the_rows_entries(monkeypatch, first):
+    # Only the second kind has a column view.  From fresh tables, grown to
+    # `first`, then to 40: column k holds the very ints of rows k..40 at
+    # place k.
+    monkeypatch.setattr(exactnum, "_STIRLING2_ROWS", [[1]])
+    monkeypatch.setattr(exactnum, "_STIRLING2_COLS", [[1]])
+    exactnum.stirling_second(first, 0)
+    columns = exactnum._stirling2_columns(40)
+    rows = exactnum._STIRLING2_ROWS
     assert len(rows) == len(columns) == 41
     for k, column in enumerate(columns):
         assert len(column) == 41 - k, k
