@@ -122,7 +122,7 @@ def _cmd_maps(args, out) -> int:
             )
         out.write(f"{closedform.one_face_map_count(edges, args.genus)}\n")
         return 0
-    rows = [(r.n_edges, r.genus, r.count) for r in closedform.hz_table(edges)]
+    rows = [(edges, g, count) for g, count in enumerate(closedform.hz_table(edges))]
     _emit_table(rows, ["edges", "genus", "count"], args.format, out)
     return 0
 

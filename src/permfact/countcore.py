@@ -38,7 +38,7 @@ from itertools import repeat
 from math import comb, prod
 from operator import add, mul, sub
 
-from .exactnum import _byte_slots, _check_m, _exact_quotient, _falling_horner, factorial
+from .exactnum import _byte_slots, _check_int, _exact_quotient, _falling_horner, factorial
 from .exactnum import ConsistencyError
 from .partition import Partition, _z
 from .charkit import _content_sums, _hook_product, _shape_characters, dimension
@@ -82,7 +82,7 @@ def xi(classes, m: int) -> int:
     outside 1..n raises ValueError, and one that is a bool or not an int
     raises TypeError.
     """
-    _check_m(m)
+    _check_int(m, "m")
     classes = _check_classes(classes)
     n = classes[0].n
     if not 1 <= m <= n:
@@ -203,7 +203,7 @@ def mu(gamma: Partition, m: int) -> int:
     row is therefore the core's cached row times C(n, m_1), 0 past
     m = n_c; only cores and the identity classes 1^n are computed.
     """
-    _check_m(m)
+    _check_int(m, "m")
     n = gamma.n
     if n < 1:
         raise ValueError("mu requires a partition of n >= 1")

@@ -63,7 +63,7 @@ from itertools import repeat
 from math import comb
 from operator import add, lshift, mul
 
-from .exactnum import _check_m, _stirling2_columns, factorial
+from .exactnum import _check_int, _stirling2_columns, factorial
 from .partition import Partition, all_partitions, class_size, parse_partition
 from .partition import _decimal
 from .countcore import _mu_cached
@@ -208,8 +208,9 @@ class Database:
 
     def lookup(self, n: int, m: int, gamma: Partition) -> int:
         """Stored count, 0 included, after checking the key is in range.
-        An m that is a bool or not an int raises TypeError."""
-        _check_m(m)
+        An n or m that is a bool or not an int raises TypeError."""
+        _check_int(n, "n")
+        _check_int(m, "m")
         if gamma.n != n:
             raise ValueError(f"{gamma} is not a partition of {n}")
         if not 1 <= n <= self.n_max:
@@ -360,8 +361,10 @@ def build_database(n_max: int) -> Database:
     identity class 1^n, the explicit formula's row is the Stirling finish
     of its edge-choice coefficients; for a class with 1 <= m_1 < n fixed
     points it is C(n, m_1) times its core's row, so the comparison is
-    between two scalings (see the module docstring).
+    between two scalings (see the module docstring).  An n_max that is a
+    bool or not an int raises TypeError.
     """
+    _check_int(n_max, "n_max")
     if n_max < 1:
         raise ValueError("build_database requires n_max >= 1")
     rows: dict = {}

@@ -1,4 +1,4 @@
-"""Exact integer arithmetic: number families, checked division, elimination.
+"""Exact integer arithmetic: number families and checked division.
 
 The Stirling families are memoized in triangular tables grown on demand,
 read by rows, and the second kind also by columns (dimred's kernel).
@@ -6,10 +6,10 @@ Binomials, factorials and double factorials come from math.comb,
 math.factorial and math.prod, with no Python-level loop; binomial extends
 math.comb to a negative upper index.  Out-of-range indices return 0
 rather than raising, as usual for generalized binomial/Stirling numbers.
-Counts end in one division checked by _exact_quotient, exact linear
-algebra runs on _echelon, _byte_slots reads back a polynomial evaluated
-at 256^width (a Kronecker substitution), and _check_m is the one type
-check of a cycle count m (mu, xi, zagier_stanley, Database.lookup).
+Counts end in one division checked by _exact_quotient, _byte_slots
+reads back a polynomial evaluated at 256^width (a Kronecker
+substitution), and _check_int is the one type check of an integer
+argument: a cycle count m, a size n, n_max or n_edges, or a genus g.
 """
 
 from itertools import repeat
@@ -33,11 +33,12 @@ def _exact_quotient(num: int, den: int, what: str, *where) -> int:
     return q
 
 
-def _check_m(m) -> None:
-    """Reject a cycle count m that is a bool or not an int with TypeError."""
+def _check_int(value, name: str) -> None:
+    """Reject a value that is a bool or not an int with TypeError, naming
+    the argument it was passed as."""
     # bool is an int subclass, and a float compares like one.
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise TypeError(f"m must be an int, got {m!r}")
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {value!r}")
 
 
 def _byte_slots(value: int, width: int, count: int, keep: int) -> list:
@@ -56,36 +57,6 @@ def _falling_horner(d: list, n: int, width: int) -> int:
         acc = (acc << shift) - k * acc + d[k - 1] * scale
         scale *= k
     return acc
-
-
-def _echelon(rows: list, ncols: int) -> tuple:
-    """Echelon form of integer rows over their first ncols columns, in place.
-
-    Fraction-free (Bareiss) elimination that skips columns with no pivot
-    left: each row update divides exactly by the previous pivot, so every
-    entry stays an integer minor.  Returns (rank, sign of the row swaps);
-    a square matrix of full rank ends with sign * determinant.
-    """
-    rank, sign, prev = 0, 1, 1
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != rank:
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            sign = -sign
-        lead = rows[rank][col]
-        tail = rows[rank][col + 1 :]
-        zeros = [0] * (col + 1)
-        for r in range(rank + 1, len(rows)):
-            row = rows[r]
-            factor = row[col]
-            rows[r] = zeros + [
-                (lead * a - factor * b) // prev for a, b in zip(row[col + 1 :], tail)
-            ]
-        prev = lead
-        rank += 1
-    return rank, sign
 
 
 def double_factorial_odd(n: int) -> int:

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import permutations as _all_images, repeat
 from types import MappingProxyType
 
-from .exactnum import _exact_quotient
+from .exactnum import _check_int, _exact_quotient
 from .partition import Partition, class_size, all_partitions
 
 
@@ -143,8 +143,9 @@ def brute_xi(classes, m: int) -> int:
     """Exhaustive count of tuples from the given classes whose product has m cycles.
 
     Guards: n >= 1, and n <= 9 for pairs, n <= 6 for triples; other inputs
-    are refused.
+    are refused.  An m that is a bool or not an int raises TypeError.
     """
+    _check_int(m, "m")
     classes = tuple(classes)
     if not classes:
         raise ValueError("at least one class required")
@@ -173,8 +174,10 @@ def brute_mu(gamma: Partition, m: int) -> int:
     """Exhaustive count of factorizations sigma*pi of the fixed full cycle.
 
     sigma runs over the class of gamma, pi = sigma^-1 * omega must have
-    m cycles.  Guard: n <= 9, the pair table's limit.
+    m cycles.  Guard: n <= 9, the pair table's limit.  An m that is a bool
+    or not an int raises TypeError.
     """
+    _check_int(m, "m")
     n = gamma.n
     if n > _T2_LIMIT:
         raise ValueError(f"brute_mu limited to n <= {_T2_LIMIT}")

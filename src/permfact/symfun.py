@@ -13,6 +13,8 @@ ConsistencyError instead of passing.  The cycle-count marker z is
 handled the same way: both sides are polynomials of degree <= n in z, so
 equality at z = 0..n is equivalence.  Both sides of each identity are
 multiplied by one known factor, so that everything runs in integers.
+The determinants, and verify's rank test, come from one fraction-free
+elimination, _echelon.
 
 Schur values come from the bialternant det(x_i^(lam_j + n - j)) /
 det(x_i^(n - j)) (Macdonald, Symmetric Functions and Hall Polynomials,
@@ -24,11 +26,41 @@ from math import lcm
 from operator import mul
 from random import Random
 
-from .exactnum import ConsistencyError, _echelon, factorial
+from .exactnum import ConsistencyError, factorial
 from .partition import all_partitions
 from .charkit import _content_sums
 from .countcore import xi
 from .report import CheckReport
+
+
+def _echelon(rows: list, ncols: int) -> tuple:
+    """Echelon form of integer rows over their first ncols columns, in place.
+
+    Fraction-free (Bareiss) elimination that skips columns with no pivot
+    left: each row update divides exactly by the previous pivot, so every
+    entry stays an integer minor.  Returns (rank, sign of the row swaps);
+    a square matrix of full rank ends with sign * determinant.
+    """
+    rank, sign, prev = 0, 1, 1
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        if pivot != rank:
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            sign = -sign
+        lead = rows[rank][col]
+        tail = rows[rank][col + 1 :]
+        zeros = [0] * (col + 1)
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            factor = row[col]
+            rows[r] = zeros + [
+                (lead * a - factor * b) // prev for a, b in zip(row[col + 1 :], tail)
+            ]
+        prev = lead
+        rank += 1
+    return rank, sign
 
 
 def _det(rows) -> int:

@@ -4,22 +4,25 @@ Each suite cross-checks one family of results, usually formula versus
 brute force or two independent formulas against each other, and returns
 a CheckReport with one case per unit of work.  Suite sizes are capped by
 the brute-force guards where applicable.  The checks that only a suite
-runs live here too: the one-face map generating-function identities
-(hz_series_check) and the polynomiality of weighted counts
-(polynomiality_check).  The CLI imports this module only for its verify
-command.
+runs live here too: the closed forms that only cross-check mu (the
+genus-zero quotient, the near-hook, two/three-part and power-block
+classes, and the by-part-count aggregation), the one-face map
+generating-function identities (hz_series_check) and the polynomiality
+of weighted counts (polynomiality_check).  The CLI imports this module
+only for its verify command.
 """
 
 from itertools import product
 
 from .exactnum import (
-    _echelon,
+    _exact_quotient,
     binomial,
     double_factorial_odd,
     factorial,
     stirling_first_signed,
+    stirling_first_unsigned,
 )
-from .partition import Partition, all_partitions, aut_lambda, remove_part
+from .partition import Partition, all_partitions, aut_lambda, class_size, remove_part
 from .countcore import _mu_cached, _xi_row, mu
 from . import closedform, dimred, oracle, symfun
 from .report import CheckReport
@@ -63,6 +66,126 @@ def suite_oracle(n_max: int) -> CheckReport:
     return report
 
 
+def mu_genus_zero(gamma: Partition) -> int:
+    """Planar one-face count for class gamma: n! / (prod a_i! * (n+1-len)!).
+
+    This is the count at the maximal cycle number m = n + 1 - len(gamma).
+    """
+    n = gamma.n
+    if n < 1:
+        raise ValueError("mu_genus_zero requires a partition of n >= 1")
+    denom = factorial(n + 1 - gamma.length)
+    for m_i in gamma.multiplicities().values():
+        denom *= factorial(m_i)
+    return _exact_quotient(factorial(n), denom, "mu_genus_zero({})", gamma)
+
+
+def mu_one_p(n: int, p: int, m: int) -> int:
+    """Count for class type [1^p, n-p] (one long cycle plus p fixed points).
+
+    Symmetric two-term form 2 c(n+1-p, m) / (n+1-p)! times the class size
+    when n - p - m is even; the two terms cancel to 0 for odd parity.
+    """
+    if not 0 <= p < n:
+        raise ValueError("mu_one_p requires 0 <= p < n")
+    if m < 1:
+        raise ValueError("mu_one_p requires m >= 1")
+    gamma = Partition([1] * p + [n - p])
+    c = stirling_first_unsigned(n + 1 - p, m)
+    sign = -1 if (n + 1 - p - m) % 2 else 1
+    total = (c - sign * c) * class_size(gamma)
+    return _exact_quotient(total, factorial(n + 1 - p), "mu_one_p({},{},{})", n, p, m)
+
+
+def mu_t_p(n: int, t: int, p: int, m: int) -> int:
+    """Count for class type [1^t, p, n-p-t] (two long cycles plus t fixed points).
+
+    Single sum over j of ((-1)^(n-j-t) - (-1)^(j-m)) / j! * C(p, n+1-j-t)
+    * c(j, m), times the class size.  Every term cancels when n - m - t
+    is even, since the two signs are then equal, so that parity returns 0
+    without summing.  The sum runs in integers scaled by (n-t)!, with one
+    exact division at the end.
+    """
+    if p < 1 or t < 0 or n - p - t < 1 or m < 1:
+        raise ValueError("mu_t_p requires p >= 1, t >= 0, n-p-t >= 1, m >= 1")
+    if (n - m - t) % 2 == 0:
+        return 0
+    gamma = Partition([1] * t + [p, n - p - t])
+    scale = factorial(n - t)
+    total = 0
+    for j in range(1, n - t + 1):
+        c = stirling_first_unsigned(j, m)
+        if c == 0:
+            continue
+        b = binomial(p, n + 1 - j - t)
+        if b == 0:
+            continue
+        sign1 = -1 if (n - j - t) % 2 else 1
+        sign2 = -1 if (j - m) % 2 else 1
+        total += (sign1 - sign2) * b * c * (scale // factorial(j))
+    return _exact_quotient(
+        total * class_size(gamma), scale, "mu_t_p({},{},{},{})", n, t, p, m
+    )
+
+
+def mu_two_parts(n: int, p: int, m: int) -> int:
+    """Count for a two-part class [p, n-p].
+
+    -2 sum_{j=m}^{n} C(p, n+1-j) s(j, m) / j! times the class size when
+    n - m is odd, and 0 when n - m is even; summed in integers scaled by
+    n!, with one exact division at the end.
+    """
+    if not 1 <= p <= n - 1:
+        raise ValueError("mu_two_parts requires 1 <= p <= n-1")
+    if m < 1:
+        raise ValueError("mu_two_parts requires m >= 1")
+    if (n - m) % 2 == 0:
+        return 0
+    gamma = Partition([p, n - p])
+    scale = factorial(n)
+    total = 0
+    for j in range(m, n + 1):
+        b = binomial(p, n + 1 - j)
+        if b == 0:
+            continue
+        total += b * stirling_first_signed(j, m) * (scale // factorial(j))
+    return _exact_quotient(
+        -2 * total * class_size(gamma), scale, "mu_two_parts({},{},{})", n, p, m
+    )
+
+
+def mu_p_power(n_blocks: int, p: int, m: int) -> int:
+    """Count for the rectangular class [p^n_blocks] on n_blocks*p points.
+
+    Runs the alternating Stirling sum over the W-numbers of equal parts,
+    w(j) = (N-1)! N! / (j! k! p^k) * sum_i (-1)^i C(k, i) C(p(k-i), N-j+1)
+    with N = kp and k = n_blocks, then divides by (N-1)!.  The sum is
+    kept in integers scaled by k! p^k, so the only division is one exact
+    division by k! p^k at the end.  At the extreme m = n_blocks*(p-1)+1
+    this is the generalized Catalan number C(np, n) / (n(p-1)+1).
+    """
+    if n_blocks < 1 or p < 1 or m < 1:
+        raise ValueError("mu_p_power requires positive arguments")
+    big_n = n_blocks * p
+    if m > big_n:
+        return 0
+
+    def w_scaled(j: int) -> int:
+        """w(j) * k! p^k / (N-1)!, an integer."""
+        inner = 0
+        for i in range(n_blocks + 1):
+            term = binomial(n_blocks, i) * binomial(p * (n_blocks - i), big_n - j + 1)
+            inner += -term if i % 2 else term
+        return factorial(big_n) // factorial(j) * inner
+
+    total = 0
+    for k in range(big_n - m + 1):
+        term = stirling_first_unsigned(m + k, m) * w_scaled(m + k)
+        total += -term if k % 2 else term
+    scale = factorial(n_blocks) * p ** n_blocks
+    return _exact_quotient(total, scale, "mu_p_power({},{},{})", n_blocks, p, m)
+
+
 def _closedform_cases(n: int):
     """(family, tag template, [(tag fields, closed form, mu value)]) for each
     specialized formula at n; a tag is formatted only for a failing case.
@@ -74,13 +197,13 @@ def _closedform_cases(n: int):
         ((m,), closedform.zagier_stanley(n, m), cycle[m - 1]) for m in ms
     ]
     yield "near-hook", "(p={},m={})", [
-        ((p, m), closedform.mu_one_p(n, p, m), row[m - 1])
+        ((p, m), mu_one_p(n, p, m), row[m - 1])
         for p in range(n)
         for row in [_mu_cached(Partition([1] * p + [n - p]).parts)]
         for m in ms
     ]
     three_block = [
-        ((t, p, m), closedform.mu_t_p(n, t, p, m), row[m - 1])
+        ((t, p, m), mu_t_p(n, t, p, m), row[m - 1])
         for t in range(n - 1)
         for p in range(1, n - t)
         for row in [_mu_cached(Partition([1] * t + [p, n - p - t]).parts)]
@@ -93,16 +216,16 @@ def _closedform_cases(n: int):
     for p in range(1, n):
         row = _mu_cached(Partition([p, n - p]).parts)
         for m in ms:
-            closed = closedform.mu_two_parts(n, p, m)
+            closed = mu_two_parts(n, p, m)
             two_part.append(((p, m, ""), closed, row[m - 1]))
             two_part.append(((p, m, " vs three-block"), closed, t_zero[p, m]))
     yield "two-part", "(p={},m={}){}", two_part
     yield "genus-zero", "{}", [
-        ((gamma,), closedform.mu_genus_zero(gamma), _mu_cached(gamma.parts)[n - gamma.length])
+        ((gamma,), mu_genus_zero(gamma), _mu_cached(gamma.parts)[n - gamma.length])
         for gamma in all_partitions(n)
     ]
     yield "equal-part", "(p={},m={})", [
-        ((p, m), closedform.mu_p_power(n // p, p, m), row[m - 1])
+        ((p, m), mu_p_power(n // p, p, m), row[m - 1])
         for p in range(1, n + 1)
         if n % p == 0
         for row in [_mu_cached(Partition([p] * (n // p)).parts)]
@@ -134,6 +257,32 @@ def suite_m1(n_max: int) -> CheckReport:
     return report
 
 
+def jackson_by_length(n: int, m: int, d: int) -> int:
+    """Total count over all classes of n with exactly d parts.
+
+    The closed single sum
+    n! sum_k (-1)^(k-m) c(k,m)/k! C(n-1,k-1) c(n-k+1,d)/(n-k+1)!,
+    summed in integers as sum_k (-1)^(k-m) c(k,m) C(n-1,k-1) c(n-k+1,d)
+    C(n+1,k) and divided exactly by n+1, since n!/(k!(n-k+1)!) equals
+    C(n+1,k)/(n+1).  suite_jackson and the tests compare it with
+    the direct sum of mu over the length-d classes.
+    """
+    if n < 1 or not 1 <= m <= n or not 1 <= d <= n:
+        raise ValueError("jackson_by_length requires 1 <= m, d <= n")
+    closed = 0
+    for k in range(1, n + 1):
+        c1 = stirling_first_unsigned(k, m)
+        if c1 == 0:
+            continue
+        b = binomial(n - 1, k - 1)
+        c2 = stirling_first_unsigned(n - k + 1, d)
+        if b == 0 or c2 == 0:
+            continue
+        term = c1 * b * c2 * binomial(n + 1, k)
+        closed += -term if (k - m) % 2 else term
+    return _exact_quotient(closed, n + 1, "jackson_by_length({},{},{})", n, m, d)
+
+
 def suite_jackson(n_max: int) -> CheckReport:
     """By-part-count aggregation: closed vs direct sum, and the bivariate identity."""
     report = CheckReport("jackson")
@@ -145,7 +294,7 @@ def suite_jackson(n_max: int) -> CheckReport:
                 totals[m, gamma.length] += count
         bad = []
         for (m, d), direct in totals.items():
-            closed = closedform.jackson_by_length(n, m, d)
+            closed = jackson_by_length(n, m, d)
             if closed != direct:
                 bad.append(f"(m={m}, d={d}): direct {direct}, closed {closed}")
         report.add(f"direct vs closed sum n={n}", not bad, "; ".join(bad[:2]))
@@ -207,7 +356,7 @@ def hz_series_check(n_max: int) -> CheckReport:
         # Both sides times (n+1)!, so that each C(x,i)/i! term is an integer.
         scale = factorial(n + 1)
         odd = double_factorial_odd(n)
-        lhs_coeffs = {n + 1 - 2 * row.genus: row.count * scale for row in counts[n]}
+        lhs_coeffs = {n + 1 - 2 * g: count * scale for g, count in enumerate(counts[n])}
         for m in range(n + 2):
             # Coefficient of x^m on the right: expand C(x,i) over x-powers.
             rhs = odd * sum(
@@ -221,9 +370,9 @@ def hz_series_check(n_max: int) -> CheckReport:
                 detail = f"coefficient at n={n}, g={(n + 1 - m) // 2}"
                 break
         else:
-            for row in counts[n]:
-                if row.count != closedform.one_face_map_count(n, row.genus):
-                    detail = f"table row at n={n}, g={row.genus} vs explicit sum"
+            for g, count in enumerate(counts[n]):
+                if count != closedform.one_face_map_count(n, g):
+                    detail = f"table row at n={n}, g={g} vs explicit sum"
                     break
         report.add(f"single-variable identity n={n}", not detail, detail)
 
@@ -233,7 +382,7 @@ def hz_series_check(n_max: int) -> CheckReport:
     for x in xs:
         series = _series_ratio_power(x, limit)
         lhs = [1] + [
-            sum(2 * row.count * x ** (n + 1 - 2 * row.genus) for row in counts[n])
+            sum(2 * count * x ** (n + 1 - 2 * g) for g, count in enumerate(counts[n]))
             for n in range(n_max + 1)
         ]
         for deg in range(limit + 1):
@@ -304,7 +453,7 @@ def _solvable(matrix: list[list[int]], rhs: list[int]) -> bool:
     zero in A, so the system is consistent iff they are zero in v too.
     """
     rows = [row + [val] for row, val in zip(matrix, rhs)]
-    rank, _ = _echelon(rows, len(matrix[0]) if matrix else 0)
+    rank, _ = symfun._echelon(rows, len(matrix[0]) if matrix else 0)
     return not any(row[-1] for row in rows[rank:])
 
 

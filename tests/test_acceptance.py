@@ -6,23 +6,23 @@ any failure is a hard assertion with the offending case in the message.
 
 from itertools import product
 
-from permfact.closedform import (
-    jackson_by_length,
-    mu_genus_zero,
-    mu_one_p,
-    mu_p_power,
-    mu_t_p,
-    mu_two_parts,
-    one_face_map_count,
-    zagier_stanley,
-)
+from permfact.closedform import one_face_map_count, zagier_stanley
 from permfact.countcore import _mu_cached, mu, xi
 from permfact.dimred import _reduced_row, build_database
 from permfact.exactnum import binomial
 from permfact.oracle import brute_mu, brute_xi, _cycle_type_raw
 from permfact.partition import Partition, all_partitions, class_size, remove_part
 from permfact.symfun import verify_m1_identities, verify_schur_identity
-from permfact.verify import hz_series_check, polynomiality_check
+from permfact.verify import (
+    hz_series_check,
+    jackson_by_length,
+    mu_genus_zero,
+    mu_one_p,
+    mu_p_power,
+    mu_t_p,
+    mu_two_parts,
+    polynomiality_check,
+)
 
 
 def _ok(criterion: int, text: str) -> None:

@@ -136,6 +136,22 @@ def test_maps_prints_counts_past_the_int_to_str_digit_limit():
     assert max(map(len, counts)) > 4300
 
 
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        ((), "57bcdbb3bbd7951f9a0b81c8bfbb4059cfa76c1ed5344e3f30a3d05b5842bb7d"),
+        (("--format", "jsonl"),
+         "d64df86bff48921a45f55494e2d7179f7070f846498af2553bf99992193978f9"),
+    ],
+    ids=["table", "jsonl"],
+)
+def test_maps_edges_400_bytes_are_pinned(capsys, argv, digest):
+    # The digests were taken when hz_table returned one row object per genus.
+    code, out, _ = run(capsys, "maps", "--edges", "400", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
 def test_maps_single_genus(capsys):
     code, out, _ = run(capsys, "maps", "--edges", "2", "--genus", "1")
     assert code == 0 and out == "1\n"

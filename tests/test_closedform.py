@@ -1,19 +1,19 @@
 import pytest
 
-from permfact import closedform
-from permfact.closedform import (
-    HZTableRow,
-    hz_table,
+from permfact import closedform, verify
+from permfact.closedform import hz_table, one_face_map_count, zagier_stanley
+from permfact.verify import (
+    _solvable,
+    hz_series_check,
     jackson_by_length,
     mu_genus_zero,
     mu_one_p,
     mu_p_power,
     mu_t_p,
     mu_two_parts,
-    one_face_map_count,
-    zagier_stanley,
+    polynomiality_check,
+    suite_closedform,
 )
-from permfact.verify import _solvable, hz_series_check, polynomiality_check, suite_closedform
 from permfact.countcore import ConsistencyError, mu
 from permfact.exactnum import _exact_quotient, binomial, stirling_first_unsigned
 from permfact.partition import Partition, all_partitions
@@ -42,6 +42,28 @@ def test_zagier_stanley_rejects_an_m_that_is_not_an_int(m):
     # True answered for m = 1, 2.0 returned 0 and 3.0 failed on a list index.
     with pytest.raises(TypeError, match=rf"^m must be an int, got {m!r}$"):
         zagier_stanley(5, m)
+
+
+@pytest.mark.parametrize(
+    "call, name, value",
+    [
+        (lambda: zagier_stanley(True, 1), "n", True),
+        (lambda: zagier_stanley(3.0, 1), "n", 3.0),
+        (lambda: one_face_map_count(4, True), "g", True),
+        (lambda: one_face_map_count(4.0, 1), "n_edges", 4.0),
+        (lambda: one_face_map_count(True, 0), "n_edges", True),
+        (lambda: hz_table(True), "n_edges", True),
+        (lambda: hz_table(4.0), "n_edges", 4.0),
+    ],
+    ids=["zs-n-bool", "zs-n-float", "ofmc-g-bool", "ofmc-edges-float", "ofmc-edges-bool",
+         "hz-bool", "hz-float"],
+)
+def test_size_and_genus_arguments_must_be_ints(call, name, value):
+    # True answered as 1: one_face_map_count(4, True) gave the genus-1
+    # count 70, hz_table(True) a row with n_edges=True, and
+    # zagier_stanley(True, 1) the count for n = 1.
+    with pytest.raises(TypeError, match=rf"^{name} must be an int, got {value!r}$"):
+        call()
 
 
 def test_zagier_stanley_matches_general(n_max=10):
@@ -138,25 +160,19 @@ def test_one_face_matches_pairing_class(n_max=5):
 
 
 def test_hz_table_shape():
-    rows = hz_table(4)
-    assert [(r.n_edges, r.genus, r.count) for r in rows] == [
-        (4, 0, 14),
-        (4, 1, 70),
-        (4, 2, 21),
-    ]
+    assert hz_table(4) == [14, 70, 21]
 
 
 def test_hz_table_rejects_negative_edges():
     with pytest.raises(ValueError):
         hz_table(-1)
-    assert [r.count for r in hz_table(0)] == [1]
+    assert hz_table(0) == [1]
 
 
 def test_hz_table_recursion_matches_explicit_sum():
     # Every edge count of perfbench's session workload (up to 80), and beyond.
     for n in [*range(81), 100, 150, 200]:
-        counts = [r.count for r in hz_table(n)]
-        assert counts == [one_face_map_count(n, g) for g in range(n // 2 + 1)], n
+        assert hz_table(n) == [one_face_map_count(n, g) for g in range(n // 2 + 1)], n
 
 
 def test_exact_quotient_rejects_remainder_and_negative():
@@ -184,7 +200,7 @@ def test_hz_series_check_catches_perturbed_table(monkeypatch):
     def perturbed(n_edges):
         rows = true_table(n_edges)
         if n_edges == 4:
-            rows[1] = HZTableRow(4, 1, rows[1].count + 1)
+            rows[1] += 1
         return rows
 
     monkeypatch.setattr(closedform, "hz_table", perturbed)
@@ -277,7 +293,7 @@ def test_suite_closedform_computes_each_three_block_form_once(monkeypatch):
         calls.append(args)
         return mu_t_p(*args)
 
-    monkeypatch.setattr(closedform, "mu_t_p", spy)
+    monkeypatch.setattr(verify, "mu_t_p", spy)
     report = suite_closedform(10)
     assert report.ok, [c.label for c in report.failures]
     # The two-part family reads its t = 0 values from the three-block one.

@@ -185,6 +185,22 @@ def test_lookup_rejects_an_m_that_is_not_an_int(m):
         db.lookup(3, m, Partition([2, 1]))
 
 
+@pytest.mark.parametrize("n", [True, 1.0])
+def test_lookup_rejects_an_n_that_is_not_an_int(n):
+    # True answered for n = 1.
+    db = build_database(3)
+    with pytest.raises(TypeError, match=rf"^n must be an int, got {n!r}$"):
+        db.lookup(n, 1, Partition([1]))
+
+
+@pytest.mark.parametrize("n_max", [True, 2.0])
+def test_build_rejects_an_n_max_that_is_not_an_int(n_max):
+    # True built a database whose saved header, n_max=True, load_database
+    # refused: the library wrote a file it could not read.
+    with pytest.raises(TypeError, match=rf"^n_max must be an int, got {n_max!r}$"):
+        build_database(n_max)
+
+
 def test_save_load_round_trip(tmp_path):
     db = build_database(6)
     path = tmp_path / "counts.tsv"

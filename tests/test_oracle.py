@@ -273,3 +273,13 @@ def test_suite_oracle_reports_a_wrong_one_face_entry(monkeypatch):
     assert pairs == [] and one_face == ["(2,2;m=3)"]
     failures = [c.line() for c in suite_oracle(4).failures]
     assert failures == ["FAIL one-face n=4: (2,2;m=3)"]
+
+
+@pytest.mark.parametrize("m", [True, 2.0])
+def test_brute_force_rejects_an_m_that_is_not_an_int(m):
+    # True answered for m = 1: 1 for brute_mu of (1), and 6 for the pair
+    # of (2,1) classes.
+    with pytest.raises(TypeError, match=rf"^m must be an int, got {m!r}$"):
+        brute_mu(Partition([1]), m)
+    with pytest.raises(TypeError, match=rf"^m must be an int, got {m!r}$"):
+        brute_xi((Partition([2, 1]),) * 2, m)

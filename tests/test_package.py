@@ -29,6 +29,7 @@ REMOVED = {
     "tilde_S": "dimred",
     "reduce_mu": "dimred",
     "CountRecord": "dimred",
+    "HZTableRow": "closedform",
 }
 
 
@@ -157,8 +158,8 @@ def test_countcore_reads_characters_through_one_charkit_call():
 
 def test_cli_import_loads_no_dataclasses_or_json():
     # Every command pays for what `import permfact.cli` loads, so the checks
-    # (verify, symfun) and the rational sum's fractions and decimal wait for
-    # the code that runs them.  The modules perfbench's tracer and counters
+    # (verify, symfun, and report's result types) and the rational sum's
+    # fractions and decimal wait for the code that runs them.  The modules perfbench's tracer and counters
     # read by name must still be loaded, and closedform holds the map route.
     # -S keeps site-packages hooks out of the set.
     script = (
@@ -172,17 +173,22 @@ def test_cli_import_loads_no_dataclasses_or_json():
     added = set(done.stdout.split())
     assert added.isdisjoint({
         "dataclasses", "inspect", "ast", "dis", "tokenize", "json",
-        "permfact.verify", "permfact.symfun", "fractions", "decimal",
+        "permfact.verify", "permfact.symfun", "permfact.report", "fractions", "decimal",
     })
     assert {f"permfact.{name}" for name in ("dimred", "oracle", "closedform")} <= added
 
 
 def test_check_exports_load_their_module_on_first_use():
-    # The four check exports and the two check modules are listed by dir()
-    # before they are loaded, and load on first access.
+    # The check exports and the check modules are listed by dir() before
+    # they are loaded, and load on first access: the result types with
+    # report, the closed forms that only cross-check mu with verify.
     script = (
-        "import permfact; names = dir(permfact); "
+        "import sys, permfact; names = dir(permfact); "
         "print(sorted(set(permfact.__all__) - set(names)), len(names) - len(set(names))); "
+        "loaded = lambda: [m for m in ('report', 'verify', 'symfun') "
+        "if f'permfact.{m}' in sys.modules]; print(loaded()); "
+        "from permfact import CaseResult; print(CaseResult.__module__, loaded()); "
+        "from permfact import mu_t_p; print(mu_t_p.__module__, loaded()); "
         "from permfact import hz_series_check, verify_schur_identity; "
         "print(hz_series_check.__module__, verify_schur_identity.__module__); "
         "names = dir(permfact); print(len(names) - len(set(names)))"
@@ -191,8 +197,19 @@ def test_check_exports_load_their_module_on_first_use():
         [sys.executable, "-S", "-c", script], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), check=True, timeout=60,
     )
-    assert done.stdout == "[] 0\npermfact.verify permfact.symfun\n0\n"
-    assert permfact.verify.hz_series_check is permfact.hz_series_check
+    assert done.stdout == (
+        "[] 0\n[]\npermfact.report ['report']\n"
+        "permfact.verify ['report', 'verify', 'symfun']\n"
+        "permfact.verify permfact.symfun\n0\n"
+    )
+    for name in (
+        "mu_genus_zero", "mu_one_p", "mu_t_p", "mu_two_parts", "mu_p_power",
+        "jackson_by_length", "hz_series_check", "polynomiality_check",
+    ):
+        assert getattr(permfact, name) is getattr(permfact.verify, name), name
+        assert not hasattr(permfact.closedform, name), name
+    for name in ("CaseResult", "CheckReport"):
+        assert getattr(permfact, name) is getattr(permfact.report, name), name
     assert permfact.symfun.verify_m1_identities is permfact.verify_m1_identities
     with pytest.raises(AttributeError, match="has no attribute 'bogus'"):
         permfact.bogus
