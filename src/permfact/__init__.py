@@ -47,6 +47,7 @@ from .dimred import (
     DatabaseRangeError,
     build_database,
     load_database,
+    write_database,
 )
 
 __version__ = "0.1.0"
@@ -93,6 +94,7 @@ __all__ = [
     "DatabaseRangeError",
     "build_database",
     "load_database",
+    "write_database",
     "CaseResult",
     "CheckReport",
     "__version__",

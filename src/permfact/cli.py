@@ -130,15 +130,13 @@ def _cmd_maps(args, out) -> int:
 def _cmd_db(args, out) -> int:
     if args.db_command == "build":
         try:
-            db = dimred.build_database(args.n_max)
+            written = dimred.write_database(args.n_max, args.out)
         except dimred.DatabaseBuildError as exc:
             sys.stderr.write(f"validation failure: {exc}\n")
             return 1
-        try:
-            written = db.save(args.out)
         except OSError as exc:
             raise UsageError(f"cannot write database {args.out}: {exc}") from None
-        out.write(f"built {written} records, n_max={db.n_max}, out={args.out}\n")
+        out.write(f"built {written} records, n_max={args.n_max}, out={args.out}\n")
         return 0
     # lookup
     gamma = _parse_partition_arg(args.gamma)

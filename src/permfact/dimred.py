@@ -51,13 +51,20 @@ meets zeros, the reduced row's past its top and the row's own above m,
 and gives 0.  Every skipped entry is a structural zero, not a parity
 guess.
 
-The database is those rows, one tuple of counts per class:
-build_database runs the sweep and cross-validates every row against the
-general explicit formula, save writes the nonzero counts in a
-line-oriented ASCII format and load reads them back into rows (see
-Database.save).
+The database is those rows, one tuple of counts per class.  The sweep
+(_sweep) runs by n and cross-validates every row against the general
+explicit formula.  It keeps a row only while a later class can read it:
+a class of n removes its smallest part i, so the row of a class gamma'
+of k is read at n = k+1..k+min(gamma') alone.  build_database collects
+every row into a Database, whose save writes the nonzero counts in a
+line-oriented ASCII format and load_database reads them back into rows
+(see Database.save).  write_database writes the same bytes as the sweep
+runs, each class as soon as its row is validated, since save order is by
+n first; it holds no row a later level does not read, and keeps the
+classes with a part 1 out of mu's cache.
 """
 
+import os
 from functools import lru_cache
 from itertools import repeat
 from math import comb
@@ -231,16 +238,25 @@ class Database:
         the encoding is ASCII, so rebuilds are byte-identical.
         """
         rows = sorted(self.rows.items(), key=lambda item: _save_order(item[0]))
-        written = 0
         with open(path, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(f"{DB_HEADER_PREFIX}{self.n_max}\n")
-            for parts, row in rows:
-                text = ",".join(map(str, parts))
-                for m, value in enumerate(row, start=1):
-                    if value:
-                        fh.write(f"{len(row)}\t{m}\t{text}\t{value}\n")
-                        written += 1
-        return written
+            return _write_records(fh, self.n_max, rows)
+
+
+def _write_records(fh, n_max: int, rows) -> int:
+    """Write the header and the nonzero counts of rows, pairs (parts, row)
+    in save order, to the text file fh; return the number of records."""
+    fh.write(f"{DB_HEADER_PREFIX}{n_max}\n")
+    written = 0
+    heads = ()  # "n\tm\t" for m = 1..n, n the length of the last row
+    for parts, row in rows:
+        if len(row) != len(heads):
+            n = len(row)
+            heads = [f"{n}\t{m}\t" for m in range(1, n + 1)]
+        text = ",".join(map(str, parts))
+        records = [f"{head}{text}\t{value}\n" for head, value in zip(heads, row) if value]
+        fh.write("".join(records))
+        written += len(records)
+    return written
 
 
 def _saved_decimal(text: str) -> int:
@@ -346,45 +362,104 @@ def load_database(path) -> Database:
     return Database(n_max, rows)
 
 
-def build_database(n_max: int) -> Database:
-    """Compute the row of counts of every class with n <= n_max by the reduction sweep.
+def _check_n_max(n_max, caller: str) -> None:
+    _check_int(n_max, "n_max")
+    if n_max < 1:
+        raise ValueError(f"{caller} requires n_max >= 1")
+
+
+def _sweep(n_max: int, explicit_row):
+    """Yield (parts, row) for every class with n <= n_max, in save order.
 
     One-part classes come from the Zagier-Stanley formula.  A class with
     more parts has its smallest part, the last, removed: if that part is
     1, its row is n/m_1 times the reduced class's row (see
     _fixed_point_row); otherwise, for a class without fixed points, the
     integer recursion solves it one row at a time (see _reduced_row).
-    Every row is compared as a whole with the explicit formula's row
-    before it is kept, so every count is validated; a mismatch (reported
-    at its largest m), or a recursion value that is not a whole count,
-    aborts the build.  For a class without fixed points, and for an
-    identity class 1^n, the explicit formula's row is the Stirling finish
-    of its edge-choice coefficients; for a class with 1 <= m_1 < n fixed
-    points it is C(n, m_1) times its core's row, so the comparison is
-    between two scalings (see the module docstring).  An n_max that is a
-    bool or not an int raises TypeError.
+    Every row is compared as a whole with explicit_row(parts), the
+    explicit formula's row, and that tuple is the one yielded; a mismatch
+    (reported at its largest m), or a recursion value that is not a
+    whole count, raises DatabaseBuildError.
+
+    A class gamma of n reads the row of gamma.parts[:-1], a class of
+    n - gamma.parts[-1] whose own smallest part is at least
+    gamma.parts[-1]; so the row of a class of k with smallest part s is
+    read at the levels k+1..k+s only.  The sweep keeps each row until
+    the end of level k+s, dropping the rows of a level's bucket once that
+    level is done; the rows of level n_max are read by none.
     """
-    _check_int(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError("build_database requires n_max >= 1")
-    rows: dict = {}
+    store = {}
+    expiring = {}  # level -> the classes whose rows no later level reads
     for n in range(1, n_max + 1):
-        for gamma in all_partitions(n):
+        # all_partitions(n) is in reverse lexicographic order, so a stable
+        # sort of it reversed by part count is save order.
+        for gamma in sorted(reversed(all_partitions(n)), key=len):
             parts = gamma.parts
             if gamma.length == 1:
                 row = [zagier_stanley(n, m) for m in range(1, n + 1)]
             elif parts[-1] == 1:
-                row = _fixed_point_row(gamma, rows[parts[:-1]])
+                row = _fixed_point_row(gamma, store[parts[:-1]])
             else:
-                row = _reduced_row(gamma, parts[-1], rows[parts[:-1]])
-            expected = _mu_cached(parts)
+                row = _reduced_row(gamma, parts[-1], store[parts[:-1]])
+            expected = explicit_row(parts)
             if tuple(row) != expected:
                 m = max(m for m in range(1, n + 1) if row[m - 1] != expected[m - 1])
                 raise DatabaseBuildError(
                     f"validation failed at (n={n}, m={m}, gamma={gamma}): "
                     f"recursion gave {row[m - 1]}, explicit formula {expected[m - 1]}"
                 )
-            # Keep mu's cached tuple, which the validation filled, rather
-            # than a second copy of an equal row.
-            rows[parts] = expected
-    return Database(n_max, rows)
+            if n < n_max:
+                store[parts] = expected
+                expiring.setdefault(n + parts[-1], []).append(parts)
+            yield parts, expected
+        for parts in expiring.pop(n, ()):
+            del store[parts]
+
+
+def build_database(n_max: int) -> Database:
+    """Compute the row of counts of every class with n <= n_max by the reduction sweep.
+
+    The sweep (see _sweep) validates every row against mu's, so every
+    count is checked, and the Database keeps mu's cached tuple of each
+    class rather than a second copy of an equal row.  For a class
+    without fixed points, and for an identity class 1^n, the explicit
+    formula's row is the Stirling finish of its edge-choice coefficients;
+    for a class with 1 <= m_1 < n fixed points it is C(n, m_1) times its
+    core's row, so the comparison is between two scalings (see the
+    module docstring).  So every row stays in memory until the Database
+    goes, and in mu's cache after it; write_database streams the same
+    sweep to a file instead.  An n_max that is a bool or not an int
+    raises TypeError.
+    """
+    _check_n_max(n_max, "build_database")
+    return Database(n_max, dict(_sweep(n_max, _mu_cached)))
+
+
+def write_database(n_max: int, path) -> int:
+    """Build the database of every class with n <= n_max straight into the
+    file at path, as Database.save writes it; return the number of records.
+
+    The same validated sweep as build_database, written as it runs: the
+    file is opened first, so a path that cannot be written fails before
+    any count is computed, and each class's records are written as soon
+    as its row is validated.  Only the rows a later level reads are kept
+    (see _sweep).  A class with a part 1 is validated against mu's row
+    computed without its cache, since no mu scaling reads it; the cores
+    still go through the cache, which mu scales the classes with fixed
+    points from.  If the build fails, with DatabaseBuildError or
+    otherwise, the partial file is removed.  An n_max that is a bool or
+    not an int raises TypeError.
+    """
+    _check_n_max(n_max, "write_database")
+    uncached = _mu_cached.__wrapped__
+
+    def explicit_row(parts):
+        return (uncached if parts[-1] == 1 else _mu_cached)(parts)
+
+    fh = open(path, "w", encoding="ascii", newline="\n")
+    try:
+        with fh:
+            return _write_records(fh, n_max, _sweep(n_max, explicit_row))
+    except BaseException:
+        os.remove(path)
+        raise

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from permfact import cli, verify
+from permfact import cli, dimred, verify
 from permfact.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -382,6 +382,37 @@ def test_db_build_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path, where
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot write database {path}: ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_db_build_to_an_unwritable_path_computes_no_count(capsys, monkeypatch, tmp_path):
+    swept = []
+    monkeypatch.setattr(dimred, "_sweep", lambda *args: swept.append(args))
+    path = tmp_path / "missing" / "db.tsv"
+    code, out, err = run(capsys, "db", "build", "--n-max", "20", "--out", str(path))
+    assert (code, out, swept) == (2, "", [])
+    assert err.startswith(f"error: cannot write database {path}: ")
+
+
+def test_db_build_validation_failure_leaves_no_file(capsys, monkeypatch, tmp_path):
+    # The row of the core (3,2) moved by one at its top, m = 4, once the
+    # records of n <= 4 have gone to the file.
+    solve = dimred._reduced_row
+
+    def skewed(gamma, i, reduced_row):
+        row = solve(gamma, i, reduced_row)
+        if gamma.parts == (3, 2):
+            row[3] += 1
+        return row
+
+    monkeypatch.setattr(dimred, "_reduced_row", skewed)
+    path = tmp_path / "db.tsv"
+    code, out, err = run(capsys, "db", "build", "--n-max", "6", "--out", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        "validation failure: validation failed at (n=5, m=4, gamma=3,2): "
+        "recursion gave 6, explicit formula 5\n"
+    )
+    assert not path.exists()
 
 
 def test_db_lookup_beyond_range(capsys, tmp_path):

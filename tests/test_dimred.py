@@ -1,7 +1,11 @@
+import os
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +17,12 @@ from permfact.dimred import (
     DatabaseRangeError,
     build_database,
     load_database,
+    write_database,
 )
 from permfact.exactnum import binomial, factorial, stirling_second
 from permfact.partition import Partition, all_partitions, remove_part
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _kernel(m, i, l):
@@ -201,6 +208,16 @@ def test_build_rejects_an_n_max_that_is_not_an_int(n_max):
         build_database(n_max)
 
 
+@pytest.mark.parametrize(
+    "n_max,error", [(True, TypeError), (2.0, TypeError), (0, ValueError)]
+)
+def test_write_database_rejects_a_bad_n_max_before_opening_its_file(tmp_path, n_max, error):
+    path = tmp_path / "db.tsv"
+    with pytest.raises(error, match="n_max"):
+        write_database(n_max, path)
+    assert not path.exists()
+
+
 def test_save_load_round_trip(tmp_path):
     db = build_database(6)
     path = tmp_path / "counts.tsv"
@@ -251,6 +268,56 @@ def test_build_keeps_the_validated_mu_rows():
     assert len(db.rows) == sum(len(all_partitions(n)) for n in range(1, 11))
     for parts, row in db.rows.items():
         assert row is _mu_cached(parts), parts
+
+
+def test_write_database_writes_the_saved_bytes(tmp_path):
+    streamed, saved = tmp_path / "streamed.tsv", tmp_path / "saved.tsv"
+    for n_max in range(1, 17):
+        written = write_database(n_max, streamed)
+        assert written == build_database(n_max).save(saved), n_max
+        assert streamed.read_bytes() == saved.read_bytes(), n_max
+
+
+def test_write_database_caches_no_class_with_fixed_points(tmp_path):
+    # Classes with a part 1 are validated past mu's cache; the cores stay
+    # cached, since mu scales each class with fixed points from its core.
+    _mu_cached.cache_clear()
+    write_database(12, tmp_path / "db.tsv")
+    cores = [
+        gamma.parts
+        for n in range(1, 13)
+        for gamma in all_partitions(n)
+        if gamma.parts[-1] != 1
+    ]
+    assert _mu_cached.cache_info().currsize == len(cores) == 76
+    for parts in cores:
+        _mu_cached(parts)
+    assert _mu_cached.cache_info().currsize == len(cores)
+
+
+_PEAK = """
+import sys, tracemalloc
+from permfact import dimred
+tracemalloc.start()
+if sys.argv[1] == "write":
+    dimred.write_database(20, sys.argv[2])
+else:
+    dimred.build_database(20).save(sys.argv[2])
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_write_database_peaks_below_build_and_save(tmp_path):
+    # Each in a fresh interpreter, so neither finds the other's caches.
+    def peak(how):
+        done = subprocess.run(
+            [sys.executable, "-c", _PEAK, how, str(tmp_path / f"{how}.tsv")],
+            capture_output=True, check=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+            timeout=120,
+        )
+        return int(done.stdout)
+
+    assert peak("write") <= 0.85 * peak("save")
 
 
 def test_save_returns_the_number_of_records(tmp_path):
