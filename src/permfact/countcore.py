@@ -12,11 +12,14 @@ them give the shape sum in falling factorials.  mu's edge-choice
 coefficients are such coefficients already.  One finish, _finish_row,
 turns either into the row m = 1..n, scaled by n! so that it stays in
 integers: it reads the coefficient of each z^m off one evaluation at
-256^w, and divides each entry once by the classes' centralizer orders
-(times n! for xi of one class).  Each is cached as one row m = 1..n per
-multiset of classes (xi) or class (mu); every value in a row that parity
-does not force to 0 is divided exactly once, and asserted integral and
-nonnegative there.
+256^w, and divides each entry once by the classes' centralizer orders.
+Each is cached as one row m = 1..n per multiset of classes (xi) or class
+(mu); every value in a row that parity does not force to 0 is divided
+exactly once, and asserted integral and nonnegative there.
+xi drops an identity class 1^n from a product first, since its one
+member changes no product.  If one class is left, xi needs no pass:
+every member has as many cycles as the class has parts, so the row is
+|C| there and 0 elsewhere.
 A class with fixed points is not finished: a part 1 only multiplies the
 edge-choice polynomial by y, so mu(gamma, m) = C(n, m_1) mu(core, m),
 m_1 the number of parts 1 (see mu), and its row is its core's cached
@@ -41,7 +44,7 @@ from operator import add, mul, sub
 from .exactnum import _byte_slots, _check_int, _exact_quotient, _falling_horner, factorial
 from .exactnum import ConsistencyError
 from .partition import Partition, _z
-from .charkit import _content_sums, _hook_product, _shape_characters, dimension
+from .charkit import _content_sums, _hook_product, _shape_characters
 
 
 def _check_classes(classes) -> tuple:
@@ -78,9 +81,10 @@ def xi(classes, m: int) -> int:
     integers.  One pass gives the whole row m = 1..n,
     in which the m that parity rules out are 0.  The product over the
     classes does not depend on their order, so the row is cached once per
-    multiset of classes, under their parts sorted (_xi_row).  An m
-    outside 1..n raises ValueError, and one that is a bool or not an int
-    raises TypeError.
+    multiset of classes, under their parts sorted (_xi_row).  A product
+    of one class, after dropping the identity classes 1^n, is read off in
+    closed form (see the module docstring).  An m outside 1..n raises
+    ValueError, and one that is a bool or not an int raises TypeError.
     """
     _check_int(m, "m")
     classes = _check_classes(classes)
@@ -100,19 +104,23 @@ def _xi_row(parts_tuple: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def _xi_cached(parts_tuple: tuple) -> tuple:
     n = sum(parts_tuple[0])
-    t = len(parts_tuple)
+    # The class 1^n has one member, the identity, which changes no product,
+    # and every member of one class has as many cycles as the class has parts.
+    classes = tuple(parts for parts in parts_tuple if parts[0] != 1)
+    if len(classes) < 2:
+        parts = (classes or parts_tuple)[0]
+        row = [0] * n
+        row[len(parts) - 1] = factorial(n) // _z(parts)
+        return tuple(row)
+    parts_tuple, t = classes, len(classes)
     half = (n + 1) // 2
-    # dim * H^(t-1) = n! * H^(t-2): for t >= 2 the n! joins the (n!)^t of
-    # the generating function, and pairs need no hook products at all.  The
+    # dim * H^(t-1) = n! * H^(t-2): the n! joins the (n!)^t of the
+    # generating function, and pairs need no hook products at all.  The
     # finish carries one more factor n!.  Against prod |C_i| = prod n!/z_i
-    # that leaves the divisor prod z_i, times n! for one class.
+    # that leaves the divisor prod z_i.
     divisor = prod(map(_z, parts_tuple))
-    if t == 1:
-        divisor *= factorial(n)
     terms = _shape_characters(parts_tuple, half)
-    if t == 1:
-        terms = ((s, chi * dimension(Partition._from_sorted(s))) for s, chi in terms)
-    elif t > 2:
+    if t > 2:
         terms = ((s, chi * _hook_product(s) ** (t - 2)) for s, chi in terms)
     # The product of the classes has sign (-1)^(sum of n - parts), and a
     # permutation with m cycles has sign (-1)^(n - m).

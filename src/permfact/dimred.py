@@ -24,11 +24,14 @@ Removing a part 1 needs no solve.  With i = 1 both sums have the kernel
 m! S(l, m), so with m_1 the number of parts 1 the recursion reads
 m_1 sum_{l>=m} S(l,m) mu(gamma, l) = n sum_{l>=m} S(l,m) mu(gamma-1, l)
 for every m, and S(m, m) = 1 makes it unitriangular:
-m_1 mu(gamma, m) = n mu(gamma-1, m).  So the build scales the row of a
-class with a fixed point from the class with one fixed point fewer (see
-_fixed_point_row), and solves the recursion only for the classes
-without fixed points, all with i >= 2.  _reduced_row still takes i = 1,
-which verify's dimred suite checks.
+m_1 mu(gamma, m) = n mu(gamma-1, m).  So the build checks the row of a
+class with a fixed point against the class with one fixed point fewer by
+that relation, both rows scaled and compared whole with no division
+(see _sweep), and solves the recursion only for the classes without
+fixed points, all with i >= 2.  That is the check of scaling by n/m_1:
+the relation holds at every m exactly when n mu(gamma-1, m)/m_1 is a
+whole count equal to mu(gamma, m), the zeros past the top included.
+_reduced_row still takes i = 1, which verify's dimred suite checks.
 
 The explicit formula scales such a class too (countcore.mu): its row is
 C(n, m_1) times its core's, the core being its parts >= 2.  So for a
@@ -53,15 +56,15 @@ guess.
 
 The database is those rows, one tuple of counts per class.  The sweep
 (_sweep) runs by n and cross-validates every row against the general
-explicit formula.  It keeps a row only while a later class can read it:
-a class of n removes its smallest part i, so the row of a class gamma'
-of k is read at n = k+1..k+min(gamma') alone.  build_database collects
-every row into a Database, whose save writes the nonzero counts in a
-line-oriented ASCII format and load_database reads them back into rows
-(see Database.save).  write_database writes the same bytes as the sweep
-runs, each class as soon as its row is validated, since save order is by
-n first; it holds no row a later level does not read, and keeps the
-classes with a part 1 out of mu's cache.
+explicit formula (_explicit_row).  It keeps a row only while a later
+class can read it: a class of n removes its smallest part i, so the row
+of a class gamma' of k is read at n = k+1..k+min(gamma') alone.
+build_database collects every row into a Database, whose save writes
+the nonzero counts in a line-oriented ASCII format and load_database
+reads them back into rows (see Database.save).  write_database writes
+the same bytes as the sweep runs, each class as soon as its row is
+validated, since save order is by n first; it holds no row a later
+level does not read.  Either leaves only the cores' rows in mu's cache.
 """
 
 import os
@@ -165,34 +168,6 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
                 f"at (n={n}, m={m}, gamma={gamma}, i={i})"
             )
         row[m - 1] = count
-    return row + [0] * (n - top)
-
-
-def _fixed_point_row(gamma: Partition, reduced_row) -> list:
-    """[mu(gamma, 1), ..., mu(gamma, n)] for a class with a part 1.
-
-    reduced_row[l-1] must hold mu(gamma minus one part 1, l) for every l;
-    each count is n/m_1 times it, m_1 the number of parts 1 (see the
-    module docstring), in one exact division, and a rest raises
-    DatabaseBuildError.  As in _reduced_row, the reduced row must be 0
-    past top = n+1-l(gamma).
-    """
-    n = gamma.n
-    top = n + 1 - gamma.length
-    if any(reduced_row[top:]):
-        raise DatabaseBuildError(
-            f"reduced row of (n={n}, gamma={gamma}, i=1) is nonzero "
-            f"past its top m={top}"
-        )
-    fixed = gamma.parts.count(1)
-    row = []
-    for m, count in enumerate(reduced_row[:top], start=1):
-        quotient, rest = divmod(n * count, fixed)
-        if rest:
-            raise DatabaseBuildError(
-                f"recursion gave {n * count}/{fixed} at (n={n}, m={m}, gamma={gamma}, i=1)"
-            )
-        row.append(quotient)
     return row + [0] * (n - top)
 
 
@@ -368,18 +343,27 @@ def _check_n_max(n_max, caller: str) -> None:
         raise ValueError(f"{caller} requires n_max >= 1")
 
 
-def _sweep(n_max: int, explicit_row):
+def _explicit_row(parts: tuple) -> tuple:
+    """mu's row of the class with these parts.  A core's row goes through
+    mu's cache, from which mu scales every class with fixed points; a
+    class with a part 1 is computed past it, since no scaling reads it."""
+    return (_mu_cached.__wrapped__ if parts[-1] == 1 else _mu_cached)(parts)
+
+
+def _sweep(n_max: int):
     """Yield (parts, row) for every class with n <= n_max, in save order.
 
-    One-part classes come from the Zagier-Stanley formula.  A class with
-    more parts has its smallest part, the last, removed: if that part is
-    1, its row is n/m_1 times the reduced class's row (see
-    _fixed_point_row); otherwise, for a class without fixed points, the
-    integer recursion solves it one row at a time (see _reduced_row).
-    Every row is compared as a whole with explicit_row(parts), the
-    explicit formula's row, and that tuple is the one yielded; a mismatch
-    (reported at its largest m), or a recursion value that is not a
-    whole count, raises DatabaseBuildError.
+    Every row is _explicit_row(parts), the explicit formula's, checked
+    against the recursion.  One-part classes are compared with the
+    Zagier-Stanley formula.  A class with more parts has its smallest
+    part, the last, removed: if that part is 1, m_1 times the row must
+    equal n times the reduced class's row, padded with one 0 (see the
+    module docstring); otherwise, for a class without fixed points, the
+    integer recursion solves the row (see _reduced_row).  A mismatch
+    raises DatabaseBuildError at its largest m, with the recursion's
+    value (n/m_1 times the reduced count for a class with a part 1,
+    written as a fraction if it is not whole) beside the explicit
+    formula's; so does a recursion value that is not a whole count.
 
     A class gamma of n reads the row of gamma.parts[:-1], a class of
     n - gamma.parts[-1] whose own smallest part is at least
@@ -395,23 +379,28 @@ def _sweep(n_max: int, explicit_row):
         # sort of it reversed by part count is save order.
         for gamma in sorted(reversed(all_partitions(n)), key=len):
             parts = gamma.parts
+            row = _explicit_row(parts)
+            scale = 1  # the recursion gives m_1 times a row with a part 1
             if gamma.length == 1:
-                row = [zagier_stanley(n, m) for m in range(1, n + 1)]
+                recursion = [zagier_stanley(n, m) for m in range(1, n + 1)]
             elif parts[-1] == 1:
-                row = _fixed_point_row(gamma, store[parts[:-1]])
+                scale = parts.count(1)
+                recursion = [*map(mul, store[parts[:-1]] + (0,), repeat(n))]
             else:
-                row = _reduced_row(gamma, parts[-1], store[parts[:-1]])
-            expected = explicit_row(parts)
-            if tuple(row) != expected:
-                m = max(m for m in range(1, n + 1) if row[m - 1] != expected[m - 1])
+                recursion = _reduced_row(gamma, parts[-1], store[parts[:-1]])
+            if [*map(mul, row, repeat(scale))] != recursion:
+                m = max(m for m in range(1, n + 1) if row[m - 1] * scale != recursion[m - 1])
+                value, rest = divmod(recursion[m - 1], scale)
+                if rest:
+                    value = f"{recursion[m - 1]}/{scale}"
                 raise DatabaseBuildError(
                     f"validation failed at (n={n}, m={m}, gamma={gamma}): "
-                    f"recursion gave {row[m - 1]}, explicit formula {expected[m - 1]}"
+                    f"recursion gave {value}, explicit formula {row[m - 1]}"
                 )
             if n < n_max:
-                store[parts] = expected
+                store[parts] = row
                 expiring.setdefault(n + parts[-1], []).append(parts)
-            yield parts, expected
+            yield parts, row
         for parts in expiring.pop(n, ()):
             del store[parts]
 
@@ -420,19 +409,19 @@ def build_database(n_max: int) -> Database:
     """Compute the row of counts of every class with n <= n_max by the reduction sweep.
 
     The sweep (see _sweep) validates every row against mu's, so every
-    count is checked, and the Database keeps mu's cached tuple of each
-    class rather than a second copy of an equal row.  For a class
-    without fixed points, and for an identity class 1^n, the explicit
-    formula's row is the Stirling finish of its edge-choice coefficients;
-    for a class with 1 <= m_1 < n fixed points it is C(n, m_1) times its
-    core's row, so the comparison is between two scalings (see the
-    module docstring).  So every row stays in memory until the Database
-    goes, and in mu's cache after it; write_database streams the same
-    sweep to a file instead.  An n_max that is a bool or not an int
+    count is checked, and the Database keeps mu's tuple of each class
+    rather than a second copy of an equal row.  For a class without
+    fixed points, and for an identity class 1^n, the explicit formula's
+    row is the Stirling finish of its edge-choice coefficients; for a
+    class with 1 <= m_1 < n fixed points it is C(n, m_1) times its core's
+    row, so the comparison is between two scalings (see the module
+    docstring).  So every row stays in memory until the Database goes;
+    mu's cache keeps the cores' rows only.  write_database streams the
+    same sweep to a file instead.  An n_max that is a bool or not an int
     raises TypeError.
     """
     _check_n_max(n_max, "build_database")
-    return Database(n_max, dict(_sweep(n_max, _mu_cached)))
+    return Database(n_max, dict(_sweep(n_max)))
 
 
 def write_database(n_max: int, path) -> int:
@@ -443,23 +432,15 @@ def write_database(n_max: int, path) -> int:
     file is opened first, so a path that cannot be written fails before
     any count is computed, and each class's records are written as soon
     as its row is validated.  Only the rows a later level reads are kept
-    (see _sweep).  A class with a part 1 is validated against mu's row
-    computed without its cache, since no mu scaling reads it; the cores
-    still go through the cache, which mu scales the classes with fixed
-    points from.  If the build fails, with DatabaseBuildError or
+    (see _sweep).  If the build fails, with DatabaseBuildError or
     otherwise, the partial file is removed.  An n_max that is a bool or
     not an int raises TypeError.
     """
     _check_n_max(n_max, "write_database")
-    uncached = _mu_cached.__wrapped__
-
-    def explicit_row(parts):
-        return (uncached if parts[-1] == 1 else _mu_cached)(parts)
-
     fh = open(path, "w", encoding="ascii", newline="\n")
     try:
         with fh:
-            return _write_records(fh, n_max, _sweep(n_max, explicit_row))
+            return _write_records(fh, n_max, _sweep(n_max))
     except BaseException:
         os.remove(path)
         raise

@@ -356,8 +356,10 @@ def test_later_commands_build_no_parser(capsys, monkeypatch):
 
 
 def test_out_of_memory_is_one_stderr_line_and_exit_code_3():
-    # 56 one-cycles make the column walk hold every shape of each k <= 56,
-    # far past 150 MB.  The limit applies to the child process alone.
+    # 54 one-cycles make the column walk hold every shape of each k <= 54,
+    # far past 150 MB.  (The identity class 1^56 would leave the product
+    # with one class, whose row needs no walk.)  The limit applies to the
+    # child process alone.
     limit = 150 * 2**20
 
     def cap_address_space():
@@ -365,7 +367,7 @@ def test_out_of_memory_is_one_stderr_line_and_exit_code_3():
 
     done = subprocess.run(
         [sys.executable, "-m", "permfact", "xi",
-         "--class", "1^56", "--class", "2^28", "--m", "28"],
+         "--class", "2,1^54", "--class", "2^28", "--m", "28"],
         capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
         preexec_fn=cap_address_space, timeout=300,
     )

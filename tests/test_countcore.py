@@ -286,10 +286,11 @@ def test_xi_evaluates_content_sums_only_at_the_half_nodes(monkeypatch):
         row = countcore._xi_cached.__wrapped__(parts_tuple)
         # Every tuple of class members has a product with some cycle count.
         assert sum(row) == prod(class_size(Partition(p)) for p in parts_tuple)
-    assert len(calls) == 6
+    # A single class is read off in closed form, with no content sums.
+    assert len(calls) == 4
     for k, (n, top, rows) in enumerate(calls):
         assert top == (n + 1) // 2
-        if k < 4:  # the column path keeps only shapes with at most top rows
+        if k < 2:  # the column path keeps only shapes with at most top rows
             assert rows <= top
 
 
@@ -359,6 +360,20 @@ def test_xi_matches_the_rows_from_all_nodes():
             assert xi_row(classes) == xi_row_from_all_nodes(classes), classes
 
 
+def test_xi_drops_the_identity_class_and_reads_one_class_in_closed_form():
+    # The class 1^n has one member, the identity, so adding it to a product
+    # changes no count; the all-node route keeps it as a class of its own.
+    rng = random.Random(3)
+    a, b = _seeded_class(12, rng), _seeded_class(12, rng)
+    identity = Partition([1] * 12)
+    assert xi_row((a, identity, b)) == xi_row_from_all_nodes((a, identity, b))
+    assert xi_row((a, identity, b)) == xi_row((a, b))
+    assert xi_row((identity, a, identity)) == xi_row_from_all_nodes((a,))
+    # Every member of one class has as many cycles as the class has parts.
+    c = Partition([7, 6, 5, 5, 4, 3, 3, 2, 2, 1, 1, 1])
+    assert xi_row((c,)) == [class_size(c) if m == 12 else 0 for m in range(1, 41)]
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_xi_pair_totals(data):
@@ -412,8 +427,9 @@ def test_finish_row_rejects_a_total_its_divisor_does_not_divide():
 
 
 def test_finish_row_matches_the_stirling_finish(monkeypatch):
-    # Every finish of a core or identity class to n = 22, and of a single
-    # class or pair of classes to n = 9, against the reference.
+    # Every finish of a core or identity class to n = 22, and of a pair of
+    # classes to n = 9, against the reference.  A single class, or a pair
+    # with the identity class 1^n, is read off in closed form, with no finish.
     finish = countcore._finish_row
     calls = []
 
@@ -433,8 +449,8 @@ def test_finish_row_matches_the_stirling_finish(monkeypatch):
             cases = [(c,) for c in shapes] + list(combinations_with_replacement(shapes, 2))
             for classes in cases:
                 countcore._xi_cached.__wrapped__(tuple(sorted(c.parts for c in classes)))
-    # 1 023 cores and identity classes, 1 053 single classes and pairs.
-    assert len(calls) == 2076
+    # 1 023 cores and identity classes, 861 pairs without 1^n.
+    assert len(calls) == 1884
 
 
 def test_mu_and_xi_leave_the_stirling_table_as_they_found_it(monkeypatch):

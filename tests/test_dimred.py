@@ -1,4 +1,5 @@
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from permfact import dimred
+from permfact.closedform import zagier_stanley
 from permfact.countcore import _mu_cached, mu
 from permfact.dimred import (
     Database,
@@ -76,20 +78,41 @@ def test_database_values_match_general(n_max=7):
                 assert db.lookup(n, m, gamma) == mu(gamma, m)
 
 
-def test_build_rejects_a_count_the_recursion_disagrees_with(monkeypatch):
-    # The core (2,2) is solved by the recursion, (2,1,1) scaled from (2,1):
-    # either row is compared with mu's.
-    for skewed, m in [((2, 2), 3), ((2, 1, 1), 2)]:
-        def skewed_mu_row(parts, skewed=skewed, m=m):
-            row = _mu_cached(parts)
-            if parts == skewed:
-                row = row[: m - 1] + (row[m - 1] + 1,) + row[m:]
-            return row
+def _skew_explicit_row(monkeypatch, skewed, m):
+    """Patch the sweep's explicit rows: the row of skewed moved by one at m."""
+    explicit_row = dimred._explicit_row
 
-        monkeypatch.setattr(dimred, "_mu_cached", skewed_mu_row)
+    def skewed_row(parts):
+        row = explicit_row(parts)
+        if parts == skewed:
+            row = row[: m - 1] + (row[m - 1] + 1,) + row[m:]
+        return row
+
+    monkeypatch.setattr(dimred, "_explicit_row", skewed_row)
+
+
+def test_build_rejects_a_count_the_recursion_disagrees_with(monkeypatch):
+    # The core (2,2) is solved by the recursion, (2,1,1) checked against
+    # (2,1) by the scaling: either row is compared with mu's.
+    for skewed, m in [((2, 2), 3), ((2, 1, 1), 2)]:
+        _skew_explicit_row(monkeypatch, skewed, m)
         gamma = ",".join(map(str, skewed))
         with pytest.raises(DatabaseBuildError, match=rf"n=4, m={m}, gamma={gamma}\)"):
             build_database(5)
+        monkeypatch.undo()
+
+
+def test_build_rejects_a_row_off_the_fixed_point_scaling(monkeypatch):
+    # 3 mu((2,1,1,1), m) = 5 mu((2,1,1), m); mu((2,1,1,1), 2) = 10 moved
+    # to 11.  The stored rows passed this same check, so n/m_1 times one
+    # of them is always whole.
+    _skew_explicit_row(monkeypatch, (2, 1, 1, 1), 2)
+    message = (
+        "validation failed at (n=5, m=2, gamma=2,1,1,1): "
+        "recursion gave 10, explicit formula 11"
+    )
+    with pytest.raises(DatabaseBuildError, match=f"^{re.escape(message)}$"):
+        build_database(5)
 
 
 def test_reduced_rows_equal_the_explicit_rows(n_max=14):
@@ -109,25 +132,11 @@ def test_reduced_rows_equal_the_explicit_rows(n_max=14):
 
 
 def test_reduced_row_nonzero_past_its_top_is_rejected():
-    # (2,1) has top n+1-l = 2, so its m = 3 entry must be 0, for the
-    # recursion and for the scaling alike.
+    # (2,1) has top n+1-l = 2, so its m = 3 entry must be 0.
     reduced = list(_mu_cached((2, 1)))
     reduced[2] = 1
-    gamma = Partition([2, 1, 1])
     with pytest.raises(DatabaseBuildError, match=r"nonzero past its top m=2"):
-        dimred._reduced_row(gamma, 1, reduced)
-    with pytest.raises(DatabaseBuildError, match=r"nonzero past its top m=2"):
-        dimred._fixed_point_row(gamma, reduced)
-
-
-def test_fixed_point_row_rejects_an_inexact_scaling():
-    # 3 mu((2,1,1,1), m) = 5 mu((2,1,1), m); mu((2,1,1), 2) = 6 moved to 7.
-    reduced = list(_mu_cached((2, 1, 1)))
-    assert reduced[1] == 6
-    reduced[1] = 7
-    message = "recursion gave 35/3 at (n=5, m=2, gamma=2,1,1,1, i=1)"
-    with pytest.raises(DatabaseBuildError, match=f"^{re.escape(message)}$"):
-        dimred._fixed_point_row(Partition([2, 1, 1, 1]), reduced)
+        dimred._reduced_row(Partition([2, 1, 1]), 1, reduced)
 
 
 def test_build_solves_the_recursion_for_cores_only(monkeypatch):
@@ -160,6 +169,55 @@ def test_reduced_row_rejects_a_recursion_value_that_is_no_count(parts, m, delta,
     reduced[m - 1] += delta
     with pytest.raises(DatabaseBuildError, match=f"^{re.escape(message)}$"):
         dimred._reduced_row(Partition(parts), parts[-1], reduced)
+
+
+def _row_along_the_chain(parts):
+    """mu's row of the class with these parts (largest first) by the paper's
+    recursion alone, along the chain (g_1), (g_1, g_2), ..., with no
+    database: Zagier-Stanley at (g_1), then each next part g_k added by
+    _reduced_row if g_k >= 2, or by m_1 mu(gamma, m) = n mu(gamma - 1, m)
+    if g_k = 1, each division asserted exact."""
+    n = parts[0]
+    row = [zagier_stanley(n, m) for m in range(1, n + 1)]
+    for k in range(2, len(parts) + 1):
+        gamma, part = Partition(parts[:k]), parts[k - 1]
+        if part == 1:
+            ones = parts[:k].count(1)
+            scaled = [gamma.n * count for count in row] + [0]
+            assert not any(value % ones for value in scaled), gamma
+            row = [value // ones for value in scaled]
+        else:
+            row = dimred._reduced_row(gamma, part, row)
+    return tuple(row)
+
+
+def test_mu_rows_match_the_recursion_past_the_database(monkeypatch):
+    # The database checks mu to the n it is built for, 32 in CI; one chain
+    # reaches any n.  Twelve seeded classes at n = 40..100, parts uniform
+    # in 1..7 (the last one cut), 19 distinct parts at n = 209 and 170
+    # fixed points at n = 200.
+    rng = random.Random(1)
+    cases = []
+    for _ in range(12):
+        n, parts = rng.randint(40, 100), []
+        while sum(parts) < n:
+            parts.append(min(rng.randint(1, 7), n - sum(parts)))
+        cases.append(Partition(parts).parts)
+    cases += [tuple(range(20, 1, -1)), (9, 7, 5, 3, 2, 2, 2) + (1,) * 170]
+
+    def unreachable(*args):
+        raise AssertionError("the chain called countcore")
+
+    # The chains share no code with mu: while they run, every countcore
+    # function fails, wherever a permfact module holds it.
+    for module in [m for name, m in sys.modules.items() if name.startswith("permfact")]:
+        for name, value in list(vars(module).items()):
+            if callable(value) and getattr(value, "__module__", "") == "permfact.countcore":
+                monkeypatch.setattr(module, name, unreachable)
+    rows = [_row_along_the_chain(parts) for parts in cases]
+    monkeypatch.undo()
+    for parts, row in zip(cases, rows):
+        assert row == _mu_cached.__wrapped__(parts), parts
 
 
 def test_build_fetches_one_kernel_matrix_per_class():
@@ -263,11 +321,11 @@ def test_loaded_rows_match_mu_including_zeros(tmp_path):
 
 
 def test_build_keeps_the_validated_mu_rows():
-    # One copy of each row: the build stores the tuple mu's cache holds.
+    # The build stores mu's rows, every class once.
     db = build_database(10)
     assert len(db.rows) == sum(len(all_partitions(n)) for n in range(1, 11))
     for parts, row in db.rows.items():
-        assert row is _mu_cached(parts), parts
+        assert row == _mu_cached(parts), parts
 
 
 def test_write_database_writes_the_saved_bytes(tmp_path):
@@ -278,11 +336,16 @@ def test_write_database_writes_the_saved_bytes(tmp_path):
         assert streamed.read_bytes() == saved.read_bytes(), n_max
 
 
-def test_write_database_caches_no_class_with_fixed_points(tmp_path):
+@pytest.mark.parametrize(
+    "build",
+    [lambda path: build_database(12), lambda path: write_database(12, path)],
+    ids=["build_database", "write_database"],
+)
+def test_write_database_caches_no_class_with_fixed_points(tmp_path, build):
     # Classes with a part 1 are validated past mu's cache; the cores stay
     # cached, since mu scales each class with fixed points from its core.
     _mu_cached.cache_clear()
-    write_database(12, tmp_path / "db.tsv")
+    build(tmp_path / "db.tsv")
     cores = [
         gamma.parts
         for n in range(1, 13)
