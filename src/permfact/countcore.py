@@ -30,7 +30,8 @@ per-class finish as the check of this scaling, and dimred's build
 compares it with the recursion's own scaling by n/m_1.
 xi's generating function is a product over the classes' characters, so
 it does not depend on their order: _xi_row keys the cache by the
-classes' parts sorted, and every order of the same classes reads one row.
+classes' parts sorted, 1^n left out, and every order of the same classes,
+with or without identity classes, reads one row.
 These are the only production routes to xi and mu; the independent
 routes that check them (the W-number transform of single characters,
 the brute-force oracle, the closed forms) live in verify and the tests.
@@ -97,22 +98,22 @@ def xi(classes, m: int) -> int:
 def _xi_row(parts_tuple: tuple) -> tuple:
     """xi's cached row m = 1..n for the classes with these parts, in any
     order: the row depends only on their multiset (see xi), so the cache
-    key is the parts sorted."""
-    return _xi_cached(tuple(sorted(parts_tuple)))
+    key is the parts sorted.  The class 1^n has one member, the identity,
+    which changes no product, so the key leaves it out, unless every
+    class is 1^n: the key is then 1^n alone."""
+    classes = [parts for parts in parts_tuple if parts[0] != 1] or parts_tuple[:1]
+    return _xi_cached(tuple(sorted(classes)))
 
 
 @lru_cache(maxsize=None)
 def _xi_cached(parts_tuple: tuple) -> tuple:
     n = sum(parts_tuple[0])
-    # The class 1^n has one member, the identity, which changes no product,
-    # and every member of one class has as many cycles as the class has parts.
-    classes = tuple(parts for parts in parts_tuple if parts[0] != 1)
-    if len(classes) < 2:
-        parts = (classes or parts_tuple)[0]
+    # Every member of one class has as many cycles as the class has parts.
+    if len(parts_tuple) < 2:
         row = [0] * n
-        row[len(parts) - 1] = factorial(n) // _z(parts)
+        row[len(parts_tuple[0]) - 1] = factorial(n) // _z(parts_tuple[0])
         return tuple(row)
-    parts_tuple, t = classes, len(classes)
+    t = len(parts_tuple)
     half = (n + 1) // 2
     # dim * H^(t-1) = n! * H^(t-2): the n! joins the (n!)^t of the
     # generating function, and pairs need no hook products at all.  The

@@ -10,11 +10,13 @@ The sweep runs in integers: multiplied through by n!, the recursion
 relates plain counts through the integer kernel
 K(m, i, l) = sum_{j=1..i} C(i,j) (m+j-i)! S(l, m+j-i), with S the
 Stirling numbers of the second kind (l! times the kernel of the scaled
-recursion), and each count comes out of one exact division.  The sum
-over the reduced class is a dot product of a kernel row with the
-reduced class's counts; the kernel is cached as one matrix per
-(i, length), length = n-i, holding the rows m = 0..n-1, so one class
-fetches it once.  The sum over the class itself has i = 1, where
+recursion), and each count comes out of one exact division.  The
+kernel is never formed: with k = m+j-i, the sum over the reduced class,
+r its counts, is sum_l K(m,i,l) r_l = sum_{j=1..i} C(i,j) k! T_k, where
+T_k = sum_l S(l,k) r_l is r's Stirling transform.  So one dot product of
+the Stirling column k with r per k, and i shifted vector sums of the
+k! T_k, give that sum for every m at once.  The sum over the class
+itself has i = 1, where
 K(m, 1, l) = m! S(l, m): it is a dot product of the raw Stirling column
 m with the class's own counts, and times m! and the class's i mult it is
 a whole multiple of the division's divisor, so it is subtracted from the
@@ -47,8 +49,8 @@ Only the genus-admissible support is solved.  By the Euler relation
 (countcore.genus_of) a count of gamma is nonzero only at
 m = n+1-l(gamma)-2g with g >= 0, so every entry above the genus-0 one,
 top = n+1-l(gamma), is exactly 0.  One class's row is solved for
-m = top..1 in one pass and padded with those zeros, and the dot products
-stop at the reduced class's own top, top+1-i.  The recursion agrees:
+m = top..1 in one pass and padded with those zeros, and the transform
+stops at the reduced class's own top, top+1-i.  The recursion agrees:
 K(m,i,l) = 0 for l < m+1-i (S(l,k) = 0 for l < k), so above top it only
 meets zeros, the reduced row's past its top and the row's own above m,
 and gives 0.  Every skipped entry is a structural zero, not a parity
@@ -68,9 +70,8 @@ level does not read.  Either leaves only the cores' rows in mu's cache.
 """
 
 import os
-from functools import lru_cache
 from itertools import repeat
-from math import comb
+from math import comb, perm
 from operator import add, lshift, mul
 
 from .exactnum import _check_int, _stirling2_columns, factorial
@@ -92,31 +93,6 @@ class DatabaseRangeError(KeyError):
     __str__ = Exception.__str__  # KeyError's would quote the message
 
 
-# Each (i, length) belongs to the one n = i + length, and a build takes
-# its classes by n, so it never comes back to a matrix of a smaller n: the
-# bound holds every matrix of one n (at most n/2 of them) up to n = 128.
-@lru_cache(maxsize=64)
-def _kernel_rows(i: int, length: int) -> tuple:
-    """Rows m = 0..length+i-1 of (K(m, i, 1), ..., K(m, i, length)), K the
-    kernel of the module docstring.
-
-    With k = m+j-i, K(m, i, l) = sum_k C(i, k-m+i) k! S(l, k) over
-    k = max(1, m+1-i)..m (S(l, 0) = 0 for l >= 1), so row m is the sum of
-    the Stirling columns k, scaled by those coefficients, each added from
-    l = k on (S(l, k) = 0 for l < k).
-    """
-    columns = _stirling2_columns(length)
-    rows = []
-    for m in range(length + i):
-        row = [0] * length
-        # k - m + i stays within 1..i, so math.comb needs no guard.
-        for k in range(max(1, m + 1 - i), min(m, length) + 1):
-            coeff = comb(i, k - m + i) * factorial(k)
-            row[k - 1 :] = map(add, row[k - 1 :], map(mul, repeat(coeff), columns[k]))
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
 def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
     """[mu(gamma, 1), ..., mu(gamma, n)] by the recursion removing one part i.
 
@@ -125,18 +101,21 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
     m! i mult mu(gamma, m) = n!/(n-i)! sum_l K(m,i,l) mu(gamma - i, l)
                              - i mult sum_{l>m} K(m,1,l) mu(gamma, l),
     so solving m = top..1, top = n+1-l(gamma), has the same-class sum
-    ready each time, and each count is divided exactly once.  Entries
-    above top are the Euler relation's exact zeros (see the module
-    docstring).  The reduced row must be 0 past its own top, top+1-i:
-    a nonzero entry there raises DatabaseBuildError.
+    ready each time, and each count is divided exactly once.  The
+    reduced-class sums of every m are formed before the solve, from the
+    reduced row's Stirling transform, and entries above top are the
+    Euler relation's exact zeros (see the module docstring for both).
+    The reduced row must be 0 past its own top, top+1-i: a nonzero
+    entry there raises DatabaseBuildError.
 
     With K(m,1,l) = m! S(l,m) the same-class sum is m! T, T the sum of
     S(l,m) mu(gamma, l), so the division is split: q, rest =
-    divmod(n!/(n-i)! smaller, m! i mult) and the count is q - T.  The
-    subtracted i mult m! T is a multiple of the divisor, so the whole
-    recursion value leaves the same rest and the quotient q - T; a rest
-    or a negative count raises DatabaseBuildError exactly where dividing
-    the whole value would, and the message gives that value.
+    divmod(n!/(n-i)! sum_l K(m,i,l) mu(gamma - i, l), m! i mult) and the
+    count is q - T.  The subtracted i mult m! T is a multiple of the
+    divisor, so the whole recursion value leaves the same rest and the
+    quotient q - T; a rest or a negative count raises DatabaseBuildError
+    exactly where dividing the whole value would, and the message gives
+    that value.
     """
     n = gamma.n
     top = n + 1 - gamma.length
@@ -148,23 +127,33 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
         )
     reduced_row = reduced_row[:reduced_top]
     weight = i * gamma.parts.count(i)
-    falling = factorial(n) // factorial(n - i)
-    kernel = _kernel_rows(i, n - i)
+    falling = perm(n, i)  # n!/(n-i)!
     stirling = _stirling2_columns(n)
+    # k! T_k for k = 1..reduced_top; column k starts at S(k, k).
+    transform = [
+        factorial(k) * sum(map(mul, stirling[k], reduced_row[k - 1 :]))
+        for k in range(1, reduced_top + 1)
+    ]
+    # reduced_sum[m-1] = n!/(n-i)! sum_j C(i,j) k! T_k with k = m+j-i, so
+    # term j starts at m = i+1-j.
+    reduced_sum = [0] * top
+    for j in range(1, i + 1):
+        window = slice(i - j, i - j + reduced_top)
+        coeff = repeat(falling * comb(i, j))
+        reduced_sum[window] = map(add, reduced_sum[window], map(mul, coeff, transform))
     row = [0] * top
     for m in range(top, 0, -1):
-        smaller = sum(map(mul, kernel[m], reduced_row))
         # Column m starts at S(m, m), and row[m-1] is still 0, so this is
         # the sum over l > m.
         same = sum(map(mul, stirling[m], row[m - 1 :]))
         divisor = factorial(m) * weight
         # Not _exact_quotient: a build failure is a DatabaseBuildError,
         # which the CLI reports as a validation failure.
-        quotient, rest = divmod(falling * smaller, divisor)
+        quotient, rest = divmod(reduced_sum[m - 1], divisor)
         count = quotient - same
         if rest or count < 0:
             raise DatabaseBuildError(
-                f"recursion gave {falling * smaller - divisor * same}/{divisor} "
+                f"recursion gave {reduced_sum[m - 1] - divisor * same}/{divisor} "
                 f"at (n={n}, m={m}, gamma={gamma}, i={i})"
             )
         row[m - 1] = count

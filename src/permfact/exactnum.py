@@ -1,7 +1,7 @@
 """Exact integer arithmetic: number families and checked division.
 
 The Stirling families are memoized in triangular tables grown on demand,
-read by rows, and the second kind also by columns (dimred's kernel).
+read by rows, and the second kind also by columns (dimred's recursion).
 Binomials, factorials and double factorials come from math.comb,
 math.factorial and math.prod, with no Python-level loop; binomial extends
 math.comb to a negative upper index.  Out-of-range indices return 0

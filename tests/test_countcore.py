@@ -374,6 +374,22 @@ def test_xi_drops_the_identity_class_and_reads_one_class_in_closed_form():
     assert xi_row((c,)) == [class_size(c) if m == 12 else 0 for m in range(1, 41)]
 
 
+def test_xi_keys_a_product_without_its_identity_classes():
+    # The row cache's key leaves 1^n out, so every product that differs
+    # only by identity classes reads one row: one miss, one entry.
+    a, b = Partition([3, 2, 1]), Partition([2, 2, 2])
+    identity = Partition([1] * 6)
+    countcore._xi_cached.cache_clear()
+    products = [(a, b), (a, identity, b), (a, b, identity, identity)]
+    rows = {tuple(xi_row(classes)) for classes in products}
+    assert len(rows) == 1
+    info = countcore._xi_cached.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    # A product of identity classes alone is keyed by 1^n: the identity.
+    assert xi_row((identity, identity)) == xi_row((identity,)) == [0] * 5 + [1]
+    assert countcore._xi_cached.cache_info().misses == 2
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.data())
 def test_xi_pair_totals(data):
@@ -429,9 +445,11 @@ def test_finish_row_rejects_a_total_its_divisor_does_not_divide():
 def test_finish_row_matches_the_stirling_finish(monkeypatch):
     # Every finish of a core or identity class to n = 22, and of a pair of
     # classes to n = 9, against the reference.  A single class, or a pair
-    # with the identity class 1^n, is read off in closed form, with no finish.
+    # with the identity class 1^n, which xi keys as the other class alone,
+    # is read off in closed form, with no finish.
     finish = countcore._finish_row
     calls = []
+    countcore._xi_cached.cache_clear()  # every distinct key finishes once
 
     def compared(d, n, parity, divisor, what, where):
         calls.append(where)
@@ -448,7 +466,7 @@ def test_finish_row_matches_the_stirling_finish(monkeypatch):
         if n <= 9:
             cases = [(c,) for c in shapes] + list(combinations_with_replacement(shapes, 2))
             for classes in cases:
-                countcore._xi_cached.__wrapped__(tuple(sorted(c.parts for c in classes)))
+                countcore._xi_row(tuple(c.parts for c in classes))
     # 1 023 cores and identity classes, 861 pairs without 1^n.
     assert len(calls) == 1884
 

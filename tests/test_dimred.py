@@ -47,16 +47,6 @@ def test_scaled_kernel_is_integral():
         assert factorial(l) * reference == _kernel(m, i, l), (m, i, l)
 
 
-def test_kernel_row_matches_kernel():
-    for i, length in product(range(1, 13), repeat=2):
-        rows = dimred._kernel_rows(i, length)
-        assert len(rows) == length + i, (i, length)
-        for m, row in enumerate(rows):
-            assert len(row) == length, (m, i, length)
-            for l in range(1, length + 1):
-                assert row[l - 1] == _kernel(m, i, l), (m, i, length, l)
-
-
 def test_build_database_smallest_cases():
     assert build_database(1).rows == {(1,): (1,)}
     assert build_database(2).rows == {(1,): (1,), (2,): (0, 1), (1, 1): (1, 0)}
@@ -194,8 +184,9 @@ def _row_along_the_chain(parts):
 def test_mu_rows_match_the_recursion_past_the_database(monkeypatch):
     # The database checks mu to the n it is built for, 32 in CI; one chain
     # reaches any n.  Twelve seeded classes at n = 40..100, parts uniform
-    # in 1..7 (the last one cut), 19 distinct parts at n = 209 and 170
-    # fixed points at n = 200.
+    # in 1..7 (the last one cut), 19 distinct parts at n = 209, 170 fixed
+    # points at n = 200, and the pairings 2^150 and 2^200 (n = 300 and
+    # 400), whose chains remove a part 2 at every step.
     rng = random.Random(1)
     cases = []
     for _ in range(12):
@@ -204,6 +195,7 @@ def test_mu_rows_match_the_recursion_past_the_database(monkeypatch):
             parts.append(min(rng.randint(1, 7), n - sum(parts)))
         cases.append(Partition(parts).parts)
     cases += [tuple(range(20, 1, -1)), (9, 7, 5, 3, 2, 2, 2) + (1,) * 170]
+    cases += [(2,) * 150, (2,) * 200]
 
     def unreachable(*args):
         raise AssertionError("the chain called countcore")
@@ -218,18 +210,6 @@ def test_mu_rows_match_the_recursion_past_the_database(monkeypatch):
     monkeypatch.undo()
     for parts, row in zip(cases, rows):
         assert row == _mu_cached.__wrapped__(parts), parts
-
-
-def test_build_fetches_one_kernel_matrix_per_class():
-    # One lookup per class with two or more parts and no part 1, 367 of
-    # them up to n = 18, and one miss per (i, n) with 2 <= i <= n/2, 64 of
-    # them: a build takes its classes by n, so the bounded cache never
-    # drops a matrix it needs again.
-    dimred._kernel_rows.cache_clear()
-    build_database(18)
-    info = dimred._kernel_rows.cache_info()
-    assert (info.hits + info.misses, info.misses) == (367, 64)
-    assert info.maxsize is not None
 
 
 def test_lookup_range_errors():

@@ -217,9 +217,11 @@ def _per_m_failures(n):
 def test_suite_oracle_computes_one_engine_row_per_class_multiset():
     countcore._xi_cached.cache_clear()
     assert suite_oracle(5).ok
-    # 53 pairs and 134 triples of classes up to order at n <= 5, where
-    # the suite compares 88 ordered pairs and 504 ordered triples.
-    assert countcore._xi_cached.cache_info().misses == 187
+    # The suite compares 88 ordered pairs and 504 ordered triples at n <= 5.
+    # The key of a product leaves out the identity class 1^n (1^n alone if
+    # every class is 1^n), so the rows are those of the 18 single classes,
+    # 35 pairs and 81 triples up to order without 1^n.
+    assert countcore._xi_cached.cache_info().misses == 134
 
 
 def _patched_at_4(table, entries):
