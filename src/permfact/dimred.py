@@ -10,17 +10,16 @@ The sweep runs in integers: multiplied through by n!, the recursion
 relates plain counts through the integer kernel
 K(m, i, l) = sum_{j=1..i} C(i,j) (m+j-i)! S(l, m+j-i), with S the
 Stirling numbers of the second kind (l! times the kernel of the scaled
-recursion), and each count comes out of one exact division.  The
-kernel is never formed: with k = m+j-i, the sum over the reduced class,
-r its counts, is sum_l K(m,i,l) r_l = sum_{j=1..i} C(i,j) k! T_k, where
-T_k = sum_l S(l,k) r_l is r's Stirling transform.  So one dot product of
-the Stirling column k with r per k, and i shifted vector sums of the
-k! T_k, give that sum for every m at once.  The sum over the class
-itself has i = 1, where
-K(m, 1, l) = m! S(l, m): it is a dot product of the raw Stirling column
-m with the class's own counts, and times m! and the class's i mult it is
-a whole multiple of the division's divisor, so it is subtracted from the
-quotient instead (see _reduced_row).
+recursion), and each count comes out of one exact division.  No kernel
+value and no Stirling number is formed: S is the change of basis
+x^l = sum_k S(l,k) x(x-1)...(x-k+1) from powers to falling factorials.
+So with k = m+j-i and r the reduced class's counts,
+sum_l K(m,i,l) r_l = sum_{j=1..i} C(i,j) k! T_k, T_k the falling
+coefficients of R(x) = sum_l r_l x^l (by synthetic division), and i
+shifted vector sums give that sum for every m at once.  The sum over the class itself has i = 1,
+K(m,1,l) = m! S(l,m), so the recursion gives m! i mult times the class's
+own m-th falling coefficient: each is one exact division, and one Horner
+pass in the falling basis turns them into counts (see _reduced_row).
 
 Removing a part 1 needs no solve.  With i = 1 both sums have the kernel
 m! S(l, m), so with m_1 the number of parts 1 the recursion reads
@@ -74,7 +73,7 @@ from itertools import repeat
 from math import comb, perm
 from operator import add, lshift, mul
 
-from .exactnum import _check_int, _stirling2_columns, factorial
+from .exactnum import _check_int, factorial
 from .partition import Partition, all_partitions, class_size, parse_partition
 from .partition import _decimal
 from .countcore import _mu_cached
@@ -93,29 +92,50 @@ class DatabaseRangeError(KeyError):
     __str__ = Exception.__str__  # KeyError's would quote the message
 
 
+def _falling_coefficients(coeffs) -> list:
+    """[T_1, ..., T_d] for coeffs = [r_1, ..., r_d], where
+    sum_l r_l x^l = sum_k T_k x(x-1)...(x-k+1), so T_k = sum_l S(l,k) r_l:
+    the successive remainders of synthetic division by x, x-1, x-2, ..."""
+    high = [*reversed(coeffs)]  # the quotient by x, highest power first
+    falling = []
+    for k in range(1, len(coeffs) + 1):
+        for j in range(1, len(high)):  # divide by x - k in place
+            high[j] += k * high[j - 1]
+        falling.append(high.pop())
+    return falling
+
+
+def _power_coefficients(falling) -> list:
+    """The inverse of _falling_coefficients, by Horner's rule in the falling
+    basis: sum_k T_k x(x-1)...(x-k+1) = x (T_1 + (x-1) (T_2 + ...))."""
+    high = []  # the polynomial over x so far, highest power first
+    for k in range(len(falling), 0, -1):
+        # high (x - k) + T_k in place: high x + T_k, less k high.
+        high.append(falling[k - 1])
+        for j in range(len(high) - 1, 0, -1):
+            high[j] -= k * high[j - 1]
+    return high[::-1]
+
+
 def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
     """[mu(gamma, 1), ..., mu(gamma, n)] by the recursion removing one part i.
 
     reduced_row[l-1] must hold mu(gamma minus one part i, l) for every l.
     With K the kernel and mult the multiplicity of i in gamma,
     m! i mult mu(gamma, m) = n!/(n-i)! sum_l K(m,i,l) mu(gamma - i, l)
-                             - i mult sum_{l>m} K(m,1,l) mu(gamma, l),
-    so solving m = top..1, top = n+1-l(gamma), has the same-class sum
-    ready each time, and each count is divided exactly once.  The
-    reduced-class sums of every m are formed before the solve, from the
-    reduced row's Stirling transform, and entries above top are the
-    Euler relation's exact zeros (see the module docstring for both).
-    The reduced row must be 0 past its own top, top+1-i: a nonzero
-    entry there raises DatabaseBuildError.
+                             - i mult sum_{l>m} K(m,1,l) mu(gamma, l).
+    As K(m,1,l) = m! S(l,m), the sums over gamma join: m! i mult c_m is
+    the reduced-class sum, c_m the m-th falling coefficient of gamma's row
+    (see the module docstring).  So each c_m is one exact division, for
+    m = 1..top, top = n+1-l(gamma), and the row is their power
+    coefficients, padded with the Euler relation's exact zeros above top.
+    The reduced row must be 0 past its own top, top+1-i: a nonzero entry
+    there raises DatabaseBuildError.
 
-    With K(m,1,l) = m! S(l,m) the same-class sum is m! T, T the sum of
-    S(l,m) mu(gamma, l), so the division is split: q, rest =
-    divmod(n!/(n-i)! sum_l K(m,i,l) mu(gamma - i, l), m! i mult) and the
-    count is q - T.  The subtracted i mult m! T is a multiple of the
-    divisor, so the whole recursion value leaves the same rest and the
-    quotient q - T; a rest or a negative count raises DatabaseBuildError
-    exactly where dividing the whole value would, and the message gives
-    that value.
+    So does a remainder or a negative count, at the largest such m, with
+    the recursion value there: the reduced-class sum less
+    m! i mult sum_{l>m} S(l,m) mu(gamma, l), the counts above that m
+    being gamma's, since every c above it is whole.
     """
     n = gamma.n
     top = n + 1 - gamma.length
@@ -125,15 +145,11 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
             f"reduced row of (n={n}, gamma={gamma}, i={i}) is nonzero "
             f"past its top m={reduced_top}"
         )
-    reduced_row = reduced_row[:reduced_top]
     weight = i * gamma.parts.count(i)
     falling = perm(n, i)  # n!/(n-i)!
-    stirling = _stirling2_columns(n)
-    # k! T_k for k = 1..reduced_top; column k starts at S(k, k).
-    transform = [
-        factorial(k) * sum(map(mul, stirling[k], reduced_row[k - 1 :]))
-        for k in range(1, reduced_top + 1)
-    ]
+    # k! T_k for k = 1..reduced_top.
+    transform = _falling_coefficients(reduced_row[:reduced_top])
+    transform = [*map(mul, transform, map(factorial, range(1, reduced_top + 1)))]
     # reduced_sum[m-1] = n!/(n-i)! sum_j C(i,j) k! T_k with k = m+j-i, so
     # term j starts at m = i+1-j.
     reduced_sum = [0] * top
@@ -141,22 +157,20 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
         window = slice(i - j, i - j + reduced_top)
         coeff = repeat(falling * comb(i, j))
         reduced_sum[window] = map(add, reduced_sum[window], map(mul, coeff, transform))
-    row = [0] * top
-    for m in range(top, 0, -1):
-        # Column m starts at S(m, m), and row[m-1] is still 0, so this is
-        # the sum over l > m.
-        same = sum(map(mul, stirling[m], row[m - 1 :]))
-        divisor = factorial(m) * weight
+    divisors = [*map(mul, map(factorial, range(1, top + 1)), repeat(weight))]
+    quotients, rests = zip(*map(divmod, reduced_sum, divisors))
+    row = _power_coefficients(quotients)
+    if any(rests) or min(row) < 0:
+        # A count is gamma's only while every division at and above its m
+        # is exact, so the first failure from the top is the one to report.
+        m = next(m for m in range(top, 0, -1) if rests[m - 1] or row[m - 1] < 0)
+        same = _falling_coefficients([0] * m + row[m:])[m - 1]
         # Not _exact_quotient: a build failure is a DatabaseBuildError,
         # which the CLI reports as a validation failure.
-        quotient, rest = divmod(reduced_sum[m - 1], divisor)
-        count = quotient - same
-        if rest or count < 0:
-            raise DatabaseBuildError(
-                f"recursion gave {reduced_sum[m - 1] - divisor * same}/{divisor} "
-                f"at (n={n}, m={m}, gamma={gamma}, i={i})"
-            )
-        row[m - 1] = count
+        raise DatabaseBuildError(
+            f"recursion gave {reduced_sum[m - 1] - divisors[m - 1] * same}"
+            f"/{divisors[m - 1]} at (n={n}, m={m}, gamma={gamma}, i={i})"
+        )
     return row + [0] * (n - top)
 
 

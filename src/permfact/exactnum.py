@@ -1,15 +1,15 @@
 """Exact integer arithmetic: number families and checked division.
 
-The Stirling families are memoized in triangular tables grown on demand,
-read by rows, and the second kind also by columns (dimred's recursion).
-Binomials, factorials and double factorials come from math.comb,
-math.factorial and math.prod, with no Python-level loop; binomial extends
-math.comb to a negative upper index.  Out-of-range indices return 0
-rather than raising, as usual for generalized binomial/Stirling numbers.
-Counts end in one division checked by _exact_quotient, _byte_slots
-reads back a polynomial evaluated at 256^width (a Kronecker
-substitution), and _check_int is the one type check of an integer
-argument: a cycle count m, a size n, n_max or n_edges, or a genus g.
+The Stirling families are memoized in triangular tables grown on demand
+and read by rows.  Binomials, factorials and double factorials come from
+math.comb, math.factorial and math.prod, with no Python-level loop;
+binomial extends math.comb to a negative upper index.  Out-of-range
+indices return 0 rather than raising, as usual for generalized
+binomial/Stirling numbers.  Counts end in one division checked by
+_exact_quotient, _byte_slots reads back a polynomial evaluated at
+256^width (a Kronecker substitution), and _check_int is the one type
+check of an integer argument: a cycle count m, a size n, n_max or
+n_edges, or a genus g.
 """
 
 from itertools import repeat
@@ -87,34 +87,16 @@ def binomial(a: int, k: int) -> int:
 # Triangular memo tables; row n holds the coefficients for 0 <= k <= n.
 _STIRLING1_ROWS: list[list[int]] = [[1]]
 _STIRLING2_ROWS: list[list[int]] = [[1]]
-# The second kind's column view, holding the same ints: column k holds S(k, k),
-# S(k+1, k), ..., down to the table's last row, so a sum over rows n >= k of
-# S(n, k) times a list indexed by n is one map over column k and that list.
-_STIRLING2_COLS: list[list[int]] = [[1]]
 
 
-def _grow_triangle(rows: list, n: int, weights, columns=None) -> None:
-    """Grow a triangular table, and its column view if given, to hold rows
-    0..n: row m follows from row m-1 by T(m,k) = T(m-1,k-1) + w_k T(m-1,k)
-    for k = 1..m, weights(m) giving w_1..w_m.
+def _grow_triangle(rows: list, n: int, weights) -> None:
+    """Grow a triangular table to hold rows 0..n: row m follows from row
+    m-1 by T(m,k) = T(m-1,k-1) + w_k T(m-1,k) for k = 1..m, weights(m)
+    giving w_1..w_m.
     """
     while len(rows) <= n:
-        m = len(rows)
         prev = rows[-1]
-        row = [0, *map(add, prev, map(mul, weights(m), prev[1:] + [0]))]
-        rows.append(row)
-        if columns is not None:
-            for column, value in zip(columns, row):
-                column.append(value)
-            columns.append([row[m]])
-
-
-def _stirling2_columns(n: int) -> list[list[int]]:
-    """_STIRLING2_COLS itself, the table grown to hold rows 0..n at least."""
-    if len(_STIRLING2_ROWS) <= n:
-        # S(m,k) = S(m-1,k-1) + k S(m-1,k)
-        _grow_triangle(_STIRLING2_ROWS, n, lambda m: range(1, m + 1), _STIRLING2_COLS)
-    return _STIRLING2_COLS
+        rows.append([0, *map(add, prev, map(mul, weights(len(rows)), prev[1:] + [0]))])
 
 
 def stirling_first_unsigned(n: int, k: int) -> int:
@@ -149,4 +131,7 @@ def stirling_second(n: int, k: int) -> int:
         raise ValueError("stirling_second requires n >= 0")
     if k < 0 or k > n:
         return 0
-    return _stirling2_columns(n)[k][n - k]
+    if len(_STIRLING2_ROWS) <= n:
+        # S(m,k) = S(m-1,k-1) + k S(m-1,k)
+        _grow_triangle(_STIRLING2_ROWS, n, lambda m: range(1, m + 1))
+    return _STIRLING2_ROWS[n][k]

@@ -472,12 +472,25 @@ def test_finish_row_matches_the_stirling_finish(monkeypatch):
 
 
 def test_mu_and_xi_leave_the_stirling_table_as_they_found_it(monkeypatch):
-    # The finish reads no Stirling numbers, so neither a cold mu row at
-    # n = 60 nor a cold xi row at n = 30 grows the table.
+    # The finish reads no Stirling numbers, so no cold mu row (n = 60, and
+    # one with 16 fixed points at n = 40) and no cold xi row (a pair at
+    # n = 30, a triple at n = 10) grows either kind's table.  Nor does the
+    # reduction recursion grow the second kind's, as it solves in the
+    # falling-factorial basis: a database build and a chain leave it one
+    # row long.  (Both ground one-part classes in Zagier-Stanley, which
+    # reads the first kind.)
+    from test_dimred import _row_along_the_chain
+
     monkeypatch.setattr(exactnum, "_STIRLING1_ROWS", [[1]])
+    monkeypatch.setattr(exactnum, "_STIRLING2_ROWS", [[1]])
     _mu_cached.__wrapped__((12, 10, 9, 8, 7, 5, 4, 3, 2))
+    _mu_cached.__wrapped__((9, 7, 5, 3) + (1,) * 16)
     countcore._xi_cached.__wrapped__(((8, 7, 5, 4, 3, 2, 1), (10, 6, 4, 4, 3, 3)))
-    assert len(exactnum._STIRLING1_ROWS) == 1
+    countcore._xi_cached.__wrapped__(((3, 3, 2, 2), (4, 3, 3), (5, 5)))
+    assert len(exactnum._STIRLING1_ROWS) == len(exactnum._STIRLING2_ROWS) == 1
+    build_database(12)
+    _row_along_the_chain((2,) * 30)
+    assert len(exactnum._STIRLING2_ROWS) == 1
 
 
 def test_mu_examples():

@@ -47,6 +47,24 @@ def test_scaled_kernel_is_integral():
         assert factorial(l) * reference == _kernel(m, i, l), (m, i, l)
 
 
+def test_falling_coefficients_are_the_stirling_transform():
+    # T_k = sum_l S(l,k) r_l on seeded rows of every length to 12, with
+    # zeros and negative entries, as a damaged reduced row has; rows come
+    # as lists or, as the sweep stores them, tuples.  _power_coefficients
+    # takes the T_k back to the row.
+    rng = random.Random(1)
+    for length in range(13):
+        for _ in range(20):
+            row = [rng.choice([0, rng.randint(-10**6, 10**6)]) for _ in range(length)]
+            falling = dimred._falling_coefficients(rng.choice([list, tuple])(row))
+            expected = [
+                sum(stirling_second(l, k) * r for l, r in enumerate(row, 1))
+                for k in range(1, length + 1)
+            ]
+            assert falling == expected, row
+            assert dimred._power_coefficients(falling) == row, row
+
+
 def test_build_database_smallest_cases():
     assert build_database(1).rows == {(1,): (1,)}
     assert build_database(2).rows == {(1,): (1,), (2,): (0, 1), (1, 1): (1, 0)}
@@ -148,13 +166,17 @@ def test_build_solves_the_recursion_for_cores_only(monkeypatch):
     [
         ((4, 2), 3, 1, "recursion gave 360/48 at (n=6, m=4, gamma=4,2, i=2)"),
         ((2, 1), 1, -100, "recursion gave -300/1 at (n=3, m=1, gamma=2,1, i=1)"),
+        ((6, 2), 6, -2, "recursion gave -80640/10080 at (n=8, m=7, gamma=6,2, i=2)"),
+        ((5, 2), 4, 1, "recursion gave 2016/240 at (n=7, m=5, gamma=5,2, i=2)"),
     ],
-    ids=["non-integral", "negative"],
+    ids=["non-integral", "negative", "negative-above-a-remainder", "remainder-above-a-negative"],
 )
 def test_reduced_row_rejects_a_recursion_value_that_is_no_count(parts, m, delta, message):
     # The reduced row of parts minus its last part, with its m entry moved by
     # delta: the recursion value at the named m is not a whole count (most
-    # +1 edits still divide exactly) or a negative one.
+    # +1 edits still divide exactly) or a negative one.  In the last two
+    # cases a smaller m fails the other way (for (5,2), a negative count
+    # from the floored quotients); the largest failing m is the one named.
     reduced = list(_mu_cached(parts[:-1]))
     reduced[m - 1] += delta
     with pytest.raises(DatabaseBuildError, match=f"^{re.escape(message)}$"):

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from permfact import exactnum
 from permfact.exactnum import (
     binomial,
     double_factorial_odd,
@@ -114,22 +113,3 @@ def test_negative_n_rejected():
         stirling_second(-3, 1)
     with pytest.raises(ValueError):
         double_factorial_odd(-1)
-
-
-@pytest.mark.parametrize(
-    "first", [10, 40], ids=["second-kind-grown-10-then-40", "second-kind-grown-to-40"]
-)
-def test_stirling_columns_are_the_rows_entries(monkeypatch, first):
-    # Only the second kind has a column view.  From fresh tables, grown to
-    # `first`, then to 40: column k holds the very ints of rows k..40 at
-    # place k.
-    monkeypatch.setattr(exactnum, "_STIRLING2_ROWS", [[1]])
-    monkeypatch.setattr(exactnum, "_STIRLING2_COLS", [[1]])
-    exactnum.stirling_second(first, 0)
-    columns = exactnum._stirling2_columns(40)
-    rows = exactnum._STIRLING2_ROWS
-    assert len(rows) == len(columns) == 41
-    for k, column in enumerate(columns):
-        assert len(column) == 41 - k, k
-        for n, value in enumerate(column, start=k):
-            assert value is rows[n][k], (n, k)
