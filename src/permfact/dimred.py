@@ -15,11 +15,15 @@ value and no Stirling number is formed: S is the change of basis
 x^l = sum_k S(l,k) x(x-1)...(x-k+1) from powers to falling factorials.
 So with k = m+j-i and r the reduced class's counts,
 sum_l K(m,i,l) r_l = sum_{j=1..i} C(i,j) k! T_k, T_k the falling
-coefficients of R(x) = sum_l r_l x^l (by synthetic division), and i
-shifted vector sums give that sum for every m at once.  The sum over the class itself has i = 1,
-K(m,1,l) = m! S(l,m), so the recursion gives m! i mult times the class's
-own m-th falling coefficient: each is one exact division, and one Horner
-pass in the falling basis turns them into counts (see _reduced_row).
+coefficients of R(x) = sum_l r_l x^l (by synthetic division).  By
+Pascal's rule that is (1+E)^i v - E^i v at m, with v the k! T_k and E
+the shift up one place, so i shifted vector sums give it for every m at
+once.  The sum over the class itself has i = 1, K(m,1,l) = m! S(l,m),
+so the recursion gives m! i mult times the class's own m-th falling
+coefficient c_m: each is one exact division, and one Horner pass in the
+falling basis turns them into counts (see _solve).  The c_m are the T_k
+of every class that removes one more part from this one, so the sweep
+keeps them and transforms only the one-part rows.
 
 Removing a part 1 needs no solve.  With i = 1 both sums have the kernel
 m! S(l, m), so with m_1 the number of parts 1 the recursion reads
@@ -59,7 +63,10 @@ The database is those rows, one tuple of counts per class.  The sweep
 (_sweep) runs by n and cross-validates every row against the general
 explicit formula (_explicit_row).  It keeps a row only while a later
 class can read it: a class of n removes its smallest part i, so the row
-of a class gamma' of k is read at n = k+1..k+min(gamma') alone.
+of a class gamma' of k is read at n = k+1..k+min(gamma') alone, and its
+c_m with it.  Those kept classes, each with one part added, are the
+classes of the next level but the one-part class, so the sweep lists
+each level's classes itself and makes no table of partitions.
 build_database collects every row into a Database, whose save writes
 the nonzero counts in a line-oriented ASCII format and load_database
 reads them back into rows (see Database.save).  write_database writes
@@ -70,8 +77,9 @@ level does not read.  Either leaves only the cores' rows in mu's cache.
 
 import os
 from itertools import repeat
-from math import comb, perm
-from operator import add, lshift, mul
+from math import perm
+from operator import add, lshift, mul, sub
+from stat import S_ISREG
 
 from .exactnum import _check_int, factorial
 from .partition import Partition, all_partitions, class_size, parse_partition
@@ -117,46 +125,39 @@ def _power_coefficients(falling) -> list:
     return high[::-1]
 
 
-def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
-    """[mu(gamma, 1), ..., mu(gamma, n)] by the recursion removing one part i.
+def _solve(gamma: Partition, i: int, reduced_falling) -> tuple:
+    """(row, falling): [mu(gamma, 1), ..., mu(gamma, n)] by the recursion
+    removing one part i, and the falling coefficients c_1..c_top of its
+    first top = n+1-l(gamma) entries.
 
-    reduced_row[l-1] must hold mu(gamma minus one part i, l) for every l.
-    With K the kernel and mult the multiplicity of i in gamma,
+    reduced_falling must hold T_1..T_{top+1-i}, the falling coefficients
+    of the reduced class's row up to its own top.  With K the kernel and
+    mult the multiplicity of i in gamma,
     m! i mult mu(gamma, m) = n!/(n-i)! sum_l K(m,i,l) mu(gamma - i, l)
                              - i mult sum_{l>m} K(m,1,l) mu(gamma, l).
     As K(m,1,l) = m! S(l,m), the sums over gamma join: m! i mult c_m is
-    the reduced-class sum, c_m the m-th falling coefficient of gamma's row
-    (see the module docstring).  So each c_m is one exact division, for
-    m = 1..top, top = n+1-l(gamma), and the row is their power
+    the reduced-class sum (see the module docstring).  So each c_m is one
+    exact division, for m = 1..top, and the row is their power
     coefficients, padded with the Euler relation's exact zeros above top.
-    The reduced row must be 0 past its own top, top+1-i: a nonzero entry
-    there raises DatabaseBuildError.
 
-    So does a remainder or a negative count, at the largest such m, with
-    the recursion value there: the reduced-class sum less
-    m! i mult sum_{l>m} S(l,m) mu(gamma, l), the counts above that m
+    A remainder or a negative count raises DatabaseBuildError at the
+    largest such m, with the recursion value there: the reduced-class sum
+    less m! i mult sum_{l>m} S(l,m) mu(gamma, l), the counts above that m
     being gamma's, since every c above it is whole.
     """
     n = gamma.n
     top = n + 1 - gamma.length
-    reduced_top = top + 1 - i
-    if any(reduced_row[reduced_top:]):
-        raise DatabaseBuildError(
-            f"reduced row of (n={n}, gamma={gamma}, i={i}) is nonzero "
-            f"past its top m={reduced_top}"
-        )
     weight = i * gamma.parts.count(i)
-    falling = perm(n, i)  # n!/(n-i)!
-    # k! T_k for k = 1..reduced_top.
-    transform = _falling_coefficients(reduced_row[:reduced_top])
-    transform = [*map(mul, transform, map(factorial, range(1, reduced_top + 1)))]
-    # reduced_sum[m-1] = n!/(n-i)! sum_j C(i,j) k! T_k with k = m+j-i, so
-    # term j starts at m = i+1-j.
-    reduced_sum = [0] * top
-    for j in range(1, i + 1):
-        window = slice(i - j, i - j + reduced_top)
-        coeff = repeat(falling * comb(i, j))
-        reduced_sum[window] = map(add, reduced_sum[window], map(mul, coeff, transform))
+    # v = n!/(n-i)! k! T_k for k = 1..top+1-i.
+    factorials = map(factorial, range(1, top + 2 - i))
+    v = [*map(mul, map(mul, reduced_falling, factorials), repeat(perm(n, i)))]
+    # reduced_sum[m-1] = sum_{j=1..i} C(i,j) v[m+j-i-1], that is
+    # (1+E)^i v - E^i v with E the shift up one place (Pascal's rule):
+    # i passes of 1+E, then v shifted by i subtracted.
+    reduced_sum = v + [0] * (i - 1)
+    for _ in range(i):
+        reduced_sum[1:] = [*map(add, reduced_sum[1:], reduced_sum)]
+    reduced_sum[i:] = map(sub, reduced_sum[i:], v)
     divisors = [*map(mul, map(factorial, range(1, top + 1)), repeat(weight))]
     quotients, rests = zip(*map(divmod, reduced_sum, divisors))
     row = _power_coefficients(quotients)
@@ -171,7 +172,28 @@ def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
             f"recursion gave {reduced_sum[m - 1] - divisors[m - 1] * same}"
             f"/{divisors[m - 1]} at (n={n}, m={m}, gamma={gamma}, i={i})"
         )
-    return row + [0] * (n - top)
+    return row + [0] * (n - top), quotients
+
+
+def _reduced_row(gamma: Partition, i: int, reduced_row) -> list:
+    """[mu(gamma, 1), ..., mu(gamma, n)] by the recursion removing one part i.
+
+    reduced_row[l-1] must hold mu(gamma minus one part i, l) for every l.
+    The reduced row must be 0 past its own top, top+1-i with
+    top = n+1-l(gamma): a nonzero entry there raises DatabaseBuildError.
+    Its falling coefficients up to that top (_falling_coefficients) go to
+    _solve, which raises DatabaseBuildError on a recursion value that is
+    not a count.  The sweep calls _solve itself, with the coefficients its
+    own solve of the reduced class returned.
+    """
+    n = gamma.n
+    reduced_top = n + 2 - gamma.length - i
+    if any(reduced_row[reduced_top:]):
+        raise DatabaseBuildError(
+            f"reduced row of (n={n}, gamma={gamma}, i={i}) is nonzero "
+            f"past its top m={reduced_top}"
+        )
+    return _solve(gamma, i, _falling_coefficients(reduced_row[:reduced_top]))[0]
 
 
 def _save_order(parts: tuple) -> tuple:
@@ -362,50 +384,69 @@ def _sweep(n_max: int):
     part, the last, removed: if that part is 1, m_1 times the row must
     equal n times the reduced class's row, padded with one 0 (see the
     module docstring); otherwise, for a class without fixed points, the
-    integer recursion solves the row (see _reduced_row).  A mismatch
-    raises DatabaseBuildError at its largest m, with the recursion's
-    value (n/m_1 times the reduced count for a class with a part 1,
-    written as a fraction if it is not whole) beside the explicit
-    formula's; so does a recursion value that is not a whole count.
+    integer recursion solves the row (see _solve).  A mismatch raises
+    DatabaseBuildError at its largest m, with the recursion's value
+    (n/m_1 times the reduced count for a class with a part 1, written as
+    a fraction if it is not whole) beside the explicit formula's; so does
+    a recursion value that is not a whole count.
 
     A class gamma of n reads the row of gamma.parts[:-1], a class of
     n - gamma.parts[-1] whose own smallest part is at least
     gamma.parts[-1]; so the row of a class of k with smallest part s is
     read at the levels k+1..k+s only.  The sweep keeps each row until
     the end of level k+s, dropping the rows of a level's bucket once that
-    level is done; the rows of level n_max are read by none.
+    level is done; the rows of level n_max are read by none.  So at level
+    n the store holds exactly the classes that a class of n reduces to,
+    and the sweep walks its classes off it: (n), and each stored class of
+    k with a part n - k added, sorted into save order.  It makes a
+    Partition only for a solve or a message.
+
+    A solve reads no row: it takes the reduced class's falling
+    coefficients, which that class's own solve returned (the quotients
+    c_m), or, for a one-part class, _falling_coefficients of its
+    Zagier-Stanley row, formed once.  The class of k with smallest part
+    s >= 2 is solved from at k+2..k+s, so its coefficients are kept as
+    long as its row.
     """
-    store = {}
+    store = {}  # parts -> row, for the classes a later level reads
+    falling = {}  # parts -> the c_m of its row, for the classes a later solve reads
     expiring = {}  # level -> the classes whose rows no later level reads
     for n in range(1, n_max + 1):
-        # all_partitions(n) is in reverse lexicographic order, so a stable
-        # sort of it reversed by part count is save order.
-        for gamma in sorted(reversed(all_partitions(n)), key=len):
-            parts = gamma.parts
+        classes = [(n,), *(parts + (n - sum(parts),) for parts in store)]
+        classes.sort()  # lexicographic, then stably by part count: save order
+        classes.sort(key=len)
+        for parts in classes:
+            smallest = parts[-1]
             row = _explicit_row(parts)
             scale = 1  # the recursion gives m_1 times a row with a part 1
-            if gamma.length == 1:
+            if len(parts) == 1:
                 recursion = [zagier_stanley(n, m) for m in range(1, n + 1)]
-            elif parts[-1] == 1:
+            elif smallest == 1:
                 scale = parts.count(1)
                 recursion = [*map(mul, store[parts[:-1]] + (0,), repeat(n))]
             else:
-                recursion = _reduced_row(gamma, parts[-1], store[parts[:-1]])
+                gamma = Partition._from_sorted(parts)
+                recursion, coefficients = _solve(gamma, smallest, falling[parts[:-1]])
             if [*map(mul, row, repeat(scale))] != recursion:
                 m = max(m for m in range(1, n + 1) if row[m - 1] * scale != recursion[m - 1])
                 value, rest = divmod(recursion[m - 1], scale)
                 if rest:
                     value = f"{recursion[m - 1]}/{scale}"
                 raise DatabaseBuildError(
-                    f"validation failed at (n={n}, m={m}, gamma={gamma}): "
+                    f"validation failed at (n={n}, m={m}, "
+                    f"gamma={Partition._from_sorted(parts)}): "
                     f"recursion gave {value}, explicit formula {row[m - 1]}"
                 )
             if n < n_max:
                 store[parts] = row
-                expiring.setdefault(n + parts[-1], []).append(parts)
+                expiring.setdefault(n + smallest, []).append(parts)
+            if smallest >= 2 and n + 2 <= n_max:
+                # A one-part row's top is n, so its coefficients are the whole row's.
+                falling[parts] = coefficients if len(parts) > 1 else _falling_coefficients(row)
             yield parts, row
         for parts in expiring.pop(n, ()):
             del store[parts]
+            falling.pop(parts, None)
 
 
 def build_database(n_max: int) -> Database:
@@ -436,14 +477,17 @@ def write_database(n_max: int, path) -> int:
     any count is computed, and each class's records are written as soon
     as its row is validated.  Only the rows a later level reads are kept
     (see _sweep).  If the build fails, with DatabaseBuildError or
-    otherwise, the partial file is removed.  An n_max that is a bool or
-    not an int raises TypeError.
+    otherwise, the partial file is removed if path opened a regular file;
+    a device such as /dev/null, or a pipe, is left in place.  An n_max
+    that is a bool or not an int raises TypeError.
     """
     _check_n_max(n_max, "write_database")
     fh = open(path, "w", encoding="ascii", newline="\n")
+    regular = S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
         with fh:
             return _write_records(fh, n_max, _sweep(n_max))
     except BaseException:
-        os.remove(path)
+        if regular:
+            os.remove(path)
         raise

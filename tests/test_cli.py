@@ -398,15 +398,15 @@ def test_db_build_to_an_unwritable_path_computes_no_count(capsys, monkeypatch, t
 def test_db_build_validation_failure_leaves_no_file(capsys, monkeypatch, tmp_path):
     # The row of the core (3,2) moved by one at its top, m = 4, once the
     # records of n <= 4 have gone to the file.
-    solve = dimred._reduced_row
+    solve = dimred._solve
 
-    def skewed(gamma, i, reduced_row):
-        row = solve(gamma, i, reduced_row)
+    def skewed(gamma, i, reduced_falling):
+        row, falling = solve(gamma, i, reduced_falling)
         if gamma.parts == (3, 2):
             row[3] += 1
-        return row
+        return row, falling
 
-    monkeypatch.setattr(dimred, "_reduced_row", skewed)
+    monkeypatch.setattr(dimred, "_solve", skewed)
     path = tmp_path / "db.tsv"
     code, out, err = run(capsys, "db", "build", "--n-max", "6", "--out", str(path))
     assert (code, out) == (1, "")

@@ -150,15 +150,69 @@ def test_reduced_row_nonzero_past_its_top_is_rejected():
 def test_build_solves_the_recursion_for_cores_only(monkeypatch):
     # Classes with a part 1 are scaled, so no call removes a part 1.
     removed = []
-    solve = dimred._reduced_row
+    solve = dimred._solve
 
-    def spy(gamma, i, reduced_row):
+    def spy(gamma, i, reduced_falling):
         removed.append(i)
-        return solve(gamma, i, reduced_row)
+        return solve(gamma, i, reduced_falling)
 
-    monkeypatch.setattr(dimred, "_reduced_row", spy)
+    monkeypatch.setattr(dimred, "_solve", spy)
     build_database(12)
     assert removed and 1 not in removed
+
+
+def test_sweep_walks_every_class_once_in_save_order():
+    swept = [parts for parts, _ in dimred._sweep(20)]
+    classes = [gamma.parts for n in range(1, 21) for gamma in all_partitions(n)]
+    assert swept == sorted(classes, key=dimred._save_order)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda path: build_database(14), lambda path: write_database(14, path)],
+    ids=["build_database", "write_database"],
+)
+def test_build_lists_no_partitions(tmp_path, build):
+    # The sweep walks its classes off its store, so all_partitions keeps
+    # no Partition of any level.
+    all_partitions.cache_clear()
+    _mu_cached.cache_clear()
+    build(tmp_path / "db.tsv")
+    assert all_partitions.cache_info().currsize == 0
+
+
+def test_build_transforms_each_one_part_row_once(monkeypatch):
+    # Every core is solved from the coefficients its reduced class's solve
+    # returned; only the Zagier-Stanley rows are transformed, each (k) once,
+    # for the solves of (k, 2), ..., (k, k) to n = 14.
+    transformed = []
+    transform = dimred._falling_coefficients
+
+    def spy(coeffs):
+        transformed.append(tuple(coeffs))
+        return transform(coeffs)
+
+    monkeypatch.setattr(dimred, "_falling_coefficients", spy)
+    build_database(14)
+    assert transformed == [_mu_cached((k,)) for k in range(2, 13)]
+
+
+def test_solve_returns_the_falling_coefficients_of_its_row(n_max=14):
+    # For every core and every part removed, the quotients the solve
+    # returns are the falling coefficients of its row up to its top, which
+    # the sweep hands to the solves that remove one more part.
+    for n in range(2, n_max + 1):
+        for gamma in all_partitions(n):
+            if gamma.length < 2 or gamma.parts[-1] == 1:
+                continue
+            top = n + 1 - gamma.length
+            expected = _mu_cached(gamma.parts)
+            for i in set(gamma.parts):
+                reduced = _mu_cached(remove_part(gamma, i).parts)
+                reduced_falling = dimred._falling_coefficients(reduced[: top + 1 - i])
+                row, falling = dimred._solve(gamma, i, reduced_falling)
+                assert tuple(row) == expected, (gamma, i)
+                assert list(falling) == dimred._falling_coefficients(expected[:top]), (gamma, i)
 
 
 @pytest.mark.parametrize(
@@ -336,6 +390,31 @@ def test_write_database_writes_the_saved_bytes(tmp_path):
         written = write_database(n_max, streamed)
         assert written == build_database(n_max).save(saved), n_max
         assert streamed.read_bytes() == saved.read_bytes(), n_max
+
+
+def _interrupt(*args):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs /dev/null and symlinks")
+@pytest.mark.parametrize("failure", ["validation", "interrupt"])
+def test_failed_write_database_removes_a_regular_file_only(tmp_path, monkeypatch, failure):
+    # A failed build removed its output path whatever it named, so
+    # `db build --out /dev/null` unlinked the device where it could.  A
+    # symlink to /dev/null stands in for the device.
+    if failure == "validation":
+        _skew_explicit_row(monkeypatch, (2, 2), 3)
+        raised = DatabaseBuildError
+    else:
+        monkeypatch.setattr(dimred, "_solve", _interrupt)
+        raised = KeyboardInterrupt
+    path, link = tmp_path / "db.tsv", tmp_path / "null"
+    link.symlink_to(os.devnull)
+    for target in (path, link):
+        with pytest.raises(raised):
+            write_database(6, target)
+    assert not path.exists()
+    assert link.is_symlink() and link.is_char_device()
 
 
 @pytest.mark.parametrize(
