@@ -73,17 +73,24 @@ reads them back into rows (see Database.save).  write_database writes
 the same bytes as the sweep runs, each class as soon as its row is
 validated, since save order is by n first; it holds no row a later
 level does not read.  Either leaves only the cores' rows in mu's cache.
+load_database matches each record against one pattern, checks each
+class it read by two identities of its counts, and checks completeness
+by the number p(n) of classes of each n, so a load that succeeds makes
+no table of partitions either; only a failure walks the classes, to
+name the first failing one.
 """
 
 import os
-from itertools import repeat
+import re
+from collections import Counter
+from itertools import count, repeat
 from math import perm
-from operator import add, lshift, mul, sub
+from operator import add, lshift, lt, mul, sub
 from stat import S_ISREG
 
 from .exactnum import _check_int, factorial
-from .partition import Partition, all_partitions, class_size, parse_partition
-from .partition import _decimal
+from .partition import Partition, all_partitions, parse_partition
+from .partition import _decimal, _z
 from .countcore import _mu_cached
 from .closedform import zagier_stanley
 
@@ -268,6 +275,105 @@ def _saved_decimal(text: str) -> int:
     return _decimal(text)
 
 
+# A record as save spells it: n, m, the class and the count, each number
+# ASCII digits with no leading zero, the parts joined by commas.  Every
+# record the loader accepts matches it; it leaves the parts' order, the
+# ranges and the save order to load_database, which compiles it on first
+# use, so an import that loads no file pays nothing for it.
+_DECIMAL = "[1-9][0-9]*"
+_RECORD = f"({_DECIMAL})\t({_DECIMAL})\t({_DECIMAL}(?:,{_DECIMAL})*)\t({_DECIMAL})\n?"
+
+
+def _record_problem(line: str, n_max: int) -> str:
+    """Why load_database rejects the record line.
+
+    The checks of every field and of the record, in the order that names
+    the first failing one; the caller has found that one fails, so a line
+    that passes all but the last breaks the save order.
+    """
+    fields = line.rstrip("\n").split("\t")
+    if len(fields) != 4:
+        return "expected 4 tab-separated fields"
+    n_text, m_text, gamma_text, value_text = fields
+    try:
+        n, m = _saved_decimal(n_text), _saved_decimal(m_text)
+        parts = parse_partition(gamma_text).parts
+        saved = ",".join(map(str, parts))
+        if gamma_text != saved:
+            raise ValueError(f"class {gamma_text!r} must be written {saved!r}")
+        value = _saved_decimal(value_text)
+    except ValueError as exc:
+        return str(exc)
+    if sum(parts) != n:
+        return f"{gamma_text} is not a partition of {n_text}"
+    if not 1 <= m <= n <= n_max:
+        return f"need 1 <= m <= n <= n_max = {n_max}"
+    if value <= 0:
+        return f"count must be positive, got {value_text}"
+    return "key duplicates or precedes the previous record's"
+
+
+def _class_problem(parts: tuple, row) -> str:
+    """The first of the two identities the counts row of a class breaks,
+    as a message, or '' if its counts satisfy both."""
+    n = sum(parts)
+    size = factorial(n) // _z(parts)
+    total = sum(row)
+    if total != size:
+        return (
+            f"counts of class {','.join(map(str, parts))} sum to {total}, "
+            f"not to its class size {size}"
+        )
+    weighted = sum(map(lshift, row, range(1, n + 1)))
+    expected = size * (n + 2 - parts.count(1))
+    if weighted != expected:
+        return (
+            f"counts of class {','.join(map(str, parts))} give sum_m 2^m count = "
+            f"{weighted}, not {expected}"
+        )
+    return ""
+
+
+def _first_class_problem(rows: dict, n_max: int) -> str:
+    """The message for the first class of n <= n_max, in all_partitions
+    order, whose counts break an identity or are missing, prefixed with
+    the line of its last record if the file holds one.  rows must hold
+    every class the file holds, in file order."""
+    # Every line of the body is one record and each count is positive, so
+    # a class's last line follows from the nonzero counts up to it.
+    last_line = {}
+    lineno = 1
+    for parts, row in rows.items():
+        lineno += len(row) - row.count(0)
+        last_line[parts] = lineno
+    for n in range(1, n_max + 1):
+        for gamma in all_partitions(n):
+            problem = _class_problem(gamma.parts, rows.get(gamma.parts, ()))
+            if problem:
+                lineno = last_line.get(gamma.parts)
+                return f"line {lineno}: {problem}" if lineno else problem
+    return ""
+
+
+def _partition_counts():
+    """Yield p(1), p(2), ..., the numbers of partitions, by Euler's
+    pentagonal number recurrence p(n) = sum_{k>=1} (-1)^(k+1)
+    (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)), p of a negative number 0."""
+    p = [1]
+    for n in count(1):
+        total = 0
+        for k in count(1):
+            pentagonal = k * (3 * k - 1) // 2
+            if pentagonal > n:
+                break
+            term = p[n - pentagonal]
+            if pentagonal + k <= n:
+                term += p[n - pentagonal - k]
+            total += term if k % 2 else -term
+        p.append(total)
+        yield total
+
+
 def load_database(path) -> Database:
     """Read a database file written by Database.save into rows.
 
@@ -277,13 +383,25 @@ def load_database(path) -> Database:
     hold a positive count, and follow the previous record in save order;
     a duplicate or out-of-order key is rejected rather than silently
     overriding.  Each member of a class gamma has exactly one cofactor, so
-    the counts of every class with n <= n_max must sum to its class size;
-    a missing or altered record fails that check.  Evaluating the
-    generating function sum_m mu(gamma, m) x^m at x = 2 gives a second
-    check that also catches two counts of one class exchanged between
-    values of m: sum_m 2^m mu(gamma, m) = class_size(gamma) (n + 2 - m_1),
-    with m_1 the number of parts equal to 1.  The classes of n <= n_max
-    are walked only after the whole body has been read.
+    the counts of every class must sum to its class size; a missing or
+    altered record fails that check.  Evaluating the generating function
+    sum_m mu(gamma, m) x^m at x = 2 gives a second check that also
+    catches two counts of one class exchanged between values of m:
+    sum_m 2^m mu(gamma, m) = class_size(gamma) (n + 2 - m_1), with m_1 the
+    number of parts equal to 1.  The file is complete when it holds p(n)
+    classes of each n <= n_max.
+
+    A record costs one match of _RECORD and an int of m and of the count;
+    its class's text is split, and its n checked, once per class.  The
+    classes are checked only after the whole body has been read, the
+    count of each n first, so a header claiming far more classes than the
+    body holds fails at the first n it lacks.  A successful load makes no
+    table of partitions.  Only a failure pays for its diagnosis: a
+    rejected record goes through every field's check in turn
+    (_record_problem), and a class failure through the classes in
+    all_partitions order (_first_class_problem), so the error names the
+    first failing field or class and its line.  A record error anywhere
+    in the body takes precedence over any class error.
     """
     # A byte outside ASCII becomes a lone surrogate, which no number or
     # partition accepts, so the error names its line.
@@ -298,67 +416,53 @@ def load_database(path) -> Database:
             raise ValueError(f"bad database header: {header!r}")
         n_max = int(n_text)
         rows = {}
-        last_line = {}  # class parts -> line of its last record
-        # Save order keeps each class's records on adjacent lines, so each
-        # class's text is parsed once, and only m is compared within it.
-        text = parts = key = row = None
-        prev_m = 0
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"line {lineno}: expected 4 tab-separated fields")
-            n_text, m_text, gamma_text, value_text = fields
-            try:
-                n, m = _saved_decimal(n_text), _saved_decimal(m_text)
-                if gamma_text != text:
-                    new_parts = parse_partition(gamma_text).parts
-                    saved = ",".join(map(str, new_parts))
-                    if gamma_text != saved:
-                        raise ValueError(
-                            f"class {gamma_text!r} must be written {saved!r}"
-                        )
-                    text, new_key = gamma_text, _save_order(new_parts)
-                value = _saved_decimal(value_text)
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-            same_class = new_parts == parts
-            if new_key[0] != n:
-                problem = f"{gamma_text} is not a partition of {n_text}"
-            elif not 1 <= m <= n <= n_max:
-                problem = f"need 1 <= m <= n <= n_max = {n_max}"
-            elif value <= 0:
-                problem = f"count must be positive, got {value_text}"
-            elif (m <= prev_m) if same_class else (key is not None and new_key < key):
-                problem = "key duplicates or precedes the previous record's"
-            else:
-                if not same_class:
-                    parts, key = new_parts, new_key
-                    row = rows[parts] = [0] * n
-                row[m - 1] = value
-                last_line[parts] = lineno
+        # The current class: its text, parts, save-order key, n as written,
+        # n, and its counts; save order keeps its records on adjacent lines.
+        text = parts = class_n_text = row = None
+        key = ()  # precedes every key
+        n = prev_m = 0
+        match = re.compile(_RECORD).fullmatch
+        try:
+            for lineno, line in enumerate(fh, start=2):
+                record = match(line)
+                if record is None:
+                    break
+                n_text, m_text, gamma_text, value_text = record.groups()
+                m = int(m_text)
+                if gamma_text == text:
+                    if n_text != class_n_text or m <= prev_m or m > n:
+                        break
+                else:
+                    new_parts = tuple(map(int, gamma_text.split(",")))
+                    new_key = _save_order(new_parts)
+                    if (
+                        any(map(lt, new_parts, new_parts[1:]))
+                        or str(new_key[0]) != n_text
+                        or not m <= new_key[0] <= n_max
+                        or new_key < key
+                    ):
+                        break
+                    if parts:
+                        rows[parts] = tuple(row)
+                    text, parts, key = gamma_text, new_parts, new_key
+                    class_n_text, n = n_text, new_key[0]
+                    row = [0] * n
+                row[m - 1] = int(value_text)
                 prev_m = m
-                continue
-            raise ValueError(f"line {lineno}: {problem}")
-    for n in range(1, n_max + 1):
-        for gamma in all_partitions(n):
-            row = rows.get(gamma.parts, ())
-            total = sum(row)
-            weighted = sum(map(lshift, row, range(1, n + 1)))
-            lineno = last_line.get(gamma.parts)
-            size = class_size(gamma)
-            where = f"line {lineno}: " if lineno else ""
-            if total != size:
-                raise ValueError(
-                    f"{where}counts of class {gamma} sum to {total}, "
-                    f"not to its class size {size}"
-                )
-            expected = size * (n + 2 - gamma.parts.count(1))
-            if weighted != expected:
-                raise ValueError(
-                    f"{where}counts of class {gamma} give sum_m 2^m count = "
-                    f"{weighted}, not {expected}"
-                )
-            rows[gamma.parts] = tuple(row)
+            else:
+                line = None  # every record passed
+        except ValueError:  # a number too long for int() or str()
+            pass
+        if line is not None:
+            raise ValueError(f"line {lineno}: {_record_problem(line, n_max)}")
+    if parts:
+        rows[parts] = tuple(row)
+    per_n = Counter(map(len, rows.values()))  # a class of n has n counts
+    complete = all(
+        per_n[n] == p for n, p in zip(range(1, n_max + 1), _partition_counts())
+    )
+    if not complete or any(map(_class_problem, rows, rows.values())):
+        raise ValueError(_first_class_problem(rows, n_max))
     return Database(n_max, rows)
 
 

@@ -438,6 +438,24 @@ def test_db_lookup_range_error_text(capsys, tmp_path):
     assert err == "error: m = 5 not in range 1..3 (not built, not zero)\n"
 
 
+def test_db_lookup_checks_the_whole_file(capsys, tmp_path):
+    # A record of class 6 is damaged; the lookup asks for class 2,2, and
+    # still fails, naming the damaged line.
+    path = tmp_path / "db.tsv"
+    run(capsys, "db", "build", "--n-max", "6", "--out", str(path))
+    lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+    lineno = lines.index("6\t2\t6\t84\n") + 1
+    lines[lineno - 1] = "6\t2\t6\t084\n"
+    path.write_text("".join(lines), encoding="ascii")
+    code, out, err = run(capsys, "db", "lookup", "--db", str(path),
+                         "--gamma", "2,2", "--m", "1")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: cannot read database {path}: line {lineno}: invalid literal "
+        "for a decimal integer: '084' has a leading zero\n"
+    )
+
+
 def test_db_lookup_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "db", "lookup", "--db", str(tmp_path / "no.tsv"),
                        "--gamma", "2", "--m", "1")

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import re
@@ -475,12 +476,15 @@ def test_save_returns_the_number_of_records(tmp_path):
 def test_header_claiming_far_more_classes_fails_fast(tmp_path, n16_lines):
     # p(200) is about 4e12: the loader must read the body before walking
     # the classes the header claims, and stop at the first missing one.
+    # An n_max of 10**18 must not size anything by n_max either.
     path = tmp_path / "bad.tsv"
-    path.write_text("#permfact-db v1 n_max=200\n" + "".join(n16_lines[1:]), encoding="ascii")
-    start = time.perf_counter()
-    with pytest.raises(ValueError, match="counts of class 17 sum to 0"):
-        load_database(path)
-    assert time.perf_counter() - start < 1.0
+    for n_max in (200, 10**18):
+        path.write_text(f"#permfact-db v1 n_max={n_max}\n" + "".join(n16_lines[1:]),
+                        encoding="ascii")
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="counts of class 17 sum to 0"):
+            load_database(path)
+        assert time.perf_counter() - start < 1.0, n_max
 
 
 def test_bad_header_rejected(tmp_path):
@@ -633,3 +637,61 @@ def test_incomplete_or_altered_file_rejected(tmp_path, n16_lines, corrupt, messa
     path.write_text("".join(bad), encoding="ascii")
     with pytest.raises(ValueError, match=message):
         load_database(path)
+
+
+def test_single_byte_edits_of_a_file_keep_their_verdicts(tmp_path):
+    # Each byte of "0129\t\n\r,x " put at every position of the n <= 5
+    # file, where it differs from the byte there: 2 952 edits.  No edit
+    # may load rows other than the file's, and the digest pins every
+    # verdict, the message of each rejected edit included.
+    path = tmp_path / "db.tsv"
+    db = build_database(5)
+    db.save(path)
+    data = path.read_bytes()
+    verdicts = []
+    for pos, byte in product(range(len(data)), b"0129\t\n\r,x "):
+        if byte == data[pos]:
+            continue
+        path.write_bytes(data[:pos] + bytes([byte]) + data[pos + 1:])
+        try:
+            rows = load_database(path).rows
+        except ValueError as exc:
+            verdict = str(exc)
+        else:
+            assert rows == db.rows, (pos, byte)
+            verdict = "same rows"
+        verdicts.append(f"{pos} {byte} {verdict}")
+    assert len(verdicts) == 2952
+    assert hashlib.sha256("\n".join(verdicts).encode()).hexdigest() == (
+        "7411debb0a718a0d9d40f5142fd075a078d328d1c59a053367cc85d15151b110"
+    )
+
+
+def test_record_number_too_long_for_int_names_its_line(tmp_path):
+    # int() refuses a decimal of more than 4 300 digits; the record's line
+    # is still named.
+    path = tmp_path / "db.tsv"
+    build_database(4).save(path)
+    lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+    lines[2] = "2\t" + "9" * 5000 + "\t2\t1\n"
+    path.write_text("".join(lines), encoding="ascii")
+    with pytest.raises(ValueError, match="^line 3: "):
+        load_database(path)
+
+
+def test_load_makes_no_partition_table(tmp_path):
+    path = tmp_path / "db.tsv"
+    write_database(14, path)
+    all_partitions.cache_clear()
+    load_database(path)
+    assert all_partitions.cache_info().currsize == 0
+
+
+def test_load_reads_crlf_line_ends_and_no_final_newline(tmp_path):
+    path = tmp_path / "db.tsv"
+    db = build_database(8)
+    db.save(path)
+    data = path.read_bytes()
+    for edited in (data.replace(b"\n", b"\r\n"), data[:-1]):
+        path.write_bytes(edited)
+        assert load_database(path).rows == db.rows
