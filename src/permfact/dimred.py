@@ -63,27 +63,27 @@ The database is those rows, one tuple of counts per class.  The sweep
 (_sweep) runs by n and cross-validates every row against the general
 explicit formula (_explicit_row).  It keeps a row only while a later
 class can read it: a class of n removes its smallest part i, so the row
-of a class gamma' of k is read at n = k+1..k+min(gamma') alone, and its
-c_m with it.  Those kept classes, each with one part added, are the
-classes of the next level but the one-part class, so the sweep lists
-each level's classes itself and makes no table of partitions.
-build_database collects every row into a Database, whose save writes
-the nonzero counts in a line-oriented ASCII format and load_database
-reads them back into rows (see Database.save).  write_database writes
-the same bytes as the sweep runs, each class as soon as its row is
-validated, since save order is by n first; it holds no row a later
-level does not read.  Either leaves only the cores' rows in mu's cache.
-load_database matches each record against one pattern, checks each
-class it read by two identities of its counts, and checks completeness
-by the number p(n) of classes of each n, so a load that succeeds makes
-no table of partitions either; only a failure walks the classes, to
-name the first failing one.
+of a class gamma' of k, and its c_m, are read at n = k+1..k+min(gamma')
+alone.  Those kept classes, each with one part added, are the classes of
+the next level but the one-part class, so the sweep lists each level's
+classes itself and makes no table of partitions.  build_database
+collects every row into a Database, whose save writes the nonzero counts
+in a line-oriented ASCII format and load_database reads them back into
+rows (see Database.save).  write_database writes the same bytes through
+the same writer (_write_file) as the sweep runs, each class as soon as
+its row is validated, since save order is by n first; it holds no row a
+later level does not read.  Either leaves only the cores' rows in mu's
+cache.  load_database matches each record against one pattern and checks
+each class it read by two identities of its counts, one that they sum to
+its class size n!/z.  The classes of n partition S_n, so the file is
+complete exactly when the counts of each n <= n_max add up to n!, and a
+load that succeeds makes no table of partitions either; only a failure
+walks the classes, to name the first failing one.
 """
 
 import os
 import re
-from collections import Counter
-from itertools import count, repeat
+from itertools import groupby, repeat
 from math import perm
 from operator import add, lshift, lt, mul, sub
 from stat import S_ISREG
@@ -242,28 +242,43 @@ class Database:
 
         After the header, one tab-separated line n, m, gamma, value per
         nonzero count, sorted by (n, part count, parts lexicographic, m);
-        the encoding is ASCII, so rebuilds are byte-identical.
+        the encoding is ASCII, so rebuilds are byte-identical.  A failed
+        write leaves no partial regular file (see _write_file).
         """
-        rows = sorted(self.rows.items(), key=lambda item: _save_order(item[0]))
-        with open(path, "w", encoding="ascii", newline="\n") as fh:
-            return _write_records(fh, self.n_max, rows)
+        return _write_file(path, self.n_max, lambda: sorted(
+            self.rows.items(), key=lambda item: _save_order(item[0])
+        ))
 
 
-def _write_records(fh, n_max: int, rows) -> int:
-    """Write the header and the nonzero counts of rows, pairs (parts, row)
-    in save order, to the text file fh; return the number of records."""
-    fh.write(f"{DB_HEADER_PREFIX}{n_max}\n")
-    written = 0
-    heads = ()  # "n\tm\t" for m = 1..n, n the length of the last row
-    for parts, row in rows:
-        if len(row) != len(heads):
-            n = len(row)
-            heads = [f"{n}\t{m}\t" for m in range(1, n + 1)]
-        text = ",".join(map(str, parts))
-        records = [f"{head}{text}\t{value}\n" for head, value in zip(heads, row) if value]
-        fh.write("".join(records))
-        written += len(records)
-    return written
+def _write_file(path, n_max: int, rows) -> int:
+    """Write the header and the nonzero counts of rows(), pairs (parts,
+    row) in save order, to the file at path; return the number of records.
+
+    rows is called once path is open, so a path that cannot be written
+    fails before any row is computed.  If writing fails, a partial
+    regular file is removed; a device such as /dev/null, or a pipe, is
+    left in place.
+    """
+    fh = open(path, "w", encoding="ascii", newline="\n")
+    regular = S_ISREG(os.fstat(fh.fileno()).st_mode)
+    try:
+        with fh:
+            fh.write(f"{DB_HEADER_PREFIX}{n_max}\n")
+            written = 0
+            heads = ()  # "n\tm\t" for m = 1..n, n the length of the last row
+            for parts, row in rows():
+                if len(row) != len(heads):
+                    n = len(row)
+                    heads = [f"{n}\t{m}\t" for m in range(1, n + 1)]
+                text = ",".join(map(str, parts))
+                records = [f"{head}{text}\t{value}\n" for head, value in zip(heads, row) if value]
+                fh.write("".join(records))
+                written += len(records)
+            return written
+    except BaseException:
+        if regular:
+            os.remove(path)
+        raise
 
 
 def _saved_decimal(text: str) -> int:
@@ -355,25 +370,6 @@ def _first_class_problem(rows: dict, n_max: int) -> str:
     return ""
 
 
-def _partition_counts():
-    """Yield p(1), p(2), ..., the numbers of partitions, by Euler's
-    pentagonal number recurrence p(n) = sum_{k>=1} (-1)^(k+1)
-    (p(n - k(3k-1)/2) + p(n - k(3k+1)/2)), p of a negative number 0."""
-    p = [1]
-    for n in count(1):
-        total = 0
-        for k in count(1):
-            pentagonal = k * (3 * k - 1) // 2
-            if pentagonal > n:
-                break
-            term = p[n - pentagonal]
-            if pentagonal + k <= n:
-                term += p[n - pentagonal - k]
-            total += term if k % 2 else -term
-        p.append(total)
-        yield total
-
-
 def load_database(path) -> Database:
     """Read a database file written by Database.save into rows.
 
@@ -388,14 +384,15 @@ def load_database(path) -> Database:
     sum_m mu(gamma, m) x^m at x = 2 gives a second check that also
     catches two counts of one class exchanged between values of m:
     sum_m 2^m mu(gamma, m) = class_size(gamma) (n + 2 - m_1), with m_1 the
-    number of parts equal to 1.  The file is complete when it holds p(n)
-    classes of each n <= n_max.
+    number of parts equal to 1.  The classes of n partition S_n, and no
+    class is read twice, so the file holds them all when the counts of
+    each n <= n_max add up to n!.
 
     A record costs one match of _RECORD and an int of m and of the count;
     its class's text is split, and its n checked, once per class.  The
-    classes are checked only after the whole body has been read, the
-    count of each n first, so a header claiming far more classes than the
-    body holds fails at the first n it lacks.  A successful load makes no
+    classes are checked only after the whole body has been read, the sum
+    of each n first, so a header claiming far more classes than the body
+    holds fails at the first n it lacks.  A successful load makes no
     table of partitions.  Only a failure pays for its diagnosis: a
     rejected record goes through every field's check in turn
     (_record_problem), and a class failure through the classes in
@@ -457,11 +454,11 @@ def load_database(path) -> Database:
             raise ValueError(f"line {lineno}: {_record_problem(line, n_max)}")
     if parts:
         rows[parts] = tuple(row)
-    per_n = Counter(map(len, rows.values()))  # a class of n has n counts
-    complete = all(
-        per_n[n] == p for n, p in zip(range(1, n_max + 1), _partition_counts())
-    )
-    if not complete or any(map(_class_problem, rows, rows.values())):
+    # Save order keeps the classes of each n together; a class of n has n counts.
+    totals = {n: sum(map(sum, group)) for n, group in groupby(rows.values(), len)}
+    if any(totals.get(n) != factorial(n) for n in range(1, n_max + 1)) or any(
+        map(_class_problem, rows, rows.values())
+    ):
         raise ValueError(_first_class_problem(rows, n_max))
     return Database(n_max, rows)
 
@@ -498,11 +495,11 @@ def _sweep(n_max: int):
     n - gamma.parts[-1] whose own smallest part is at least
     gamma.parts[-1]; so the row of a class of k with smallest part s is
     read at the levels k+1..k+s only.  The sweep keeps each row until
-    the end of level k+s, dropping the rows of a level's bucket once that
-    level is done; the rows of level n_max are read by none.  So at level
-    n the store holds exactly the classes that a class of n reduces to,
-    and the sweep walks its classes off it: (n), and each stored class of
-    k with a part n - k added, sorted into save order.  It makes a
+    the end of level k+s: at the end of level n it drops every kept row
+    with k + s <= n; the rows of level n_max are read by none.  So at
+    level n the store holds exactly the classes that a class of n reduces
+    to, and the sweep walks its classes off it: (n), and each stored class
+    of k with a part n - k added, sorted into save order.  It makes a
     Partition only for a solve or a message.
 
     A solve reads no row: it takes the reduced class's falling
@@ -514,7 +511,6 @@ def _sweep(n_max: int):
     """
     store = {}  # parts -> row, for the classes a later level reads
     falling = {}  # parts -> the c_m of its row, for the classes a later solve reads
-    expiring = {}  # level -> the classes whose rows no later level reads
     for n in range(1, n_max + 1):
         classes = [(n,), *(parts + (n - sum(parts),) for parts in store)]
         classes.sort()  # lexicographic, then stably by part count: save order
@@ -543,12 +539,11 @@ def _sweep(n_max: int):
                 )
             if n < n_max:
                 store[parts] = row
-                expiring.setdefault(n + smallest, []).append(parts)
             if smallest >= 2 and n + 2 <= n_max:
                 # A one-part row's top is n, so its coefficients are the whole row's.
                 falling[parts] = coefficients if len(parts) > 1 else _falling_coefficients(row)
             yield parts, row
-        for parts in expiring.pop(n, ()):
+        for parts in [parts for parts, row in store.items() if len(row) + parts[-1] <= n]:
             del store[parts]
             falling.pop(parts, None)
 
@@ -576,22 +571,11 @@ def write_database(n_max: int, path) -> int:
     """Build the database of every class with n <= n_max straight into the
     file at path, as Database.save writes it; return the number of records.
 
-    The same validated sweep as build_database, written as it runs: the
-    file is opened first, so a path that cannot be written fails before
-    any count is computed, and each class's records are written as soon
-    as its row is validated.  Only the rows a later level reads are kept
-    (see _sweep).  If the build fails, with DatabaseBuildError or
-    otherwise, the partial file is removed if path opened a regular file;
-    a device such as /dev/null, or a pipe, is left in place.  An n_max
-    that is a bool or not an int raises TypeError.
+    The same validated sweep as build_database, written as it runs by
+    save's writer (_write_file), so a path that cannot be written fails
+    before any count is computed and a failed build leaves no partial
+    regular file.  Only the rows a later level reads are kept (see
+    _sweep).  An n_max that is a bool or not an int raises TypeError.
     """
     _check_n_max(n_max, "write_database")
-    fh = open(path, "w", encoding="ascii", newline="\n")
-    regular = S_ISREG(os.fstat(fh.fileno()).st_mode)
-    try:
-        with fh:
-            return _write_records(fh, n_max, _sweep(n_max))
-    except BaseException:
-        if regular:
-            os.remove(path)
-        raise
+    return _write_file(path, n_max, lambda: _sweep(n_max))

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from pathlib import Path
 
@@ -397,23 +398,37 @@ def _interrupt(*args):
     raise KeyboardInterrupt
 
 
+class _UnreadableRow(tuple):
+    """A row whose counts cannot be read: writing it is interrupted."""
+
+    def __iter__(self):
+        raise KeyboardInterrupt
+
+
 @pytest.mark.skipif(os.name != "posix", reason="needs /dev/null and symlinks")
-@pytest.mark.parametrize("failure", ["validation", "interrupt"])
+@pytest.mark.parametrize("failure", ["validation", "interrupt", "save"])
 def test_failed_write_database_removes_a_regular_file_only(tmp_path, monkeypatch, failure):
     # A failed build removed its output path whatever it named, so
     # `db build --out /dev/null` unlinked the device where it could.  A
-    # symlink to /dev/null stands in for the device.
+    # symlink to /dev/null stands in for the device.  Database.save shares
+    # the writer: interrupted at its last class, it left a truncated file.
+    write = partial(write_database, 6)
     if failure == "validation":
         _skew_explicit_row(monkeypatch, (2, 2), 3)
         raised = DatabaseBuildError
-    else:
+    elif failure == "interrupt":
         monkeypatch.setattr(dimred, "_solve", _interrupt)
         raised = KeyboardInterrupt
+    else:
+        db = build_database(6)
+        last = (1,) * 6
+        db.rows[last] = _UnreadableRow(db.rows[last])
+        write, raised = db.save, KeyboardInterrupt
     path, link = tmp_path / "db.tsv", tmp_path / "null"
     link.symlink_to(os.devnull)
     for target in (path, link):
         with pytest.raises(raised):
-            write_database(6, target)
+            write(target)
     assert not path.exists()
     assert link.is_symlink() and link.is_char_device()
 
@@ -637,6 +652,30 @@ def test_incomplete_or_altered_file_rejected(tmp_path, n16_lines, corrupt, messa
     path.write_text("".join(bad), encoding="ascii")
     with pytest.raises(ValueError, match=message):
         load_database(path)
+
+
+def test_every_missing_class_is_named(tmp_path):
+    # Each class of the n <= 8 file removed with all its records: 66 files,
+    # most missing a class from the middle of its level.  The digest pins
+    # the message of each, taken when completeness was checked by counting
+    # the classes of each n against p(n) from Euler's pentagonal recurrence.
+    path = tmp_path / "db.tsv"
+    build_database(8).save(path)
+    lines = path.read_text(encoding="ascii").splitlines(keepends=True)
+    classes = [gamma.parts for n in range(1, 9) for gamma in all_partitions(n)]
+    assert len(classes) == 66
+    verdicts = []
+    for parts in classes:
+        text = ",".join(map(str, parts))
+        kept = [line for line in lines if line.split("\t")[2:3] != [text]]
+        assert len(kept) < len(lines), text
+        path.write_text("".join(kept), encoding="ascii")
+        with pytest.raises(ValueError) as exc:
+            load_database(path)
+        verdicts.append(str(exc.value))
+    assert hashlib.sha256("\n".join(verdicts).encode()).hexdigest() == (
+        "25bea023da48a85f9c2b995ea8f61a20cb6d63d0401d5a983053db5de9e92c17"
+    )
 
 
 def test_single_byte_edits_of_a_file_keep_their_verdicts(tmp_path):
